@@ -17,6 +17,7 @@ import threading
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
+from . import graph
 from .errors import (
     ConflictingCrosswalk,
     HubNotInSet,
@@ -43,7 +44,7 @@ from .schemas import (
     StatementInstance,
     StatementSchema,
 )
-from .terminology import InteropLevel
+from .terminology import InteropLevel, check_min_confidence
 
 __all__ = [
     "SlotAlignment",
@@ -448,6 +449,7 @@ class CrosswalkRegistry:
         ``allow_referential=False`` a rewrite that would need a merely
         referential equivalent fails instead.
         """
+        check_min_confidence(min_confidence)
         cw = self._resolve(cw)
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
@@ -552,40 +554,25 @@ class CrosswalkRegistry:
         ga, gb = self.prefix_map.gupri(a), self.prefix_map.gupri(b)
         if ga == gb:
             return True
-        components = self._components()
-        return components.get(ga.canonical) is not None and components.get(
-            ga.canonical
-        ) == components.get(gb.canonical)
+        roots = self.components()
+        root = roots.get(ga.canonical)
+        return root is not None and root == roots.get(gb.canonical)
 
-    def _components(self, extra_edges: list[tuple[str, str]] | None = None) -> dict[str, str]:
-        parent: dict[str, str] = {}
+    def _links(self) -> list[tuple[str, str]]:
+        return [(cw.source_schema.canonical, cw.target_schema.canonical) for cw in self.crosswalks()]
 
-        def find(x: str) -> str:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def components(self) -> dict[str, str]:
+        """Each schema with a crosswalk, mapped to the smallest schema id
+        connected to it by crosswalks in either direction."""
+        return graph.components(self._links())
 
-        def union(a: str, b: str) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
+    def directed_adjacency(self) -> dict[str, dict[str, str]]:
+        """source schema -> {target schema: smallest crosswalk id between them}."""
+        adj: dict[str, dict[str, str]] = {}
         for cw in self.crosswalks():
-            union(cw.source_schema.canonical, cw.target_schema.canonical)
-        for a, b in extra_edges or ():
-            union(a, b)
-        return {node: find(node) for node in list(parent)}
-
-    def directed_adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        """source schema -> sorted (target schema, crosswalk id) pairs."""
-        adj: dict[str, list[tuple[str, str]]] = {}
-        for cw in self.crosswalks():
-            adj.setdefault(cw.source_schema.canonical, []).append(
-                (cw.target_schema.canonical, cw.id.canonical)
-            )
-        return {k: sorted(v) for k, v in adj.items()}
+            targets = adj.setdefault(cw.source_schema.canonical, {})
+            targets.setdefault(cw.target_schema.canonical, cw.id.canonical)
+        return adj
 
     def plan_crosswalks(
         self,
@@ -617,24 +604,19 @@ class CrosswalkRegistry:
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 
-        components = self._components()
+        links = self._links()
+        existing = graph.components(links)
+        planned = graph.components(links + required)
 
-        def covered(a: str, b: str) -> bool:
-            ca, cb = components.get(a), components.get(b)
-            return ca is not None and ca == cb
+        def covered(roots: dict[str, str], a: str, b: str) -> bool:
+            return roots.get(a) is not None and roots.get(a) == roots.get(b)
 
-        missing = tuple(link for link in required if not covered(*link))
+        missing = tuple(link for link in required if not covered(existing, *link))
         existing_pairs = {
-            tuple(sorted((cw.source_schema.canonical, cw.target_schema.canonical)))
-            for cw in self.crosswalks()
-            if cw.source_schema.canonical in nodes and cw.target_schema.canonical in nodes
+            tuple(sorted(link)) for link in links if link[0] in nodes and link[1] in nodes
         }
-        planned = self._components(extra_edges=[tuple(link) for link in required])
         pairs_covered = tuple(
-            (a, b)
-            for i, a in enumerate(ids)
-            for b in ids[i + 1 :]
-            if planned.get(a) is not None and planned.get(a) == planned.get(b)
+            (a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if covered(planned, a, b)
         )
         return PlanReport(
             strategy=strategy,

@@ -23,7 +23,6 @@ from .errors import MalformedContent, MalformedRecord
 from .fdo import (
     AssessmentReport,
     CertaintyLevel,
-    CollectionAssessment,
     FdoRecord,
     StatementCategory,
 )
@@ -33,7 +32,6 @@ from .operations import (
     OperationDescriptor,
     OperationKind,
     OperationParam,
-    XInteropResult,
 )
 from .schemas import (
     DatatypeTag,
@@ -49,7 +47,6 @@ from .terminology import (
     ImportReport,
     InteropVerdict,
     ReferentKind,
-    TermAudit,
     TermRecord,
 )
 
@@ -131,21 +128,6 @@ def mapping_to_doc(m: EntityMapping, pm: PrefixMap) -> dict:
     if m.comment is not None:
         doc["comment"] = m.comment
     return doc
-
-
-def audit_to_doc(audit: TermAudit, pm: PrefixMap) -> dict:
-    return {
-        "term": _compact(audit.term, pm),
-        "checks": [
-            {
-                "check": c.check_id,
-                "status": c.status,
-                **({"advisory": True} if c.advisory else {}),
-                **({"detail": c.detail} if c.detail else {}),
-            }
-            for c in audit.checks
-        ],
-    }
 
 
 def import_report_to_doc(report: ImportReport) -> dict:
@@ -452,16 +434,6 @@ def applicable_to_doc(entries: list[ApplicableOperation], degree: int, pm: Prefi
     }
 
 
-def x_interop_to_doc(result: XInteropResult, pm: PrefixMap) -> dict:
-    return {
-        "status": result.status.value,
-        "paths": [
-            {"schema": pm.compress(schema), "via": [pm.compress(c) for c in path]}
-            for schema, path in result.paths
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # FDO records
 
@@ -564,14 +536,4 @@ def assessment_to_doc(report: AssessmentReport, pm: PrefixMap) -> dict:
         "passed": report.passed,
         "applicable": report.applicable,
         "score": report.score,
-    }
-
-
-def collection_assessment_to_doc(agg: CollectionAssessment) -> dict:
-    return {
-        "mean_score": agg.mean_score,
-        "per_check": [
-            {"check": check_id, "pass": p, "fail": f, "not_applicable": na}
-            for check_id, p, f, na in agg.per_check
-        ],
     }

@@ -11,11 +11,11 @@ is registered by reference.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum, IntEnum
 
+from . import graph
 from .crosswalks import CrosswalkRegistry
 from .errors import (
     ConflictingDescriptor,
@@ -176,23 +176,12 @@ class OperationsRegistry:
     def _reachable(self, start: str, max_hops: int) -> dict[str, tuple[str, ...]]:
         """Schemas reachable over directed crosswalks with the paths taken.
 
-        Shortest path per schema; ties broken by lexicographic path.
+        Shortest path per schema; ties broken by the lexicographic order of
+        the crosswalk ids along the path.
         """
-        adjacency = self.crosswalks.directed_adjacency()
-        paths: dict[str, tuple[str, ...]] = {start: ()}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            path = paths[node]
-            if len(path) >= max_hops:
-                continue
-            for target, cw_id in adjacency.get(node, ()):
-                candidate = path + (cw_id,)
-                best = paths.get(target)
-                if best is None or (len(candidate), candidate) < (len(best), best):
-                    paths[target] = candidate
-                    queue.append(target)
-        return paths
+        return graph.shortest_paths(
+            self.crosswalks.directed_adjacency(), start, lambda _, cw_id: cw_id, max_hops
+        )
 
     def applicable_operations(
         self,

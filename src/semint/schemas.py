@@ -385,17 +385,15 @@ class SchemaRegistry:
         groups: dict[str, list[StatementSchema]] = {}
         for schema in self.schemas():
             groups.setdefault(snap.referential_root(schema.statement_type), []).append(schema)
+        schema_roots = crosswalks.components() if crosswalks is not None else {}
         out: list[DuplicateGroup] = []
         for root in sorted(groups):
             members = groups[root]
             if len(members) < 2:
                 continue
             ids = tuple(sorted((s.id for s in members)))
-            covered = False
-            if crosswalks is not None:
-                covered = all(
-                    crosswalks.connected(a, b) for a in ids for b in ids if a < b
-                )
+            shared = {schema_roots.get(s.canonical) for s in ids}
+            covered = len(shared) == 1 and None not in shared
             statement_type = min(s.statement_type for s in members)
             out.append(DuplicateGroup(statement_type=statement_type, schema_ids=ids, crosswalk_covered=covered))
         return out

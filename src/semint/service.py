@@ -9,7 +9,6 @@ Reads run against the engine's immutable snapshots; the two compute endpoints
 from __future__ import annotations
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
@@ -36,7 +35,6 @@ class StoreServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], engine: Engine):
         super().__init__(address, _Handler)
         self.engine = engine
-        self.write_lock = threading.Lock()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -188,8 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, documents.instance_to_doc(out, pm))
         elif self.path == "/assess":
             record = documents.fdo_from_doc(body, pm)
-            with self.server.write_lock:  # type: ignore[attr-defined]
-                report = engine.fdos.assess_record(record)
+            report = engine.fdos.assess_record(record)
             self._send(200, documents.assessment_to_doc(report, pm))
         else:
             self._send_error(404, "unknown-route", f"no route for {self.path}")

@@ -21,14 +21,15 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from typing import Mapping, Sequence
 
+from . import graph
 from .errors import (
     ConflictingTermRecord,
     InvalidGupri,
+    MalformedContent,
     MalformedRecord,
     MissingRequiredColumn,
     UnknownPredicate,
@@ -49,6 +50,7 @@ __all__ = [
     "TermAudit",
     "ClosureSnapshot",
     "TerminologyRegistry",
+    "check_min_confidence",
 ]
 
 _LANG_TAG_RE = re.compile(r"^[a-z]{2,8}(-[a-z0-9]{1,8})*$")
@@ -270,48 +272,30 @@ class TermAudit:
     checks: tuple[AuditCheck, ...]
 
 
-class _UnionFind:
-    def __init__(self):
-        self._parent: dict[str, str] = {}
-
-    def add(self, x: str) -> None:
-        self._parent.setdefault(x, x)
-
-    def find(self, x: str) -> str:
-        self.add(x)
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def components(self) -> dict[str, frozenset[str]]:
-        """Members keyed by canonical root (lexicographically smallest member)."""
-        groups: dict[str, set[str]] = {}
-        for x in self._parent:
-            groups.setdefault(self.find(x), set()).add(x)
-        return {min(members): frozenset(members) for members in groups.values()}
+def check_min_confidence(min_confidence: float | None) -> None:
+    """Reject a confidence threshold that is not a finite number in [0, 1]."""
+    if min_confidence is not None and not 0.0 <= min_confidence <= 1.0:
+        raise MalformedContent(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
 
 
-def _transitive_reach(adjacency: Mapping[str, set[str]]) -> dict[str, frozenset[str]]:
-    reach: dict[str, frozenset[str]] = {}
-    for start in adjacency:
-        seen: set[str] = set()
-        queue = deque(adjacency.get(start, ()))
-        while queue:
-            node = queue.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            queue.extend(adjacency.get(node, ()))
-        reach[start] = frozenset(seen)
-    return reach
+def _mapping_order(m: EntityMapping) -> tuple:
+    return (
+        m.subject.canonical,
+        m.predicate.curie,
+        m.object.canonical,
+        m.justification,
+        m.author or "",
+        m.comment or "",
+        m.confidence,
+    )
+
+
+def _classes(root: Mapping[str, str]) -> dict[str, frozenset[str]]:
+    """Members keyed by root, from a node-to-root map."""
+    groups: dict[str, set[str]] = {}
+    for node, r in root.items():
+        groups.setdefault(r, set()).add(node)
+    return {r: frozenset(members) for r, members in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -381,7 +365,9 @@ class TerminologyRegistry:
     """Registry of term records and entity mappings with closure queries.
 
     Reads run against an immutable :class:`ClosureSnapshot` computed lazily
-    and invalidated on every write; writes are serialized by a lock.
+    and invalidated on every write; writes are serialized by a lock and
+    counted, and a snapshot is published only if no write happened while it
+    was built.
     """
 
     def __init__(self, prefix_map: PrefixMap | None = None):
@@ -389,6 +375,7 @@ class TerminologyRegistry:
         self._terms: dict[str, TermRecord] = {}
         self._mappings: dict[str, EntityMapping] = {}
         self._snapshot: ClosureSnapshot | None = None
+        self._writes = 0
         self._lock = threading.Lock()
 
     # -- term registry ------------------------------------------------------
@@ -431,6 +418,7 @@ class TerminologyRegistry:
         with self._lock:
             if m.id not in self._mappings:
                 self._mappings[m.id] = m
+                self._writes += 1
                 self._snapshot = None
         return m.id
 
@@ -455,22 +443,17 @@ class TerminologyRegistry:
         with self._lock:
             removed = self._mappings.pop(mapping_id, None)
             if removed is not None:
+                self._writes += 1
                 self._snapshot = None
         return removed is not None
 
     def mappings(self) -> list[EntityMapping]:
-        return sorted(
-            self._mappings.values(),
-            key=lambda m: (
-                m.subject.canonical,
-                m.predicate.curie,
-                m.object.canonical,
-                m.justification,
-                m.author or "",
-                m.comment or "",
-                m.confidence,
-            ),
-        )
+        return sorted(self._edges()[0], key=_mapping_order)
+
+    def _edges(self) -> tuple[list[EntityMapping], int]:
+        """The stored mappings, unordered, with the write count they reflect."""
+        with self._lock:
+            return list(self._mappings.values()), self._writes
 
     def mappings_between(self, subject: Gupri | None = None, object: Gupri | None = None) -> list[EntityMapping]:
         found = []
@@ -555,35 +538,27 @@ class TerminologyRegistry:
 
         The default (unfiltered) snapshot is cached until the next write.
         """
-        if min_confidence is None:
-            snapshot = self._snapshot
-            if snapshot is None:
-                snapshot = self._build_snapshot(self.mappings())
-                self._snapshot = snapshot
-            return snapshot
-        edges = [m for m in self.mappings() if m.confidence >= min_confidence]
-        return self._build_snapshot(edges)
+        check_min_confidence(min_confidence)
+        if min_confidence is not None:
+            edges, _ = self._edges()
+            return self._build_snapshot([m for m in edges if m.confidence >= min_confidence])
+        snapshot = self._snapshot
+        if snapshot is None:
+            edges, writes = self._edges()
+            snapshot = self._build_snapshot(edges)
+            with self._lock:
+                if writes == self._writes:
+                    self._snapshot = snapshot
+        return snapshot
 
-    def _build_snapshot(self, edges: Sequence[EntityMapping]) -> ClosureSnapshot:
-        ont = _UnionFind()
-        ref = _UnionFind()
-        for m in edges:
-            ref.add(m.subject.canonical)
-            ref.add(m.object.canonical)
-            ont.add(m.subject.canonical)
-            ont.add(m.object.canonical)
-            if m.predicate in _ONTOLOGICAL_GRADE:
-                ont.union(m.subject.canonical, m.object.canonical)
-            if m.predicate in _REFERENTIAL_GRADE:
-                ref.union(m.subject.canonical, m.object.canonical)
-        for canonical in self._terms:
-            ont.add(canonical)
-            ref.add(canonical)
-
-        ont_members = ont.components()
-        ref_members = ref.components()
-        ont_root = {m: root for root, members in ont_members.items() for m in members}
-        ref_root = {m: root for root, members in ref_members.items() for m in members}
+    @staticmethod
+    def _build_snapshot(edges: Sequence[EntityMapping]) -> ClosureSnapshot:
+        ont_root = graph.components(
+            (m.subject.canonical, m.object.canonical) for m in edges if m.predicate in _ONTOLOGICAL_GRADE
+        )
+        ref_root = graph.components(
+            (m.subject.canonical, m.object.canonical) for m in edges if m.predicate in _REFERENTIAL_GRADE
+        )
 
         def lift(term: str) -> str:
             return ref_root.get(term, term)
@@ -610,12 +585,12 @@ class TerminologyRegistry:
 
         return ClosureSnapshot(
             ont_root=ont_root,
-            ont_members=ont_members,
+            ont_members=_classes(ont_root),
             ref_root=ref_root,
-            ref_members=ref_members,
-            subclass_reach=_transitive_reach(subclass_adj),
-            subproperty_reach=_transitive_reach(subproperty_adj),
-            loose_reach=_transitive_reach(loose_adj),
+            ref_members=_classes(ref_root),
+            subclass_reach=graph.reach(subclass_adj),
+            subproperty_reach=graph.reach(subproperty_adj),
+            loose_reach=graph.reach(loose_adj),
             associative_pairs=frozenset(associative),
         )
 
@@ -671,17 +646,16 @@ class TerminologyRegistry:
         """Shortest mapping-edge path witnessing the interop verdict for (a, b).
 
         Empty for Identical and None verdicts. Ties between equal-length paths
-        are broken by the lexicographic canonical order of intermediate nodes.
+        are broken by the lexicographic canonical order of intermediate nodes,
+        and between parallel edges by the smallest mapping id.
         """
         ga, gb = self.prefix_map.gupri(a), self.prefix_map.gupri(b)
         verdict = self.interop_level(ga, gb, min_confidence)
         if verdict.level in (InteropLevel.IDENTICAL, InteropLevel.NONE):
             return []
-        edges = [
-            m
-            for m in self.mappings()
-            if min_confidence is None or m.confidence >= min_confidence
-        ]
+        edges, _ = self._edges()
+        if min_confidence is not None:
+            edges = [m for m in edges if m.confidence >= min_confidence]
         if verdict.level is InteropLevel.ASSOCIATIVE:
             direct = [
                 m
@@ -689,7 +663,7 @@ class TerminologyRegistry:
                 if m.predicate in _ASSOCIATIVE
                 and {m.subject, m.object} == {ga, gb}
             ]
-            return direct[:1]
+            return sorted(direct, key=_mapping_order)[:1]
         allowed: set[MappingPredicate] = set(_ONTOLOGICAL_GRADE)
         if verdict.level is not InteropLevel.ONTOLOGICAL:
             allowed = set(_REFERENTIAL_GRADE)
@@ -717,38 +691,8 @@ class TerminologyRegistry:
                     connect(s, o, m)
                 else:
                     connect(o, s, m)
-        return self._lex_shortest_path(adjacency, ga.canonical, gb.canonical)
-
-    @staticmethod
-    def _lex_shortest_path(
-        adjacency: Mapping[str, Mapping[str, EntityMapping]], start: str, goal: str
-    ) -> list[EntityMapping]:
-        # distances from the goal over the reversed graph, then a greedy
-        # forward walk picks the lexicographically smallest shortest path
-        reverse: dict[str, set[str]] = {}
-        for u, nbrs in adjacency.items():
-            for v in nbrs:
-                reverse.setdefault(v, set()).add(u)
-        dist = {goal: 0}
-        queue = deque([goal])
-        while queue:
-            node = queue.popleft()
-            for prev in reverse.get(node, ()):
-                if prev not in dist:
-                    dist[prev] = dist[node] + 1
-                    queue.append(prev)
-        if start not in dist:
-            return []
-        path: list[EntityMapping] = []
-        node = start
-        while node != goal:
-            candidates = sorted(
-                v for v in adjacency.get(node, {}) if dist.get(v) == dist[node] - 1
-            )
-            nxt = candidates[0]
-            path.append(adjacency[node][nxt])
-            node = nxt
-        return path
+        paths = graph.shortest_paths(adjacency, ga.canonical, lambda v, _: v, goal=gb.canonical)
+        return list(paths.get(gb.canonical, ()))
 
     # -- audits ---------------------------------------------------------------
 

@@ -1,0 +1,87 @@
+from __future__ import annotations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from semint import graph
+
+from oracles import all_shortest_paths, directed_reachability, equivalence_partition
+
+NODES = list(range(8))
+edge_lists = st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)), max_size=24)
+
+
+def labelled_adjacency(edges, labels):
+    """One labelled edge per (u, v), as the callers build it."""
+    adjacency: dict[int, dict[int, int]] = {}
+    for (u, v), label in zip(edges, labels):
+        adjacency.setdefault(u, {}).setdefault(v, label)
+    return adjacency
+
+
+def node_sets(adjacency):
+    return {u: set(targets) for u, targets in adjacency.items()}
+
+
+@settings(deadline=None)
+@given(edge_lists)
+def test_components_match_oracle_partition(edges):
+    roots = graph.components(edges)
+    classes: dict[int, set[int]] = {}
+    for node in NODES:
+        classes.setdefault(roots.get(node, node), set()).add(node)
+    assert {frozenset(c) for c in classes.values()} == equivalence_partition(NODES, edges)
+    assert all(root == min(members) for root, members in classes.items())
+    assert set(roots) == {n for edge in edges for n in edge}
+
+
+@settings(deadline=None)
+@given(edge_lists)
+def test_reach_matches_oracle(edges):
+    adjacency: dict[int, set[int]] = {}
+    for u, v in edges:
+        adjacency.setdefault(u, set()).add(v)
+    pairs = {(u, v) for u, targets in graph.reach(adjacency).items() for v in targets}
+    assert pairs == directed_reachability(NODES, edges)
+
+
+@settings(deadline=None)
+@given(edge_lists, st.sampled_from(NODES))
+def test_shortest_paths_pick_smallest_node_sequence(edges, start):
+    adjacency = labelled_adjacency(edges, edges)
+    paths = graph.shortest_paths(adjacency, start, lambda v, _: v)
+    for goal in NODES:
+        expected = all_shortest_paths(node_sets(adjacency), start, goal)
+        if not expected:
+            assert goal not in paths
+            assert graph.shortest_paths(adjacency, start, lambda v, _: v, goal=goal) == {}
+            continue
+        best = min(expected)
+        assert [start] + [v for _, v in paths[goal]] == best
+        alone = graph.shortest_paths(adjacency, start, lambda v, _: v, goal=goal)
+        assert alone == {goal: paths[goal]}
+
+
+@settings(deadline=None)
+@given(edge_lists, st.lists(st.integers(0, 2), min_size=24, max_size=24), st.sampled_from(NODES))
+@example(edges=[(0, 1), (0, 2), (1, 3), (2, 3)], labels=[0, 0, 1, 0] + [0] * 20, start=0)
+def test_shortest_paths_pick_smallest_key_sequence_with_repeated_keys(edges, labels, start):
+    # few distinct keys, so different paths often share a key sequence; in
+    # the example 1 and 2 are reached by equal keys and 2 leads on with the
+    # smaller one
+    adjacency = labelled_adjacency(edges, labels)
+    paths = graph.shortest_paths(adjacency, start, lambda _, label: label)
+    for goal in NODES:
+        expected = all_shortest_paths(node_sets(adjacency), start, goal)
+        if expected:
+            keys = [tuple(adjacency[p[i]][p[i + 1]] for i in range(len(p) - 1)) for p in expected]
+            assert paths[goal] == min(keys)
+
+
+@settings(deadline=None)
+@given(edge_lists, st.sampled_from(NODES), st.integers(0, 4))
+def test_shortest_paths_max_hops_bound(edges, start, max_hops):
+    adjacency = labelled_adjacency(edges, edges)
+    unbounded = graph.shortest_paths(adjacency, start, lambda v, _: v)
+    bounded = graph.shortest_paths(adjacency, start, lambda v, _: v, max_hops)
+    assert bounded == {n: p for n, p in unbounded.items() if len(p) <= max_hops}

@@ -197,6 +197,39 @@ def test_reachability_hop_bound():
     assert with_larger_bound == 1
 
 
+def test_reachable_via_ties_broken_by_crosswalk_id():
+    # the crosswalk ids order opposite to their target schemas, and two
+    # crosswalks run in parallel to ex:tie-a
+    engine = make_engine()
+    pm = engine.prefix_map
+    from semint import Crosswalk, SlotAlignment, SlotKind, SlotSpec, StatementSchema
+
+    term(engine, "ex:tie-class")
+    for name in ("tie-start", "tie-a", "tie-b"):
+        engine.schemas.register_schema(
+            StatementSchema(
+                id=pm.gupri(f"ex:{name}"),
+                statement_type=pm.gupri("ex:tie-type"),
+                label=name,
+                slots=(SlotSpec("x", "X", SlotKind.RESOURCE, pm.gupri("ex:tie-class")),),
+            )
+        )
+    for cw_id, target in (("ex:tie-cw-9", "ex:tie-a"), ("ex:tie-cw-2", "ex:tie-a"), ("ex:tie-cw-1", "ex:tie-b")):
+        engine.crosswalks.register_crosswalk(
+            Crosswalk(
+                id=pm.gupri(cw_id),
+                source_schema=pm.gupri("ex:tie-start"),
+                target_schema=pm.gupri(target),
+                alignments=(SlotAlignment("x", "x"),),
+            )
+        )
+    engine.operations.register_operation(external_op(pm, "op:tie-both", "ex:tie-a", "ex:tie-b"))
+    engine.operations.register_operation(external_op(pm, "op:tie-a-only", "ex:tie-a"))
+    entries, _ = engine.operations.applicable_operations("ex:tie-start", include_reachable=True)
+    via = {pm.compress(e.operation.id.canonical): tuple(pm.compress(c) for c in e.via) for e in entries}
+    assert via == {"op:tie-both": ("ex:tie-cw-1",), "op:tie-a-only": ("ex:tie-cw-2",)}
+
+
 # ---------------------------------------------------------------------------
 # actionability ladder
 

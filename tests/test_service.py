@@ -258,15 +258,31 @@ def test_concurrent_requests_identical_payloads(served):
 
 
 def test_interop_min_confidence_param(served):
-    status, body = http_get(
-        served["base"], "/interop?a=pato:weight&b=ncit:weight&min_confidence=0.5"
-    )
-    assert status == 200
-    assert json.loads(body)["level"] == "Ontological"
-    status, body = http_get(
-        served["base"], "/interop?a=pato:weight&b=ncit:weight&min_confidence=not-a-number"
-    )
-    assert status == 400
+    for accepted in ("0.5", "0", "1"):
+        status, body = http_get(
+            served["base"], f"/interop?a=pato:weight&b=ncit:weight&min_confidence={accepted}"
+        )
+        assert status == 200
+        assert json.loads(body)["level"] == "Ontological"
+    for rejected in ("not-a-number", "nan", "2", "-0.1"):
+        status, body = http_get(
+            served["base"], f"/interop?a=pato:weight&b=ncit:weight&min_confidence={rejected}"
+        )
+        assert status == 400, rejected
+        assert json.loads(body)["error"] == "malformed-content"
+    fx = served["fixture"]
+    for rejected in ("nan", 2, -0.1):
+        status, body = http_post(
+            served["base"],
+            "/transform",
+            {
+                "instance": instance_to_doc(fx.instance, fx.engine.prefix_map),
+                "crosswalk": "ex:weight-crosswalk",
+                "min_confidence": rejected,
+            },
+        )
+        assert status == 400, rejected
+        assert json.loads(body)["error"] == "malformed-content"
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,47 @@ def test_concurrent_reads_during_writes(engine):
     assert engine.terminology.interop_level("ex:c0", "ex:c60").level is InteropLevel.ONTOLOGICAL
 
 
+def test_no_stale_snapshot_published_during_writes(engine):
+    # a reader that builds from the edges before a write must not publish its
+    # snapshot after the write: every write is visible to the next read
+    import sys
+    import threading
+    import time
+
+    stop = threading.Event()
+    errors: list[Exception] = []
+    missed: list[int] = []
+
+    def reader():
+        try:
+            while not stop.is_set():
+                engine.terminology.compute_closure()
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in readers:
+            t.start()
+        for i in range(300):
+            add_mapping(engine, f"ex:r{i}", MappingPredicate.SAME_AS, f"ex:r{i + 1}")
+            verdict = engine.terminology.interop_level(f"ex:r{i}", f"ex:r{i + 1}")
+            if verdict.level is not InteropLevel.ONTOLOGICAL:
+                missed.append(i)
+            time.sleep(0.0005)
+    finally:
+        stop.set()
+        for t in readers:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert errors == []
+    assert missed == []
+    assert engine.terminology.interop_level("ex:r0", "ex:r300").level is InteropLevel.ONTOLOGICAL
+
+
 # ---------------------------------------------------------------------------
 # interop levels
 
