@@ -44,7 +44,7 @@ from .schemas import (
     StatementInstance,
     StatementSchema,
 )
-from .terminology import InteropLevel, check_min_confidence
+from .terminology import ClosureSnapshot, InteropLevel
 
 __all__ = [
     "SlotAlignment",
@@ -211,6 +211,9 @@ class CrosswalkRegistry:
     def check_crosswalk(self, cw: Crosswalk | str | Gupri, min_confidence: float | None = None) -> CrosswalkReport:
         """Grade every alignment and report required-slot coverage."""
         cw = self._resolve(cw)
+        return self._check(self.terminology.compute_closure(min_confidence), cw)
+
+    def _check(self, snap: ClosureSnapshot, cw: Crosswalk) -> CrosswalkReport:
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
         self._validate_alignment_shape(cw, source, target)
@@ -218,7 +221,7 @@ class CrosswalkRegistry:
         for alignment in cw.alignments:
             sslot = source.slot(alignment.source_slot)
             tslot = target.slot(alignment.target_slot)
-            checks.append(AlignmentCheck(alignment, *self._status(sslot, tslot, min_confidence)))
+            checks.append(AlignmentCheck(alignment, *self._status(snap, sslot, tslot)))
         aligned_sources = {a.source_slot for a in cw.alignments}
         aligned_targets = {a.target_slot for a in cw.alignments}
         return CrosswalkReport(
@@ -253,7 +256,8 @@ class CrosswalkRegistry:
             seen_source.add(alignment.source_slot)
             seen_target.add(alignment.target_slot)
 
-    def _status(self, sslot, tslot, min_confidence) -> tuple[AlignmentStatus, str]:
+    @staticmethod
+    def _status(snap: ClosureSnapshot, sslot, tslot) -> tuple[AlignmentStatus, str]:
         if sslot.kind is not tslot.kind:
             return AlignmentStatus.ROLE_MISMATCH, (
                 f"{sslot.kind.value} slot aligned to {tslot.kind.value} slot"
@@ -266,7 +270,7 @@ class CrosswalkRegistry:
             )
         if sslot.constraint == tslot.constraint:
             return AlignmentStatus.EQUAL, "identical constraint"
-        verdict = self.terminology.interop_level(sslot.constraint, tslot.constraint, min_confidence)
+        verdict = snap.interop_level(sslot.constraint, tslot.constraint)
         if verdict.level >= InteropLevel.ONTOLOGICAL:
             return AlignmentStatus.ONTOLOGICALLY_MAPPED, (
                 f"{sslot.constraint} ontologically mapped to {tslot.constraint}"
@@ -282,7 +286,10 @@ class CrosswalkRegistry:
     def classify_crosswalk(self, cw: Crosswalk | str | Gupri, min_confidence: float | None = None) -> CrosswalkLevel:
         """Ontological iff all slots of both schemas are covered at ontological grade."""
         cw = self._resolve(cw)
-        report = self.check_crosswalk(cw, min_confidence)
+        return self._level(cw, self._check(self.terminology.compute_closure(min_confidence), cw))
+
+    def _level(self, cw: Crosswalk, report: CrosswalkReport) -> CrosswalkLevel:
+        """Classification of a crosswalk from its check report."""
         if not report.clean:
             raise InvalidCrosswalk(self._report_problem(report))
         source = self.schemas.schema(cw.source_schema)
@@ -315,15 +322,7 @@ class CrosswalkRegistry:
     def register_crosswalk(self, cw: Crosswalk) -> Gupri:
         """Store a crosswalk after a full check; the level is computed here."""
         cw = self._canonicalized(cw)
-        report = self.check_crosswalk(cw)
-        for c in report.checks:
-            if c.status in (AlignmentStatus.ROLE_MISMATCH, AlignmentStatus.INCOMPATIBLE):
-                raise IncompatibleAlignment(self._report_problem(report))
-        if report.uncovered_required_target:
-            raise UncoveredRequiredTargetSlot(
-                f"required target slot(s) uncovered: {', '.join(report.uncovered_required_target)}"
-            )
-        stored = replace(cw, level=self.classify_crosswalk(cw))
+        stored = replace(cw, level=self._checked_level(self.terminology.compute_closure(), cw))
         with self._lock:
             existing = self._crosswalks.get(stored.id.canonical)
             if existing is not None:
@@ -381,7 +380,8 @@ class CrosswalkRegistry:
             alignments=alignments,
             provenance=CrosswalkProvenance(justification="composition"),
         )
-        report = self.check_crosswalk(composed)
+        snap = self.terminology.compute_closure()
+        report = self._check(snap, composed)
         for c in report.checks:
             if c.status in (AlignmentStatus.ROLE_MISMATCH, AlignmentStatus.INCOMPATIBLE):
                 raise IncompatibleAlignment(self._report_problem(report))
@@ -390,11 +390,11 @@ class CrosswalkRegistry:
                 f"required target slot(s) uncovered after join: "
                 f"{', '.join(report.uncovered_required_target)}"
             )
-        level = min(self._level_of(ab), self._level_of(bc))
+        level = min(self._level_of(snap, ab), self._level_of(snap, bc))
         return replace(composed, level=level)
 
-    def _level_of(self, cw: Crosswalk) -> CrosswalkLevel:
-        return cw.level if cw.level is not None else self.classify_crosswalk(cw)
+    def _level_of(self, snap: ClosureSnapshot, cw: Crosswalk) -> CrosswalkLevel:
+        return cw.level if cw.level is not None else self._level(cw, self._check(snap, cw))
 
     def invert_crosswalk(self, cw: Crosswalk | str | Gupri, id: Gupri | None = None) -> Crosswalk:
         """Swap source and target; alignments are reversed.
@@ -412,18 +412,22 @@ class CrosswalkRegistry:
             provenance=cw.provenance,
         )
         try:
-            report = self.check_crosswalk(inverted)
-            for c in report.checks:
-                if c.status in (AlignmentStatus.ROLE_MISMATCH, AlignmentStatus.INCOMPATIBLE):
-                    raise IncompatibleAlignment(self._report_problem(report))
-            if report.uncovered_required_target:
-                raise UncoveredRequiredTargetSlot(
-                    f"required target slot(s) uncovered: {', '.join(report.uncovered_required_target)}"
-                )
-            level = self.classify_crosswalk(inverted)
-        except (IncompatibleAlignment, UncoveredRequiredTargetSlot, InvalidCrosswalk) as exc:
+            level = self._checked_level(self.terminology.compute_closure(), inverted)
+        except (IncompatibleAlignment, UncoveredRequiredTargetSlot) as exc:
             raise NotInvertible(f"crosswalk {cw.id} is not invertible: {exc}") from exc
         return replace(inverted, level=level)
+
+    def _checked_level(self, snap: ClosureSnapshot, cw: Crosswalk) -> CrosswalkLevel:
+        """Level of a crosswalk that must pass its check, from one check."""
+        report = self._check(snap, cw)
+        for c in report.checks:
+            if c.status in (AlignmentStatus.ROLE_MISMATCH, AlignmentStatus.INCOMPATIBLE):
+                raise IncompatibleAlignment(self._report_problem(report))
+        if report.uncovered_required_target:
+            raise UncoveredRequiredTargetSlot(
+                f"required target slot(s) uncovered: {', '.join(report.uncovered_required_target)}"
+            )
+        return self._level(cw, report)
 
     def _resolve(self, cw: Crosswalk | str | Gupri) -> Crosswalk:
         if isinstance(cw, Crosswalk):
@@ -449,11 +453,11 @@ class CrosswalkRegistry:
         ``allow_referential=False`` a rewrite that would need a merely
         referential equivalent fails instead.
         """
-        check_min_confidence(min_confidence)
+        snap = self.terminology.compute_closure(min_confidence)
         cw = self._resolve(cw)
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
-        report = self.schemas.validate_instance(inst, min_confidence=min_confidence)
+        report = self.schemas.validate_instance_at(snap, inst)
         if not report.valid:
             first = report.violations[0]
             raise SourceInvalid(
@@ -473,7 +477,7 @@ class CrosswalkRegistry:
                 out_fills[tslot.slot_id] = fill
             else:
                 out_fills[tslot.slot_id] = self._carry_resource_fill(
-                    fill, tslot, alignment, min_confidence, allow_referential
+                    snap, fill, tslot, alignment, allow_referential
                 )
         for slot in target.slots:
             if slot.required and slot.slot_id not in out_fills:
@@ -489,7 +493,7 @@ class CrosswalkRegistry:
                     slot_id,
                 )
         out = StatementInstance(schema_id=target.id, fills=out_fills, provenance=inst.provenance)
-        post = self.schemas.validate_instance(out, min_confidence=min_confidence)
+        post = self.schemas.validate_instance_at(snap, out)
         if not post.valid:
             first = post.violations[0]
             raise TargetInvalid(
@@ -499,39 +503,27 @@ class CrosswalkRegistry:
 
     def _carry_resource_fill(
         self,
+        snap: ClosureSnapshot,
         fill: SlotFill,
         tslot,
         alignment: SlotAlignment,
-        min_confidence: float | None,
         allow_referential: bool,
     ) -> SlotFill:
         constraint = tslot.constraint
         term = fill.effective_class()
-        if self.schemas.satisfies_constraint(term, constraint, native=True, min_confidence=min_confidence):
+        if self.schemas.satisfies_constraint(snap, term, constraint, native=True):
             return fill
-        term_str = str(term)
-        ontological = sorted(
-            str(g) for g in self.terminology.equivalence_class(term, InteropLevel.ONTOLOGICAL, min_confidence)
-        )
-        candidates = [
-            c
-            for c in ontological
-            if c != term_str
-            and self.schemas.satisfies_constraint(Gupri(c), constraint, native=True, min_confidence=min_confidence)
-        ]
-        if not candidates:
-            referential = sorted(
-                str(g)
-                for g in self.terminology.equivalence_class(term, InteropLevel.REFERENTIAL, min_confidence)
-            )
-            fallback = [
+
+        def rewrites(level: InteropLevel) -> list[str]:
+            return [
                 c
-                for c in referential
-                if c != term_str
-                and self.schemas.satisfies_constraint(
-                    Gupri(c), constraint, native=True, min_confidence=min_confidence
-                )
+                for c in sorted(snap.equivalence_class(term, level))
+                if c != term.canonical and self.schemas.satisfies_constraint(snap, Gupri(c), constraint, native=True)
             ]
+
+        candidates = rewrites(InteropLevel.ONTOLOGICAL)
+        if not candidates:
+            fallback = rewrites(InteropLevel.REFERENTIAL)
             if fallback and not allow_referential:
                 raise ReferentialDisallowed(
                     f"slot {alignment.target_slot!r}: only referential equivalents of {term} "

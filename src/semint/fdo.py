@@ -21,7 +21,7 @@ from .crosswalks import CrosswalkRegistry
 from .errors import ConflictingFdo, MalformedContent, UnknownFdo
 from .identifiers import Gupri
 from .schemas import SchemaRegistry, SlotKind, StatementInstance
-from .terminology import TerminologyRegistry
+from .terminology import ClosureSnapshot, TerminologyRegistry
 
 __all__ = [
     "StatementCategory",
@@ -228,6 +228,7 @@ class FdoRegistry:
     def assess_record(self, record: FdoRecord) -> AssessmentReport:
         """Evaluate the checklist; deterministic given the registries."""
         record = self._canonicalized(record)
+        snap = self.terminology.compute_closure()
         evaluators = {
             "F1": self._check_f1,
             "F3": self._check_f3,
@@ -247,7 +248,7 @@ class FdoRegistry:
             if check_id in _OUT_OF_SCOPE:
                 checks.append(CheckResult(check_id, CheckStatus.NOT_APPLICABLE, _OUT_OF_SCOPE_DETAIL))
             else:
-                checks.append(evaluators[check_id](record))
+                checks.append(evaluators[check_id](record, snap))
         passed = sum(1 for c in checks if c.status is CheckStatus.PASS)
         applicable = sum(1 for c in checks if c.status is not CheckStatus.NOT_APPLICABLE)
         score = passed / applicable if applicable else 0.0
@@ -277,15 +278,15 @@ class FdoRegistry:
 
     # -- individual checks --------------------------------------------------------
 
-    def _check_f1(self, record: FdoRecord) -> CheckResult:
+    def _check_f1(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         return CheckResult("F1", CheckStatus.PASS, f"gupri {record.gupri} is canonical")
 
-    def _check_f3(self, record: FdoRecord) -> CheckResult:
+    def _check_f3(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         if record.data_identifier is not None:
             return CheckResult("F3", CheckStatus.PASS, f"data identifier {record.data_identifier}")
         return CheckResult("F3", CheckStatus.FAIL, "no data identifier linking metadata to data")
 
-    def _check_f5_1(self, record: FdoRecord) -> CheckResult:
+    def _check_f5_1(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         terms = record.content_terms()
         if not terms:
             return CheckResult("F5.1", CheckStatus.NOT_APPLICABLE, "content mentions no terms")
@@ -294,14 +295,13 @@ class FdoRegistry:
             return CheckResult(
                 "F5.1", CheckStatus.FAIL, f"unresolved term(s): {', '.join(unresolved)}"
             )
-        snap = self.terminology.compute_closure()
         singletons = sum(1 for t in terms if len(snap.referential_class(t)) == 1)
         detail = "all content terms resolve"
         if singletons:
             detail += f"; {singletons} in singleton referential classes (vacuously mapped)"
         return CheckResult("F5.1", CheckStatus.PASS, detail)
 
-    def _check_f5_2(self, record: FdoRecord) -> CheckResult:
+    def _check_f5_2(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         terms = record.content_terms()
         if not terms:
             return CheckResult("F5.2", CheckStatus.NOT_APPLICABLE, "content mentions no terms")
@@ -310,7 +310,7 @@ class FdoRegistry:
             if not self.terminology.has_term(t):
                 failing.append(str(t))
                 continue
-            audit = {c.check_id: c.status for c in self.terminology.audit_term_fairness(t).checks}
+            audit = {c.check_id: c.status for c in self.terminology.audit_term_fairness_at(snap, t).checks}
             if audit["has_multilingual_labels"] != "pass" or audit["has_synonyms"] != "pass":
                 failing.append(str(t))
         if failing:
@@ -321,7 +321,7 @@ class FdoRegistry:
             )
         return CheckResult("F5.2", CheckStatus.PASS, "all content terms carry labels and synonyms")
 
-    def _check_f6_1(self, record: FdoRecord) -> CheckResult:
+    def _check_f6_1(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         instances = record.instances()
         if not instances:
             return CheckResult("F6.1", CheckStatus.NOT_APPLICABLE, "no statement content")
@@ -330,7 +330,7 @@ class FdoRegistry:
         for inst in instances:
             if not self.schemas.has_schema(inst.schema_id):
                 return CheckResult("F6.1", CheckStatus.FAIL, f"schema {inst.schema_id} not registered")
-            report = self.schemas.validate_instance(inst)
+            report = self.schemas.validate_instance_at(snap, inst)
             if not report.valid:
                 first = report.violations[0]
                 return CheckResult(
@@ -338,11 +338,10 @@ class FdoRegistry:
                 )
         return CheckResult("F6.1", CheckStatus.PASS, "schema referenced and content validates")
 
-    def _check_f6_2(self, record: FdoRecord) -> CheckResult:
+    def _check_f6_2(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         instances = record.instances()
         if not instances:
             return CheckResult("F6.2", CheckStatus.NOT_APPLICABLE, "no statement content")
-        snap = self.terminology.compute_closure()
         roots = set()
         for inst in instances:
             if not self.schemas.has_schema(inst.schema_id):
@@ -351,7 +350,7 @@ class FdoRegistry:
             roots.add(snap.referential_root(schema.statement_type))
         groups = {
             snap.referential_root(g.statement_type): g
-            for g in self.schemas.detect_schema_duplicates(self.crosswalks)
+            for g in self.schemas.detect_schema_duplicates_at(snap, self.crosswalks)
         }
         relevant = [groups[r] for r in sorted(roots) if r in groups]
         if not relevant:
@@ -364,12 +363,12 @@ class FdoRegistry:
             return CheckResult("F6.2", CheckStatus.FAIL, f"schemas not crosswalk-covered: {ids}")
         return CheckResult("F6.2", CheckStatus.PASS, "alternative schemas are crosswalk-covered")
 
-    def _check_f7(self, record: FdoRecord) -> CheckResult:
+    def _check_f7(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         if record.category is not None:
             return CheckResult("F7", CheckStatus.PASS, f"category {record.category.value}")
         return CheckResult("F7", CheckStatus.FAIL, "no statement category declared")
 
-    def _check_i4(self, record: FdoRecord) -> CheckResult:
+    def _check_i4(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         terms = record.content_terms()
         if not terms:
             return CheckResult("I4", CheckStatus.NOT_APPLICABLE, "content mentions no terms")
@@ -391,17 +390,17 @@ class FdoRegistry:
             detail += f"; {without_criteria} lack recognition criteria (advisory)"
         return CheckResult("I4", CheckStatus.PASS, detail)
 
-    def _check_i5(self, record: FdoRecord) -> CheckResult:
+    def _check_i5(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         if record.logical_framework:
             return CheckResult("I5", CheckStatus.PASS, f"framework {record.logical_framework}")
         return CheckResult("I5", CheckStatus.FAIL, "no logical framework declared")
 
-    def _check_r1_1(self, record: FdoRecord) -> CheckResult:
+    def _check_r1_1(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         if record.license:
             return CheckResult("R1.1", CheckStatus.PASS, f"license {record.license}")
         return CheckResult("R1.1", CheckStatus.FAIL, "no usage license")
 
-    def _check_r1_2(self, record: FdoRecord) -> CheckResult:
+    def _check_r1_2(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         if record.creator and record.authors:
             return CheckResult(
                 "R1.2", CheckStatus.PASS, "creator and content authors recorded separately"
@@ -410,7 +409,7 @@ class FdoRegistry:
             return CheckResult("R1.2", CheckStatus.FAIL, "no record creator")
         return CheckResult("R1.2", CheckStatus.FAIL, "no content authors")
 
-    def _check_r1_4(self, record: FdoRecord) -> CheckResult:
+    def _check_r1_4(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
         if record.certainty is not None:
             return CheckResult("R1.4", CheckStatus.PASS, f"certainty {record.certainty.value}")
         return CheckResult("R1.4", CheckStatus.FAIL, "no certainty level")

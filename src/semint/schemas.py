@@ -24,7 +24,7 @@ from .errors import (
     UnknownSchema,
 )
 from .identifiers import Gupri
-from .terminology import InteropLevel, TerminologyRegistry
+from .terminology import ClosureSnapshot, InteropLevel, TerminologyRegistry
 
 __all__ = [
     "DatatypeTag",
@@ -276,14 +276,14 @@ class SchemaRegistry:
 
     def satisfies_constraint(
         self,
+        snap: ClosureSnapshot,
         term: Gupri,
         constraint: Gupri,
         *,
         strict: bool = False,
         native: bool = False,
-        min_confidence: float | None = None,
     ) -> bool:
-        """Whether a class term satisfies a resource-slot constraint.
+        """Whether a class term satisfies a resource-slot constraint in ``snap``.
 
         Default acceptance is referential-level equivalence or upward
         subClassOf reachability; ``strict`` restricts equivalence to the
@@ -294,11 +294,10 @@ class SchemaRegistry:
         if term == constraint:
             return True
         if not native:
-            verdict = self.terminology.interop_level(term, constraint, min_confidence)
             needed = InteropLevel.ONTOLOGICAL if strict else InteropLevel.REFERENTIAL
-            if verdict.level >= needed:
+            if snap.interop_level(term, constraint).level >= needed:
                 return True
-        return self.terminology.is_subclass_reachable(term, constraint, min_confidence)
+        return snap.subclass_reachable(term, constraint)
 
     # -- instance validation ---------------------------------------------------
 
@@ -310,6 +309,12 @@ class SchemaRegistry:
         min_confidence: float | None = None,
     ) -> ValidationReport:
         """Check a token model against its type model; never raises on content."""
+        return self.validate_instance_at(self.terminology.compute_closure(min_confidence), inst, strict=strict)
+
+    def validate_instance_at(
+        self, snap: ClosureSnapshot, inst: StatementInstance, *, strict: bool = False
+    ) -> ValidationReport:
+        """:meth:`validate_instance` against a given closure snapshot."""
         schema = self.schema(inst.schema_id)
         violations: list[Violation] = []
         for slot in schema.slots:
@@ -350,9 +355,7 @@ class SchemaRegistry:
             else:
                 assert isinstance(slot.constraint, Gupri)
                 term = fill.effective_class()
-                if not self.satisfies_constraint(
-                    term, slot.constraint, strict=strict, min_confidence=min_confidence
-                ):
+                if not self.satisfies_constraint(snap, term, slot.constraint, strict=strict):
                     violations.append(
                         Violation(
                             "constraint-failure",
@@ -371,21 +374,27 @@ class SchemaRegistry:
     def schemas_for_statement_type(self, p: str | Gupri, min_confidence: float | None = None) -> list[Gupri]:
         """Schemas whose statement type is referentially equivalent to ``p``."""
         gp = self.prefix_map.gupri(p)
-        snap = self.terminology.compute_closure(min_confidence)
-        wanted = snap.referential_class(gp)
+        return self.schemas_for_statement_type_at(self.terminology.compute_closure(min_confidence), gp)
+
+    def schemas_for_statement_type_at(self, snap: ClosureSnapshot, p: Gupri) -> list[Gupri]:
+        """:meth:`schemas_for_statement_type` against a given closure snapshot."""
+        wanted = snap.referential_class(p)
         return [s.id for s in self.schemas() if s.statement_type.canonical in wanted]
 
-    def detect_schema_duplicates(self, crosswalks=None) -> list[DuplicateGroup]:
+    def detect_schema_duplicates(self, crosswalks) -> list[DuplicateGroup]:
         """Groups of schemas modeling the same statement type.
 
         A group is crosswalk-covered when every schema pair in it is connected
         in the crosswalk registry, composition allowed.
         """
-        snap = self.terminology.compute_closure()
+        return self.detect_schema_duplicates_at(self.terminology.compute_closure(), crosswalks)
+
+    def detect_schema_duplicates_at(self, snap: ClosureSnapshot, crosswalks) -> list[DuplicateGroup]:
+        """:meth:`detect_schema_duplicates` against a given closure snapshot."""
         groups: dict[str, list[StatementSchema]] = {}
         for schema in self.schemas():
             groups.setdefault(snap.referential_root(schema.statement_type), []).append(schema)
-        schema_roots = crosswalks.components() if crosswalks is not None else {}
+        schema_roots = crosswalks.components()
         out: list[DuplicateGroup] = []
         for root in sorted(groups):
             members = groups[root]

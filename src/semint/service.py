@@ -156,8 +156,13 @@ class _Handler(BaseHTTPRequestHandler):
         return {"results": [pm.compress(g.canonical) for g in results]}
 
     def _post(self) -> None:
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0")
+        if not length.isdecimal():
+            # the body's end is unknown, so the connection cannot be reused
+            self.close_connection = True
+            self._send_error(400, "malformed-request", "Content-Length must be a non-negative integer")
+            return
+        raw = self.rfile.read(int(length))
         try:
             body = json.loads(raw.decode("utf-8"))
         except ValueError as exc:
@@ -171,17 +176,18 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             inst = documents.instance_from_doc(body["instance"], pm)
             min_confidence = body.get("min_confidence")
-            if min_confidence is not None:
-                try:
-                    min_confidence = float(min_confidence)
-                except (TypeError, ValueError):
-                    self._send_error(400, "malformed-request", "min_confidence must be a number")
-                    return
+            if isinstance(min_confidence, bool) or not isinstance(min_confidence, (int, float, type(None))):
+                self._send_error(400, "malformed-request", "min_confidence must be a number")
+                return
+            allow_referential = body.get("allow_referential", True)
+            if not isinstance(allow_referential, bool):
+                self._send_error(400, "malformed-request", "allow_referential must be a boolean")
+                return
             out = engine.crosswalks.transform_instance(
                 inst,
                 str(body["crosswalk"]),
                 min_confidence=min_confidence,
-                allow_referential=bool(body.get("allow_referential", True)),
+                allow_referential=allow_referential,
             )
             self._send(200, documents.instance_to_doc(out, pm))
         elif self.path == "/assess":

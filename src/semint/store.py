@@ -277,23 +277,23 @@ def find(engine: Engine, query: FindQuery) -> list[Gupri]:
     """
     if query.term is None and query.statement_type is None and query.category is None:
         raise EmptyQuery("set at least one of term, statement_type, category")
-    wanted_terms: set[str] | None = None
+    snap = engine.terminology.compute_closure()
+    wanted_terms: frozenset[str] | None = None
     if query.term is not None:
         term = engine.prefix_map.gupri(query.term)
         if query.expand is ExpandMode.NONE:
-            wanted_terms = {term.canonical}
+            wanted_terms = frozenset({term.canonical})
         else:
             level = (
                 InteropLevel.ONTOLOGICAL
                 if query.expand is ExpandMode.ONTOLOGICAL
                 else InteropLevel.REFERENTIAL
             )
-            wanted_terms = {g.canonical for g in engine.terminology.equivalence_class(term, level)}
+            wanted_terms = snap.equivalence_class(term, level)
     wanted_schemas: set[str] | None = None
     if query.statement_type is not None:
-        wanted_schemas = {
-            s.canonical for s in engine.schemas.schemas_for_statement_type(query.statement_type)
-        }
+        statement_type = engine.prefix_map.gupri(query.statement_type)
+        wanted_schemas = {s.canonical for s in engine.schemas.schemas_for_statement_type_at(snap, statement_type)}
     results = []
     for record in engine.fdos.records():
         if wanted_terms is not None:

@@ -23,7 +23,7 @@ import re
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import graph
 from .errors import (
@@ -50,7 +50,6 @@ __all__ = [
     "TermAudit",
     "ClosureSnapshot",
     "TerminologyRegistry",
-    "check_min_confidence",
 ]
 
 _LANG_TAG_RE = re.compile(r"^[a-z]{2,8}(-[a-z0-9]{1,8})*$")
@@ -272,12 +271,6 @@ class TermAudit:
     checks: tuple[AuditCheck, ...]
 
 
-def check_min_confidence(min_confidence: float | None) -> None:
-    """Reject a confidence threshold that is not a finite number in [0, 1]."""
-    if min_confidence is not None and not 0.0 <= min_confidence <= 1.0:
-        raise MalformedContent(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
-
-
 def _mapping_order(m: EntityMapping) -> tuple:
     return (
         m.subject.canonical,
@@ -300,11 +293,14 @@ def _classes(root: Mapping[str, str]) -> dict[str, frozenset[str]]:
 
 @dataclass(frozen=True)
 class ClosureSnapshot:
-    """Immutable closure over the stored mapping multiset.
+    """Immutable closure over one mapping multiset; answers every terminology
+    question about it.
 
     Equivalence classes are connected components; hierarchical reachability is
     lifted to referential classes and kept separate for the actionable
     (subClassOf/subPropertyOf) and advisory (plus broadMatch) edge sets.
+    ``edges`` are the mappings the closure was built from, so path
+    explanations walk the same edge set the verdicts come from.
     """
 
     ont_root: Mapping[str, str]
@@ -315,6 +311,7 @@ class ClosureSnapshot:
     subproperty_reach: Mapping[str, frozenset[str]]
     loose_reach: Mapping[str, frozenset[str]]
     associative_pairs: frozenset[frozenset[str]]
+    edges: tuple[EntityMapping, ...]
 
     def ontological_root(self, g: Gupri) -> str:
         return self.ont_root.get(g.canonical, g.canonical)
@@ -328,19 +325,90 @@ class ClosureSnapshot:
     def referential_class(self, g: Gupri) -> frozenset[str]:
         return self.ref_members.get(self.referential_root(g), frozenset({g.canonical}))
 
-    def strictly_broader(self, a: Gupri, b: Gupri) -> bool:
-        """True when b's referential class is above a's via subclass/subproperty."""
-        ra, rb = self.referential_root(a), self.referential_root(b)
-        return rb in self.subclass_reach.get(ra, frozenset()) or rb in self.subproperty_reach.get(
-            ra, frozenset()
-        )
+    def _above(self, reach: Mapping[str, frozenset[str]], a: Gupri, b: Gupri) -> bool:
+        """True when b's referential class is above a's in ``reach``."""
+        return self.referential_root(b) in reach.get(self.referential_root(a), frozenset())
 
-    def loosely_broader(self, a: Gupri, b: Gupri) -> bool:
-        ra, rb = self.referential_root(a), self.referential_root(b)
-        return rb in self.loose_reach.get(ra, frozenset())
+    def subclass_reachable(self, a: Gupri, b: Gupri) -> bool:
+        """True when a's referential class reaches b's via subClassOf edges."""
+        return self._above(self.subclass_reach, a, b)
 
-    def associative(self, a: Gupri, b: Gupri) -> bool:
-        return frozenset({a.canonical, b.canonical}) in self.associative_pairs
+    def interop_level(self, a: Gupri, b: Gupri) -> InteropVerdict:
+        """Strongest interoperability verdict between two canonical identifiers."""
+        if a == b:
+            return InteropVerdict(InteropLevel.IDENTICAL, actionable=True)
+        if self.ontological_root(a) == self.ontological_root(b):
+            return InteropVerdict(InteropLevel.ONTOLOGICAL, actionable=True)
+        if self.referential_root(a) == self.referential_root(b):
+            return InteropVerdict(InteropLevel.REFERENTIAL, actionable=True)
+        if self._above(self.subclass_reach, a, b) or self._above(self.subproperty_reach, a, b):
+            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="broader", actionable=True)
+        if self._above(self.subclass_reach, b, a) or self._above(self.subproperty_reach, b, a):
+            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="narrower", actionable=True)
+        if self._above(self.loose_reach, a, b):
+            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="broader", actionable=False)
+        if self._above(self.loose_reach, b, a):
+            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="narrower", actionable=False)
+        if frozenset({a.canonical, b.canonical}) in self.associative_pairs:
+            return InteropVerdict(InteropLevel.ASSOCIATIVE, actionable=False)
+        return InteropVerdict(InteropLevel.NONE, actionable=False)
+
+    def equivalence_class(self, a: Gupri, level: InteropLevel) -> frozenset[str]:
+        """Canonical members of the closed class containing ``a`` at an
+        equivalence-forming level."""
+        if level is InteropLevel.ONTOLOGICAL:
+            return self.ontological_class(a)
+        if level is InteropLevel.REFERENTIAL:
+            return self.referential_class(a)
+        raise ValueError(f"{level!r} does not form equivalence classes")
+
+    def explain_path(self, a: Gupri, b: Gupri) -> list[EntityMapping]:
+        """Shortest mapping-edge path witnessing the interop verdict for (a, b).
+
+        Empty for Identical and None verdicts. Ties between equal-length paths
+        are broken by the lexicographic canonical order of intermediate nodes,
+        and between parallel edges by the smallest mapping id.
+        """
+        verdict = self.interop_level(a, b)
+        if verdict.level in (InteropLevel.IDENTICAL, InteropLevel.NONE):
+            return []
+        if verdict.level is InteropLevel.ASSOCIATIVE:
+            direct = [
+                m
+                for m in self.edges
+                if m.predicate in _ASSOCIATIVE
+                and {m.subject, m.object} == {a, b}
+            ]
+            return sorted(direct, key=_mapping_order)[:1]
+        allowed: set[MappingPredicate] = set(_ONTOLOGICAL_GRADE)
+        if verdict.level is not InteropLevel.ONTOLOGICAL:
+            allowed = set(_REFERENTIAL_GRADE)
+        directed: set[MappingPredicate] = set()
+        if verdict.level is InteropLevel.HIERARCHICAL:
+            directed = set(_HIERARCHICAL)
+            if not verdict.actionable:
+                directed.add(MappingPredicate.BROAD_MATCH)
+        adjacency: dict[str, dict[str, EntityMapping]] = {}
+
+        def connect(u: str, v: str, m: EntityMapping) -> None:
+            slot = adjacency.setdefault(u, {})
+            best = slot.get(v)
+            if best is None or m.id < best.id:
+                slot[v] = m
+
+        forward = "broader" == (verdict.direction or "broader")
+        for m in self.edges:
+            s, o = m.subject.canonical, m.object.canonical
+            if m.predicate in allowed:
+                connect(s, o, m)
+                connect(o, s, m)
+            elif m.predicate in directed:
+                if forward:
+                    connect(s, o, m)
+                else:
+                    connect(o, s, m)
+        paths = graph.shortest_paths(adjacency, a.canonical, lambda v, _: v, goal=b.canonical)
+        return list(paths.get(b.canonical, ()))
 
     def to_doc(self) -> dict:
         """Deterministic plain-data rendering, for output and byte comparison."""
@@ -450,20 +518,19 @@ class TerminologyRegistry:
     def mappings(self) -> list[EntityMapping]:
         return sorted(self._edges()[0], key=_mapping_order)
 
-    def _edges(self) -> tuple[list[EntityMapping], int]:
+    def _edges(self) -> tuple[tuple[EntityMapping, ...], int]:
         """The stored mappings, unordered, with the write count they reflect."""
         with self._lock:
-            return list(self._mappings.values()), self._writes
+            return tuple(self._mappings.values()), self._writes
 
     def mappings_between(self, subject: Gupri | None = None, object: Gupri | None = None) -> list[EntityMapping]:
+        """Stored mappings with each given term at one end, in canonical order."""
         found = []
-        for m in self.mappings():
-            if subject is not None and m.subject != subject and m.object != subject:
-                continue
-            if object is not None and m.subject != object and m.object != object:
-                continue
-            found.append(m)
-        return found
+        for m in self._edges()[0]:
+            ends = (m.subject.canonical, m.object.canonical)
+            if (subject is None or subject.canonical in ends) and (object is None or object.canonical in ends):
+                found.append(m)
+        return sorted(found, key=_mapping_order)
 
     # -- TSV interchange ----------------------------------------------------
 
@@ -536,12 +603,14 @@ class TerminologyRegistry:
     def compute_closure(self, min_confidence: float | None = None) -> ClosureSnapshot:
         """Closure snapshot; pure function of the stored edge set.
 
-        The default (unfiltered) snapshot is cached until the next write.
+        The default (unfiltered) snapshot is cached until the next write. A
+        threshold that is not a number in [0, 1] (NaN included) is rejected.
         """
-        check_min_confidence(min_confidence)
         if min_confidence is not None:
+            if not 0.0 <= min_confidence <= 1.0:
+                raise MalformedContent(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
             edges, _ = self._edges()
-            return self._build_snapshot([m for m in edges if m.confidence >= min_confidence])
+            return self._build_snapshot(tuple(m for m in edges if m.confidence >= min_confidence))
         snapshot = self._snapshot
         if snapshot is None:
             edges, writes = self._edges()
@@ -552,7 +621,7 @@ class TerminologyRegistry:
         return snapshot
 
     @staticmethod
-    def _build_snapshot(edges: Sequence[EntityMapping]) -> ClosureSnapshot:
+    def _build_snapshot(edges: tuple[EntityMapping, ...]) -> ClosureSnapshot:
         ont_root = graph.components(
             (m.subject.canonical, m.object.canonical) for m in edges if m.predicate in _ONTOLOGICAL_GRADE
         )
@@ -592,6 +661,7 @@ class TerminologyRegistry:
             subproperty_reach=graph.reach(subproperty_adj),
             loose_reach=graph.reach(loose_adj),
             associative_pairs=frozenset(associative),
+            edges=edges,
         )
 
     # -- interoperability queries -------------------------------------------
@@ -599,107 +669,29 @@ class TerminologyRegistry:
     def interop_level(self, a: str | Gupri, b: str | Gupri, min_confidence: float | None = None) -> InteropVerdict:
         """Strongest interoperability verdict between two identifiers."""
         ga, gb = self.prefix_map.gupri(a), self.prefix_map.gupri(b)
-        if ga == gb:
-            return InteropVerdict(InteropLevel.IDENTICAL, actionable=True)
-        snap = self.compute_closure(min_confidence)
-        if snap.ontological_root(ga) == snap.ontological_root(gb):
-            return InteropVerdict(InteropLevel.ONTOLOGICAL, actionable=True)
-        if snap.referential_root(ga) == snap.referential_root(gb):
-            return InteropVerdict(InteropLevel.REFERENTIAL, actionable=True)
-        if snap.strictly_broader(ga, gb):
-            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="broader", actionable=True)
-        if snap.strictly_broader(gb, ga):
-            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="narrower", actionable=True)
-        if snap.loosely_broader(ga, gb):
-            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="broader", actionable=False)
-        if snap.loosely_broader(gb, ga):
-            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="narrower", actionable=False)
-        if snap.associative(ga, gb):
-            return InteropVerdict(InteropLevel.ASSOCIATIVE, actionable=False)
-        return InteropVerdict(InteropLevel.NONE, actionable=False)
+        return self.compute_closure(min_confidence).interop_level(ga, gb)
 
     def equivalence_class(
         self, a: str | Gupri, level: InteropLevel, min_confidence: float | None = None
     ) -> set[Gupri]:
         """Closed class containing ``a`` at an equivalence-forming level."""
-        if level not in (InteropLevel.ONTOLOGICAL, InteropLevel.REFERENTIAL):
-            raise ValueError(f"{level!r} does not form equivalence classes")
         ga = self.prefix_map.gupri(a)
-        snap = self.compute_closure(min_confidence)
-        members = (
-            snap.ontological_class(ga)
-            if level is InteropLevel.ONTOLOGICAL
-            else snap.referential_class(ga)
-        )
-        return {Gupri(m) for m in members}
-
-    def is_subclass_reachable(self, a: str | Gupri, b: str | Gupri, min_confidence: float | None = None) -> bool:
-        """True when a's referential class reaches b's via subClassOf edges."""
-        ga, gb = self.prefix_map.gupri(a), self.prefix_map.gupri(b)
-        snap = self.compute_closure(min_confidence)
-        ra, rb = snap.referential_root(ga), snap.referential_root(gb)
-        return rb in snap.subclass_reach.get(ra, frozenset())
-
-    # -- path explanation ----------------------------------------------------
+        return {Gupri(m) for m in self.compute_closure(min_confidence).equivalence_class(ga, level)}
 
     def explain_path(self, a: str | Gupri, b: str | Gupri, min_confidence: float | None = None) -> list[EntityMapping]:
-        """Shortest mapping-edge path witnessing the interop verdict for (a, b).
-
-        Empty for Identical and None verdicts. Ties between equal-length paths
-        are broken by the lexicographic canonical order of intermediate nodes,
-        and between parallel edges by the smallest mapping id.
-        """
+        """Shortest mapping-edge path witnessing the interop verdict for (a, b)."""
         ga, gb = self.prefix_map.gupri(a), self.prefix_map.gupri(b)
-        verdict = self.interop_level(ga, gb, min_confidence)
-        if verdict.level in (InteropLevel.IDENTICAL, InteropLevel.NONE):
-            return []
-        edges, _ = self._edges()
-        if min_confidence is not None:
-            edges = [m for m in edges if m.confidence >= min_confidence]
-        if verdict.level is InteropLevel.ASSOCIATIVE:
-            direct = [
-                m
-                for m in edges
-                if m.predicate in _ASSOCIATIVE
-                and {m.subject, m.object} == {ga, gb}
-            ]
-            return sorted(direct, key=_mapping_order)[:1]
-        allowed: set[MappingPredicate] = set(_ONTOLOGICAL_GRADE)
-        if verdict.level is not InteropLevel.ONTOLOGICAL:
-            allowed = set(_REFERENTIAL_GRADE)
-        directed: set[MappingPredicate] = set()
-        if verdict.level is InteropLevel.HIERARCHICAL:
-            directed = set(_HIERARCHICAL)
-            if not verdict.actionable:
-                directed.add(MappingPredicate.BROAD_MATCH)
-        adjacency: dict[str, dict[str, EntityMapping]] = {}
-
-        def connect(u: str, v: str, m: EntityMapping) -> None:
-            slot = adjacency.setdefault(u, {})
-            best = slot.get(v)
-            if best is None or m.id < best.id:
-                slot[v] = m
-
-        forward = "broader" == (verdict.direction or "broader")
-        for m in edges:
-            s, o = m.subject.canonical, m.object.canonical
-            if m.predicate in allowed:
-                connect(s, o, m)
-                connect(o, s, m)
-            elif m.predicate in directed:
-                if forward:
-                    connect(s, o, m)
-                else:
-                    connect(o, s, m)
-        paths = graph.shortest_paths(adjacency, ga.canonical, lambda v, _: v, goal=gb.canonical)
-        return list(paths.get(gb.canonical, ()))
+        return self.compute_closure(min_confidence).explain_path(ga, gb)
 
     # -- audits ---------------------------------------------------------------
 
     def audit_term_fairness(self, id: str | Gupri) -> TermAudit:
         """Per-criterion vocabulary-quality audit of a registered term."""
+        return self.audit_term_fairness_at(self.compute_closure(), id)
+
+    def audit_term_fairness_at(self, snap: ClosureSnapshot, id: str | Gupri) -> TermAudit:
+        """:meth:`audit_term_fairness` against a given closure snapshot."""
         record = self.term(id)
-        snap = self.compute_closure()
         checks = []
         checks.append(
             AuditCheck(

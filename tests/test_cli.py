@@ -61,11 +61,12 @@ def test_interop_output(store_dir, capsys):
 
 
 def test_interop_bad_min_confidence_is_domain_error(store_dir, capsys):
-    code, _, err = run(
-        capsys, "--store", str(store_dir), "interop", "pato:weight", "ncit:weight", "--min-confidence", "nan"
-    )
-    assert code == 1
-    assert json.loads(err)["error"] == "malformed-content"
+    for b in ("ncit:weight", "pato:weight"):
+        code, _, err = run(
+            capsys, "--store", str(store_dir), "interop", "pato:weight", b, "--min-confidence", "nan"
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "malformed-content"
 
 
 def test_closure_output(store_dir, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -162,6 +163,21 @@ def test_post_transform_matches_api(served):
     assert status == 200
     expected = fx.engine.crosswalks.transform_instance(fx.instance, fx.crosswalk_id)
     assert body.decode() == render(instance_to_doc(expected, pm))
+    status, body = http_post(
+        served["base"],
+        "/transform",
+        {
+            "instance": instance_to_doc(fx.instance, pm),
+            "crosswalk": "ex:weight-crosswalk",
+            "min_confidence": 1,
+            "allow_referential": False,
+        },
+    )
+    assert status == 200
+    expected = fx.engine.crosswalks.transform_instance(
+        fx.instance, fx.crosswalk_id, min_confidence=1.0, allow_referential=False
+    )
+    assert body.decode() == render(instance_to_doc(expected, pm))
 
 
 def test_post_transform_domain_error_422():
@@ -192,6 +208,38 @@ def test_post_transform_domain_error_422():
 def test_post_transform_malformed_400(served):
     status, body = http_post(served["base"], "/transform", {"instance": {"nope": True}})
     assert status == 400
+    fx = served["fixture"]
+    request = {
+        "instance": instance_to_doc(fx.instance, fx.engine.prefix_map),
+        "crosswalk": "ex:weight-crosswalk",
+    }
+    for field, value in [
+        ("allow_referential", "false"),
+        ("allow_referential", 0),
+        ("min_confidence", True),
+        ("min_confidence", "0.5"),
+        ("min_confidence", "nan"),
+    ]:
+        status, body = http_post(served["base"], "/transform", {**request, field: value})
+        assert status == 400, (field, value)
+        assert json.loads(body)["error"] == "malformed-request", (field, value)
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_post_bad_content_length_400(served, length):
+    # a raw request, since HTTP clients derive Content-Length from the body;
+    # the timeout makes a server that waits for a body fail the test, not hang it
+    host, port = served["base"][len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(
+            f"POST /assess HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n\r\n{{}}".encode()
+        )
+        reply = conn.makefile("rb")
+        status = reply.readline().split()[1]
+        headers = dict(line.decode().split(":", 1) for line in iter(reply.readline, b"\r\n"))
+        body = reply.read(int(headers["Content-Length"]))
+    assert status == b"400"
+    assert json.loads(body)["error"] == "malformed-request"
 
 
 def test_post_assess_record_body(served):
@@ -265,13 +313,15 @@ def test_interop_min_confidence_param(served):
         assert status == 200
         assert json.loads(body)["level"] == "Ontological"
     for rejected in ("not-a-number", "nan", "2", "-0.1"):
-        status, body = http_get(
-            served["base"], f"/interop?a=pato:weight&b=ncit:weight&min_confidence={rejected}"
-        )
-        assert status == 400, rejected
-        assert json.loads(body)["error"] == "malformed-content"
+        for b in ("ncit:weight", "pato:weight"):
+            status, body = http_get(
+                served["base"], f"/interop?a=pato:weight&b={b}&min_confidence={rejected}"
+            )
+            assert status == 400, (rejected, b)
+            assert json.loads(body)["error"] == "malformed-content"
     fx = served["fixture"]
-    for rejected in ("nan", 2, -0.1):
+    # NaN goes out as the JSON literal NaN, which the facade's parser accepts
+    for rejected in (float("nan"), 2, -0.1):
         status, body = http_post(
             served["base"],
             "/transform",

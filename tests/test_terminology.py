@@ -3,12 +3,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semint import (
+    Crosswalk,
     EntityMapping,
     Gupri,
     InteropLevel,
     MappingPredicate,
+    SlotAlignment,
     TermRecord,
 )
 from semint.errors import (
@@ -19,7 +23,8 @@ from semint.errors import (
     UnknownPredicate,
     UnknownTerm,
 )
-from semint.terminology import NOOP_MAPPING_ID
+from semint.store import ExpandMode, FindQuery, find
+from semint.terminology import NOOP_MAPPING_ID, TerminologyRegistry
 
 from conftest import add_mapping, make_engine, term
 from oracles import all_shortest_paths, oracle_closures, random_mapping_set
@@ -620,3 +625,91 @@ def test_closure_matches_brute_force_oracle_small():
         ref_actual = {frozenset(snap.referential_class(Gupri(n))) for n in nodes}
         assert ont_actual == ont_expected
         assert ref_actual == ref_expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+def test_explain_path_edges_meet_threshold_and_chain(rng, threshold):
+    engine = make_engine()
+    nodes, mappings = random_mapping_set(rng, engine.prefix_map, max_terms=8, max_edges=16)
+    for m in mappings:
+        engine.terminology.add_mapping(m)
+    for a in nodes:
+        for b in nodes:
+            path = engine.terminology.explain_path(Gupri(a), Gupri(b), threshold)
+            verdict = engine.terminology.interop_level(Gupri(a), Gupri(b), threshold)
+            assert bool(path) == (verdict.level not in (InteropLevel.IDENTICAL, InteropLevel.NONE))
+            at = a
+            for edge in path:
+                assert edge.confidence >= threshold
+                ends = (edge.subject.canonical, edge.object.canonical)
+                assert at in ends
+                at = ends[1] if ends[0] == at else ends[0]
+            assert at == (b if path else a)
+
+
+# ---------------------------------------------------------------------------
+# one closure snapshot per public call
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fx: fx.engine.crosswalks.transform_instance(fx.instance, fx.crosswalk_id, min_confidence=0.5),
+        lambda fx: fx.engine.schemas.validate_instance(fx.instance, min_confidence=0.5),
+        # three resource alignments between differently constrained slots
+        lambda fx: fx.engine.crosswalks.check_crosswalk(
+            Crosswalk(
+                id=fx.engine.prefix_map.gupri("ex:crossed"),
+                source_schema=fx.obi_schema,
+                target_schema=fx.oboe_schema,
+                alignments=(
+                    SlotAlignment("object", "standard"),
+                    SlotAlignment("quality", "characteristic"),
+                    SlotAlignment("unit", "entity"),
+                ),
+            ),
+            min_confidence=0.5,
+        ),
+    ],
+    ids=["transform_instance", "validate_instance", "check_crosswalk"],
+)
+def test_filtered_call_builds_closure_once(weight, monkeypatch, call):
+    builds: list[int] = []
+    build = TerminologyRegistry._build_snapshot
+
+    def counted(edges):
+        builds.append(len(edges))
+        return build(edges)
+
+    monkeypatch.setattr(TerminologyRegistry, "_build_snapshot", staticmethod(counted))
+    call(weight)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fx: fx.engine.fdos.assess_record(fx.golden),
+        lambda fx: find(
+            fx.engine,
+            FindQuery(
+                term=fx.engine.prefix_map.gupri("pato:weight"),
+                expand=ExpandMode.REFERENTIAL,
+                statement_type=fx.engine.schemas.schema(fx.obi_schema).statement_type,
+            ),
+        ),
+    ],
+    ids=["assess_record", "find"],
+)
+def test_call_reads_closure_once(weight, monkeypatch, call):
+    calls: list[float | None] = []
+    compute = TerminologyRegistry.compute_closure
+
+    def counted(self, min_confidence=None):
+        calls.append(min_confidence)
+        return compute(self, min_confidence)
+
+    monkeypatch.setattr(TerminologyRegistry, "compute_closure", counted)
+    assert call(weight)
+    assert calls == [None]
