@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import threading
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
@@ -37,6 +36,7 @@ from .errors import (
     UnknownSlot,
 )
 from .identifiers import Gupri
+from .records import RecordTable
 from .schemas import (
     SchemaRegistry,
     SlotFill,
@@ -173,8 +173,7 @@ class CrosswalkRegistry:
 
     def __init__(self, schemas: SchemaRegistry):
         self.schemas = schemas
-        self._crosswalks: dict[str, Crosswalk] = {}
-        self._lock = threading.Lock()
+        self._crosswalks: RecordTable[Crosswalk] = RecordTable("crosswalk", UnknownCrosswalk, ConflictingCrosswalk)
 
     @property
     def prefix_map(self):
@@ -187,14 +186,10 @@ class CrosswalkRegistry:
     # -- access ---------------------------------------------------------------
 
     def crosswalk(self, id: str | Gupri) -> Crosswalk:
-        gid = self.prefix_map.gupri(id)
-        cw = self._crosswalks.get(gid.canonical)
-        if cw is None:
-            raise UnknownCrosswalk(f"crosswalk {gid} not registered")
-        return cw
+        return self._crosswalks.get(self.prefix_map.gupri(id).canonical)
 
     def crosswalks(self) -> list[Crosswalk]:
-        return [self._crosswalks[k] for k in sorted(self._crosswalks)]
+        return self._crosswalks.sorted()
 
     def _canonicalized(self, cw: Crosswalk) -> Crosswalk:
         pm = self.prefix_map
@@ -323,13 +318,7 @@ class CrosswalkRegistry:
         """Store a crosswalk after a full check; the level is computed here."""
         cw = self._canonicalized(cw)
         stored = replace(cw, level=self._checked_level(self.terminology.compute_closure(), cw))
-        with self._lock:
-            existing = self._crosswalks.get(stored.id.canonical)
-            if existing is not None:
-                if self._content_equal(existing, stored):
-                    return stored.id
-                raise ConflictingCrosswalk(f"crosswalk {stored.id} already registered with different content")
-            self._crosswalks[stored.id.canonical] = stored
+        self._crosswalks.add(stored.id.canonical, stored, self._content_equal)
         return stored.id
 
     def _insert_trusted(self, cw: Crosswalk) -> Gupri:
@@ -342,21 +331,13 @@ class CrosswalkRegistry:
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
         self._validate_alignment_shape(cw, source, target)
-        with self._lock:
-            existing = self._crosswalks.get(cw.id.canonical)
-            if existing is not None and not self._content_equal(existing, cw):
-                raise ConflictingCrosswalk(f"crosswalk {cw.id} already registered with different content")
-            self._crosswalks[cw.id.canonical] = cw
+        self._crosswalks.add(cw.id.canonical, cw, self._content_equal)
         return cw.id
 
     @staticmethod
     def _content_equal(a: Crosswalk, b: Crosswalk) -> bool:
-        return (
-            a.source_schema == b.source_schema
-            and a.target_schema == b.target_schema
-            and a.alignments == b.alignments
-            and a.provenance == b.provenance
-        )
+        """Equal but for the level, which registration computes."""
+        return replace(a, level=None) == replace(b, level=None)
 
     # -- composition and inversion ------------------------------------------------
 

@@ -79,6 +79,12 @@ def _as_obj(data: Any, context: str) -> dict:
     return data
 
 
+def _as_list(data: Any, context: str) -> list:
+    if not isinstance(data, list):
+        raise MalformedContent(f"{context}: expected an array")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # terms
 
@@ -109,7 +115,7 @@ def term_from_doc(data: Any, pm: PrefixMap) -> TermRecord:
         definition=obj.get("definition"),
         recognition_criteria=obj.get("recognition_criteria"),
         recognition_criteria_applicable=bool(obj.get("recognition_criteria_applicable", True)),
-        synonyms=tuple(str(s) for s in obj.get("synonyms", [])),
+        synonyms=tuple(str(s) for s in _as_list(obj.get("synonyms", []), "term synonyms")),
         referent_kind=referent_kind,
     )
 
@@ -179,7 +185,7 @@ def schema_to_doc(schema: StatementSchema, pm: PrefixMap) -> dict:
 def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
     obj = _as_obj(data, "schema document")
     slots = []
-    for raw in _require(obj, "slots", "schema document"):
+    for raw in _as_list(_require(obj, "slots", "schema document"), "schema slots"):
         slot = _as_obj(raw, "slot spec")
         kind_text = str(_require(slot, "kind", "slot spec"))
         try:
@@ -315,7 +321,7 @@ def crosswalk_to_doc(cw: Crosswalk, pm: PrefixMap) -> dict:
 def crosswalk_from_doc(data: Any, pm: PrefixMap) -> Crosswalk:
     obj = _as_obj(data, "crosswalk document")
     alignments = []
-    for raw in _require(obj, "alignments", "crosswalk document"):
+    for raw in _as_list(_require(obj, "alignments", "crosswalk document"), "crosswalk alignments"):
         a = _as_obj(raw, "alignment")
         alignments.append(
             SlotAlignment(
@@ -400,7 +406,7 @@ def operation_from_doc(data: Any, pm: PrefixMap) -> OperationDescriptor:
     except ValueError:
         raise MalformedContent(f"operation document: bad kind {kind_text!r}") from None
     params = []
-    for raw in obj.get("params", []):
+    for raw in _as_list(obj.get("params", []), "operation params"):
         p = _as_obj(raw, "operation param")
         tag_text = str(_require(p, "datatype", "operation param"))
         try:
@@ -412,7 +418,8 @@ def operation_from_doc(data: Any, pm: PrefixMap) -> OperationDescriptor:
         id=pm.gupri(str(_require(obj, "id", "operation document"))),
         label=str(obj.get("label", "")),
         applicable_schemas=frozenset(
-            pm.gupri(str(s)) for s in _require(obj, "applicable_schemas", "operation document")
+            pm.gupri(str(s))
+            for s in _as_list(_require(obj, "applicable_schemas", "operation document"), "applicable schemas")
         ),
         kind=kind,
         params=tuple(params),
@@ -482,9 +489,8 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
     elif kind == "instance":
         content = instance_from_doc(_require(content_obj, "instance", "fdo content"), pm)
     elif kind == "collection":
-        content = tuple(
-            instance_from_doc(i, pm) for i in _require(content_obj, "instances", "fdo content")
-        )
+        instances = _as_list(_require(content_obj, "instances", "fdo content"), "fdo instances")
+        content = tuple(instance_from_doc(i, pm) for i in instances)
     else:
         raise MalformedContent(f"fdo content: bad kind {kind!r}")
     category = None
@@ -511,7 +517,7 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
         content=content,
         schema_ref=schema_ref,
         creator=obj.get("creator"),
-        authors=tuple(str(a) for a in obj.get("authors", [])),
+        authors=tuple(str(a) for a in _as_list(obj.get("authors", []), "fdo authors")),
         category=category,
         logical_framework=obj.get("logical_framework"),
         human_readable=obj.get("human_readable"),

@@ -12,7 +12,6 @@ not-applicable. The score is the passed fraction of applicable checks.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
@@ -20,6 +19,7 @@ from typing import Mapping
 from .crosswalks import CrosswalkRegistry
 from .errors import ConflictingFdo, MalformedContent, UnknownFdo
 from .identifiers import Gupri
+from .records import RecordTable
 from .schemas import SchemaRegistry, SlotKind, StatementInstance
 from .terminology import ClosureSnapshot, TerminologyRegistry
 
@@ -173,8 +173,7 @@ class FdoRegistry:
         self.terminology = terminology
         self.schemas = schemas
         self.crosswalks = crosswalks
-        self._records: dict[str, FdoRecord] = {}
-        self._lock = threading.Lock()
+        self._records: RecordTable[FdoRecord] = RecordTable("record", UnknownFdo, ConflictingFdo)
 
     @property
     def prefix_map(self):
@@ -186,13 +185,7 @@ class FdoRegistry:
         record = self._canonicalized(record)
         if isinstance(record.content, tuple) and not record.content:
             raise MalformedContent(f"record {record.gupri} wraps an empty collection")
-        with self._lock:
-            existing = self._records.get(record.gupri.canonical)
-            if existing is not None:
-                if existing != record:
-                    raise ConflictingFdo(f"record {record.gupri} already registered with different content")
-                return record.gupri
-            self._records[record.gupri.canonical] = record
+        self._records.add(record.gupri.canonical, record)
         return record.gupri
 
     def _canonicalized(self, record: FdoRecord) -> FdoRecord:
@@ -211,14 +204,10 @@ class FdoRegistry:
         )
 
     def record(self, gupri: str | Gupri) -> FdoRecord:
-        gid = self.prefix_map.gupri(gupri)
-        record = self._records.get(gid.canonical)
-        if record is None:
-            raise UnknownFdo(f"record {gid} not registered")
-        return record
+        return self._records.get(self.prefix_map.gupri(gupri).canonical)
 
     def records(self) -> list[FdoRecord]:
-        return [self._records[k] for k in sorted(self._records)]
+        return self._records.sorted()
 
     # -- assessment ------------------------------------------------------------------
 

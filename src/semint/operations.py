@@ -10,7 +10,6 @@ is registered by reference.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum, IntEnum
@@ -26,6 +25,7 @@ from .errors import (
     UnknownUnit,
 )
 from .identifiers import Gupri, local_name
+from .records import RecordTable
 from .schemas import (
     DatatypeTag,
     SchemaRegistry,
@@ -117,8 +117,9 @@ class OperationsRegistry:
     def __init__(self, schemas: SchemaRegistry, crosswalks: CrosswalkRegistry):
         self.schemas = schemas
         self.crosswalks = crosswalks
-        self._operations: dict[str, OperationDescriptor] = {}
-        self._lock = threading.Lock()
+        self._operations: RecordTable[OperationDescriptor] = RecordTable(
+            "operation", UnknownOperation, ConflictingDescriptor
+        )
         self._builtins = {CONVERT_UNIT_ID: self.convert_unit}
 
     @property
@@ -141,13 +142,7 @@ class OperationsRegistry:
             raise MalformedDescriptor(
                 f"builtin operation id {d.id} does not resolve to an implemented routine"
             )
-        with self._lock:
-            existing = self._operations.get(d.id.canonical)
-            if existing is not None:
-                if existing != d:
-                    raise ConflictingDescriptor(f"operation {d.id} already registered with different content")
-                return d.id
-            self._operations[d.id.canonical] = d
+        self._operations.add(d.id.canonical, d)
         return d.id
 
     def _canonicalized(self, d: OperationDescriptor) -> OperationDescriptor:
@@ -162,14 +157,10 @@ class OperationsRegistry:
         )
 
     def operation(self, id: str | Gupri) -> OperationDescriptor:
-        gid = self.prefix_map.gupri(id)
-        d = self._operations.get(gid.canonical)
-        if d is None:
-            raise UnknownOperation(f"operation {gid} not registered")
-        return d
+        return self._operations.get(self.prefix_map.gupri(id).canonical)
 
     def operations(self) -> list[OperationDescriptor]:
-        return [self._operations[k] for k in sorted(self._operations)]
+        return self._operations.sorted()
 
     # -- applicability ------------------------------------------------------------
 

@@ -10,7 +10,6 @@ resource slots.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -19,11 +18,13 @@ from typing import Mapping
 from .errors import (
     ConflictingSchema,
     DuplicateSlotId,
+    InvalidGupri,
     MalformedRecord,
     NoRequiredSlot,
     UnknownSchema,
 )
 from .identifiers import Gupri
+from .records import RecordTable
 from .terminology import ClosureSnapshot, InteropLevel, TerminologyRegistry
 
 __all__ = [
@@ -210,8 +211,7 @@ class SchemaRegistry:
 
     def __init__(self, terminology: TerminologyRegistry):
         self.terminology = terminology
-        self._schemas: dict[str, StatementSchema] = {}
-        self._lock = threading.Lock()
+        self._schemas: RecordTable[StatementSchema] = RecordTable("schema", UnknownSchema, ConflictingSchema)
 
     @property
     def prefix_map(self):
@@ -226,13 +226,7 @@ class SchemaRegistry:
             seen.add(slot.slot_id)
         if not any(s.required for s in schema.slots):
             raise NoRequiredSlot(f"schema {schema.id} declares no required slot")
-        with self._lock:
-            existing = self._schemas.get(schema.id.canonical)
-            if existing is not None:
-                if existing != schema:
-                    raise ConflictingSchema(f"schema {schema.id} already registered with different content")
-                return schema.id
-            self._schemas[schema.id.canonical] = schema
+        self._schemas.add(schema.id.canonical, schema)
         return schema.id
 
     def _canonicalized(self, schema: StatementSchema) -> StatementSchema:
@@ -256,21 +250,17 @@ class SchemaRegistry:
         )
 
     def schema(self, id: str | Gupri) -> StatementSchema:
-        gid = self.prefix_map.gupri(id)
-        schema = self._schemas.get(gid.canonical)
-        if schema is None:
-            raise UnknownSchema(f"schema {gid} not registered")
-        return schema
+        return self._schemas.get(self.prefix_map.gupri(id).canonical)
 
     def has_schema(self, id: str | Gupri) -> bool:
         try:
             gid = self.prefix_map.gupri(id)
-        except Exception:
+        except InvalidGupri:
             return False
         return gid.canonical in self._schemas
 
     def schemas(self) -> list[StatementSchema]:
-        return [self._schemas[k] for k in sorted(self._schemas)]
+        return self._schemas.sorted()
 
     # -- constraint satisfaction ---------------------------------------------
 

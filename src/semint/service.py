@@ -19,6 +19,12 @@ from .fdo import StatementCategory
 
 __all__ = ["StoreServer", "make_server", "serve"]
 
+#: Largest request body accepted, in bytes; far above any real instance or record.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a request body may go without a byte arriving before it is complete.
+BODY_TIMEOUT_S = 5.0
+
 
 def _float_param(params: dict[str, str], key: str) -> float | None:
     if key not in params:
@@ -155,6 +161,29 @@ class _Handler(BaseHTTPRequestHandler):
         results = store.find(engine, query)
         return {"results": [pm.compress(g.canonical) for g in results]}
 
+    def _read_body(self, length: int) -> bytes | None:
+        """The request body, or None after replying to one that is too long
+        or that stops arriving for ``BODY_TIMEOUT_S`` before it is complete."""
+        # either way the unread rest of the body is unknown, so the connection
+        # cannot be reused
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send_error(413, "payload-too-large", f"request body over {MAX_BODY_BYTES} bytes")
+            return None
+        # the timeout covers the body only: idle keep-alive connections keep the default
+        self.connection.settimeout(BODY_TIMEOUT_S)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raw = b""
+        finally:
+            self.connection.settimeout(self.timeout)
+        if len(raw) < length:
+            self.close_connection = True
+            self._send_error(400, "malformed-request", f"request body shorter than Content-Length {length}")
+            return None
+        return raw
+
     def _post(self) -> None:
         length = self.headers.get("Content-Length", "0")
         if not length.isdecimal():
@@ -162,7 +191,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             self._send_error(400, "malformed-request", "Content-Length must be a non-negative integer")
             return
-        raw = self.rfile.read(int(length))
+        raw = self._read_body(int(length))
+        if raw is None:
+            return
         try:
             body = json.loads(raw.decode("utf-8"))
         except ValueError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -189,28 +190,52 @@ def _filename(compact_id: str, canonical: str) -> str:
     return f"{slug[:80]}-{digest}.json"
 
 
+def _write_replacing(target: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, so ``target``
+    holds either its old or its new content, never a part of either. The
+    temporary name does not match ``*.json``, so a load never reads it.
+
+    A file that already holds ``text`` is left alone: an export changes few
+    files, and on ext4 a rename over an existing file also starts writing the
+    new data out, so replacing unchanged files costs more than comparing them.
+    """
+    data = text.encode("utf-8")
+    try:
+        if target.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    temporary = target.with_name(target.name + ".tmp")
+    try:
+        temporary.write_bytes(data)
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def export_store(engine: Engine, path: str | Path) -> StoreLayout:
-    """Write the engine's full contents in canonical form."""
+    """Write the engine's full contents in canonical form.
+
+    Every file whose content changes is replaced whole, and documents of
+    records the engine no longer holds are deleted only after every write
+    succeeded, so an export that fails partway leaves each record of the
+    store loadable.
+    """
     layout = StoreLayout(Path(path))
     pm = engine.prefix_map
     try:
         layout.root.mkdir(parents=True, exist_ok=True)
         for d in layout.document_dirs():
             d.mkdir(exist_ok=True)
-            for stale in d.glob("*.json"):
-                stale.unlink()
 
         prefix_lines = [f"{prefix}\t{iri}" for prefix, iri in pm.bindings()]
-        layout.prefixes_path.write_text(
-            "\n".join(prefix_lines) + ("\n" if prefix_lines else ""), encoding="utf-8"
-        )
+        _write_replacing(layout.prefixes_path, "\n".join(prefix_lines) + ("\n" if prefix_lines else ""))
 
         term_lines = [
             documents.render_line(documents.term_to_doc(t, pm)) for t in engine.terminology.terms()
         ]
-        layout.terms_path.write_text(
-            "\n".join(term_lines) + ("\n" if term_lines else ""), encoding="utf-8"
-        )
+        _write_replacing(layout.terms_path, "\n".join(term_lines) + ("\n" if term_lines else ""))
 
         rows = ["\t".join(_MAPPING_COLUMNS)]
         for m in engine.terminology.mappings():
@@ -227,24 +252,27 @@ def export_store(engine: Engine, path: str | Path) -> StoreLayout:
                     ]
                 )
             )
-        layout.mappings_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        _write_replacing(layout.mappings_path, "\n".join(rows) + "\n")
+
+        written: set[Path] = set()
+
+        def write_document(directory: Path, doc: dict, id_field: str, canonical: str) -> None:
+            target = directory / _filename(doc[id_field], canonical)
+            _write_replacing(target, documents.render(doc))
+            written.add(target)
 
         for schema in engine.schemas.schemas():
-            doc = documents.schema_to_doc(schema, pm)
-            target = layout.schemas_dir / _filename(doc["id"], schema.id.canonical)
-            target.write_text(documents.render(doc), encoding="utf-8")
+            write_document(layout.schemas_dir, documents.schema_to_doc(schema, pm), "id", schema.id.canonical)
         for cw in engine.crosswalks.crosswalks():
-            doc = documents.crosswalk_to_doc(cw, pm)
-            target = layout.crosswalks_dir / _filename(doc["id"], cw.id.canonical)
-            target.write_text(documents.render(doc), encoding="utf-8")
+            write_document(layout.crosswalks_dir, documents.crosswalk_to_doc(cw, pm), "id", cw.id.canonical)
         for op in engine.operations.operations():
-            doc = documents.operation_to_doc(op, pm)
-            target = layout.operations_dir / _filename(doc["id"], op.id.canonical)
-            target.write_text(documents.render(doc), encoding="utf-8")
+            write_document(layout.operations_dir, documents.operation_to_doc(op, pm), "id", op.id.canonical)
         for record in engine.fdos.records():
-            doc = documents.fdo_to_doc(record, pm)
-            target = layout.fdos_dir / _filename(doc["gupri"], record.gupri.canonical)
-            target.write_text(documents.render(doc), encoding="utf-8")
+            write_document(layout.fdos_dir, documents.fdo_to_doc(record, pm), "gupri", record.gupri.canonical)
+        for d in layout.document_dirs():
+            for stale in d.glob("*.json"):
+                if stale not in written:
+                    stale.unlink()
     except OSError as exc:
         raise IoFailure(f"cannot export store to {layout.root}: {exc}") from exc
     return layout

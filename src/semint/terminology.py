@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import threading
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from typing import Mapping
@@ -36,6 +35,7 @@ from .errors import (
     UnknownTerm,
 )
 from .identifiers import Gupri, PrefixMap
+from .records import RecordTable
 
 __all__ = [
     "ReferentKind",
@@ -432,40 +432,27 @@ class ClosureSnapshot:
 class TerminologyRegistry:
     """Registry of term records and entity mappings with closure queries.
 
-    Reads run against an immutable :class:`ClosureSnapshot` computed lazily
-    and invalidated on every write; writes are serialized by a lock and
-    counted, and a snapshot is published only if no write happened while it
-    was built.
+    Reads run against an immutable :class:`ClosureSnapshot` built lazily and
+    cached with the mapping table's version it was built from; a cached
+    snapshot is served only while that version is current.
     """
 
     def __init__(self, prefix_map: PrefixMap | None = None):
         self.prefix_map = prefix_map or PrefixMap()
-        self._terms: dict[str, TermRecord] = {}
-        self._mappings: dict[str, EntityMapping] = {}
-        self._snapshot: ClosureSnapshot | None = None
-        self._writes = 0
-        self._lock = threading.Lock()
+        self._terms: RecordTable[TermRecord] = RecordTable("term", UnknownTerm, ConflictingTermRecord)
+        # a mapping id digests every field, so a taken id never conflicts
+        self._mappings: RecordTable[EntityMapping] = RecordTable("mapping")
+        self._closure: tuple[int, ClosureSnapshot] | None = None
 
     # -- term registry ------------------------------------------------------
 
     def register_term(self, record: TermRecord) -> Gupri:
         gid = self.prefix_map.gupri(record.id)
-        record = replace(record, id=gid)
-        with self._lock:
-            existing = self._terms.get(gid.canonical)
-            if existing is not None:
-                if existing != record:
-                    raise ConflictingTermRecord(f"term {gid} already registered with different content")
-                return gid
-            self._terms[gid.canonical] = record
+        self._terms.add(gid.canonical, replace(record, id=gid))
         return gid
 
     def term(self, id: str | Gupri) -> TermRecord:
-        gid = self.prefix_map.gupri(id)
-        record = self._terms.get(gid.canonical)
-        if record is None:
-            raise UnknownTerm(f"term {gid} not registered")
-        return record
+        return self._terms.get(self.prefix_map.gupri(id).canonical)
 
     def has_term(self, id: str | Gupri) -> bool:
         try:
@@ -475,7 +462,7 @@ class TerminologyRegistry:
         return gid.canonical in self._terms
 
     def terms(self) -> list[TermRecord]:
-        return [self._terms[k] for k in sorted(self._terms)]
+        return self._terms.sorted()
 
     # -- mapping registry ---------------------------------------------------
 
@@ -483,11 +470,8 @@ class TerminologyRegistry:
         m = self._normalize(m)
         if m.subject == m.object:
             return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
-        with self._lock:
-            if m.id not in self._mappings:
-                self._mappings[m.id] = m
-                self._writes += 1
-                self._snapshot = None
+        if self._mappings.add(m.id, m):
+            self._closure = None  # the stale snapshot is freed by the write, not by the next read
         return m.id
 
     def _normalize(self, m: EntityMapping) -> EntityMapping:
@@ -508,25 +492,17 @@ class TerminologyRegistry:
         )
 
     def remove_mapping(self, mapping_id: str) -> bool:
-        with self._lock:
-            removed = self._mappings.pop(mapping_id, None)
-            if removed is not None:
-                self._writes += 1
-                self._snapshot = None
-        return removed is not None
+        if removed := self._mappings.remove(mapping_id):
+            self._closure = None
+        return removed
 
     def mappings(self) -> list[EntityMapping]:
-        return sorted(self._edges()[0], key=_mapping_order)
-
-    def _edges(self) -> tuple[tuple[EntityMapping, ...], int]:
-        """The stored mappings, unordered, with the write count they reflect."""
-        with self._lock:
-            return tuple(self._mappings.values()), self._writes
+        return sorted(self._mappings.rows()[0], key=_mapping_order)
 
     def mappings_between(self, subject: Gupri | None = None, object: Gupri | None = None) -> list[EntityMapping]:
         """Stored mappings with each given term at one end, in canonical order."""
         found = []
-        for m in self._edges()[0]:
+        for m in self._mappings.rows()[0]:
             ends = (m.subject.canonical, m.object.canonical)
             if (subject is None or subject.canonical in ends) and (object is None or object.canonical in ends):
                 found.append(m)
@@ -609,16 +585,13 @@ class TerminologyRegistry:
         if min_confidence is not None:
             if not 0.0 <= min_confidence <= 1.0:
                 raise MalformedContent(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
-            edges, _ = self._edges()
+            edges, _ = self._mappings.rows()
             return self._build_snapshot(tuple(m for m in edges if m.confidence >= min_confidence))
-        snapshot = self._snapshot
-        if snapshot is None:
-            edges, writes = self._edges()
-            snapshot = self._build_snapshot(edges)
-            with self._lock:
-                if writes == self._writes:
-                    self._snapshot = snapshot
-        return snapshot
+        cached = self._closure
+        if cached is None or cached[0] != self._mappings.version:
+            edges, version = self._mappings.rows()
+            cached = self._closure = (version, self._build_snapshot(edges))
+        return cached[1]
 
     @staticmethod
     def _build_snapshot(edges: tuple[EntityMapping, ...]) -> ClosureSnapshot:

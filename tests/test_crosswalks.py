@@ -20,6 +20,7 @@ from semint import (
 from semint.crosswalks import AlignmentStatus
 from semint.documents import instance_to_doc, render
 from semint.errors import (
+    ConflictingCrosswalk,
     HubNotInSet,
     IncompatibleAlignment,
     InvalidCrosswalk,
@@ -517,6 +518,48 @@ def test_invert_uncovered_required_source_not_invertible(engine):
     engine.crosswalks.register_crosswalk(cw)
     with pytest.raises(NotInvertible):
         engine.crosswalks.invert_crosswalk(cw)
+
+
+def _two_slot_schema(engine):
+    pm = engine.prefix_map
+    return engine.schemas.register_schema(
+        StatementSchema(
+            id=pm.gupri("ex:two-slot"),
+            statement_type=pm.gupri("ex:two-slot-type"),
+            label="two slots",
+            slots=(
+                SlotSpec("x", "X", SlotKind.LITERAL, DatatypeTag.STRING),
+                SlotSpec("y", "Y", SlotKind.LITERAL, DatatypeTag.STRING, required=False),
+            ),
+        )
+    )
+
+
+def _self_crosswalk(engine, schema, *slots: str) -> Crosswalk:
+    return Crosswalk(
+        id=engine.prefix_map.gupri("ex:self-crosswalk"),
+        source_schema=schema,
+        target_schema=schema,
+        alignments=tuple(SlotAlignment(s, s) for s in slots),
+    )
+
+
+def test_register_crosswalk_again_with_equal_content(engine):
+    schema = _two_slot_schema(engine)
+    cw_id = engine.crosswalks.register_crosswalk(_self_crosswalk(engine, schema, "x"))
+    stored = engine.crosswalks.crosswalk(cw_id)
+    assert engine.crosswalks.register_crosswalk(_self_crosswalk(engine, schema, "x")) == cw_id
+    assert engine.crosswalks.crosswalks() == [stored]
+
+
+def test_register_crosswalk_conflicting_alignments(engine):
+    schema = _two_slot_schema(engine)
+    cw_id = engine.crosswalks.register_crosswalk(_self_crosswalk(engine, schema, "x"))
+    with pytest.raises(ConflictingCrosswalk) as excinfo:
+        engine.crosswalks.register_crosswalk(_self_crosswalk(engine, schema, "x", "y"))
+    assert excinfo.value.tag == "conflicting-crosswalk"
+    assert str(excinfo.value) == f"crosswalk {cw_id} already registered with different content"
+    assert engine.crosswalks.crosswalk(cw_id).alignments == (SlotAlignment("x", "x"),)
 
 
 def test_unknown_crosswalk_lookup(weight):

@@ -115,6 +115,48 @@ def test_register_schema_idempotent_and_conflicting(weight):
         engine.schemas.register_schema(changed)
 
 
+def test_racing_conflicting_schema_registrations_store_one(weight):
+    # threads registering one id with different contents: exactly one is
+    # stored and every other gets the conflict
+    import dataclasses
+    import sys
+    import threading
+
+    engine = weight.engine
+    base = engine.schemas.schema(weight.obi_schema)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_ in range(20):
+            schema_id = engine.prefix_map.gupri(f"ex:raced-{round_}")
+            contents = [dataclasses.replace(base, id=schema_id, label=f"label {i}") for i in range(4)]
+            barrier = threading.Barrier(len(contents))
+            stored: list = []
+            conflicts: list[ConflictingSchema] = []
+
+            def register(schema):
+                barrier.wait(timeout=5)
+                try:
+                    engine.schemas.register_schema(schema)
+                    stored.append(schema)
+                except ConflictingSchema as exc:
+                    conflicts.append(exc)
+
+            threads = [threading.Thread(target=register, args=(c,)) for c in contents]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(stored) == 1 and len(conflicts) == 3
+            assert engine.schemas.schema(schema_id) == stored[0]
+            assert {str(e) for e in conflicts} == {
+                f"schema {schema_id} already registered with different content"
+            }
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_slot_spec_kind_constraint_consistency(engine):
     pm = engine.prefix_map
     with pytest.raises(MalformedRecord):

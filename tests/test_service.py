@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
@@ -14,6 +15,7 @@ import pytest
 from semint import export_store, load_store
 from semint.cli import main
 from semint.documents import instance_to_doc, render
+from semint import service
 from semint.service import make_server
 
 from conftest import build_weight_fixture
@@ -242,6 +244,45 @@ def test_post_bad_content_length_400(served, length):
     assert json.loads(body)["error"] == "malformed-request"
 
 
+def raw_reply(reply) -> tuple[bytes, dict, bytes]:
+    """Status code, headers and body of one response read from a socket file."""
+    status = reply.readline().split()[1]
+    headers = dict(line.decode().split(":", 1) for line in iter(reply.readline, b"\r\n"))
+    return status, headers, reply.read(int(headers["Content-Length"]))
+
+
+def test_post_body_over_cap_413(served):
+    host, port = served["base"][len("http://") :].split(":")
+    length = service.MAX_BODY_BYTES + 1
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(
+            f"POST /assess HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n\r\n{{}}".encode()
+        )
+        reply = conn.makefile("rb")
+        status, _, body = raw_reply(reply)
+        assert reply.read() == b""  # the server closed the connection
+    assert status == b"413"
+    assert json.loads(body)["error"] == "payload-too-large"
+
+
+def test_post_short_body_400_after_timeout(served, monkeypatch):
+    monkeypatch.setattr(service, "BODY_TIMEOUT_S", 0.2)
+    host, port = served["base"][len("http://") :].split(":")
+    post = "POST /assess HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n\r\n{{}}"
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        reply = conn.makefile("rb")
+        # a complete body, then an idle keep-alive connection outlasting the
+        # body timeout, which must not apply to it
+        conn.sendall(post.format(host=host, length=2).encode())
+        assert raw_reply(reply)[0] == b"400"
+        time.sleep(0.5)
+        conn.sendall(post.format(host=host, length=100).encode())
+        status, _, body = raw_reply(reply)
+        assert reply.read() == b""
+    assert status == b"400"
+    assert json.loads(body)["error"] == "malformed-request"
+
+
 def test_post_assess_record_body(served):
     fx = served["fixture"]
     pm = fx.engine.prefix_map
@@ -253,6 +294,16 @@ def test_post_assess_record_body(served):
     doc = json.loads(body)
     statuses = {c["check"]: c["status"] for c in doc["checks"]}
     assert statuses["R1.4"] == "fail"
+
+
+def test_post_assess_wrong_json_shape_400(served):
+    fx = served["fixture"]
+    from semint.documents import fdo_to_doc
+
+    doc = {**fdo_to_doc(fx.golden, fx.engine.prefix_map), "authors": 5}
+    status, body = http_post(served["base"], "/assess", doc)
+    assert status == 400
+    assert json.loads(body)["error"] == "malformed-content"
 
 
 def test_post_bad_json_400(served):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from semint import documents
 from semint import (
     ExpandMode,
     FindQuery,
@@ -79,6 +82,56 @@ def test_export_import_export_byte_stable(tmp_path):
     assert tree_bytes(first) == tree_bytes(second)
 
 
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_failed_export_keeps_every_record(tmp_path, monkeypatch, fail_at):
+    # an export that fails partway must not lose what the store held
+    fx = populated_fixture()
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    before = tree_bytes(root)
+    calls: list[int] = []
+    fdo_to_doc = documents.fdo_to_doc
+
+    def failing(record, pm):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise RuntimeError("export interrupted")
+        return fdo_to_doc(record, pm)
+
+    monkeypatch.setattr(documents, "fdo_to_doc", failing)
+    with pytest.raises(RuntimeError):
+        export_store(fx.engine, root)
+    monkeypatch.undo()
+    reloaded = load_store(root)
+    assert [r.gupri for r in reloaded.fdos.records()] == [r.gupri for r in fx.engine.fdos.records()]
+    assert len(reloaded.terminology.mappings()) == len(fx.engine.terminology.mappings())
+    assert tree_bytes(root) == before
+
+
+def test_export_replaces_only_changed_files(tmp_path):
+    fx = populated_fixture()
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    before = [p for p in root.rglob("*") if p.is_file()]
+    for p in before:
+        os.utime(p, ns=(0, 0))  # any write or replacement sets a current mtime
+    engine = load_store(root)
+    engine.fdos.register_fdo(replace(fx.golden, gupri=engine.prefix_map.gupri("ex:fdo-new")))
+    export_store(engine, root)
+    assert [p for p in before if p.stat().st_mtime_ns != 0] == []
+    assert len(list((root / "fdos").glob("*.json"))) == 3
+    assert not list(root.rglob("*.tmp"))
+
+
+def test_export_deletes_documents_of_dropped_records(tmp_path):
+    fx = populated_fixture()
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    export_store(build_weight_fixture(register_golden=False).engine, root)
+    assert load_store(root).fdos.records() == []
+    assert list((root / "fdos").iterdir()) == []
+
+
 def test_reload_preserves_logical_content(tmp_path):
     fx = populated_fixture()
     export_store(fx.engine, tmp_path / "store")
@@ -131,6 +184,34 @@ def test_corrupt_schema_document_parse_failure(tmp_path):
     with pytest.raises(ParseFailure) as excinfo:
         load_store(tmp_path / "store")
     assert excinfo.value.file.startswith("schemas/")
+
+
+def test_wrong_json_shape_parse_failure(tmp_path):
+    # a list field holding a number is malformed content, not a crash
+    fx = populated_fixture()
+    export_store(fx.engine, tmp_path / "store")
+    fdo_file = next((tmp_path / "store" / "fdos").glob("*.json"))
+    doc = json.loads(fdo_file.read_text())
+    doc["authors"] = 5
+    fdo_file.write_text(json.dumps(doc))
+    with pytest.raises(ParseFailure) as excinfo:
+        load_store(tmp_path / "store")
+    assert excinfo.value.file.startswith("fdos/")
+    assert "expected an array" in excinfo.value.reason
+
+
+def test_two_crosswalk_files_one_id_conflict(tmp_path):
+    fx = populated_fixture()
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    (cw_file,) = (root / "crosswalks").glob("*.json")
+    doc = json.loads(cw_file.read_text())
+    doc["alignments"] = doc["alignments"][:-1]
+    (root / "crosswalks" / "zz-copy.json").write_text(json.dumps(doc))
+    with pytest.raises(ParseFailure) as excinfo:
+        load_store(root)
+    assert excinfo.value.file == "crosswalks/zz-copy.json"
+    assert excinfo.value.reason == f"crosswalk {fx.crosswalk_id} already registered with different content"
 
 
 def test_store_loads_crosswalk_even_when_mapping_deleted(tmp_path):

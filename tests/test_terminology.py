@@ -355,6 +355,22 @@ def test_no_stale_snapshot_published_during_writes(engine):
     assert engine.terminology.interop_level("ex:r0", "ex:r300").level is InteropLevel.ONTOLOGICAL
 
 
+def test_mapping_write_frees_cached_snapshot(engine):
+    # a stale snapshot must not stay alive until the next read: at 16k edges
+    # it is most of the process's memory
+    import weakref
+
+    add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:b")
+    snapshot = weakref.ref(engine.terminology.compute_closure())
+    mapping_id = add_mapping(engine, "ex:b", MappingPredicate.SAME_AS, "ex:c")
+    assert snapshot() is None
+    snapshot = weakref.ref(engine.terminology.compute_closure())
+    add_mapping(engine, "ex:b", MappingPredicate.SAME_AS, "ex:c")  # already stored
+    assert snapshot() is engine.terminology.compute_closure()
+    assert engine.terminology.remove_mapping(mapping_id)
+    assert snapshot() is None
+
+
 # ---------------------------------------------------------------------------
 # interop levels
 
