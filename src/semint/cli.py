@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 domain or validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -118,7 +117,7 @@ def _read_json_file(path: str):
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return documents.load_json(text)
     except ValueError as exc:
         raise ParseFailure(path, 1, str(exc)) from None
 
@@ -210,7 +209,7 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
             if not line.strip():
                 continue
             try:
-                record = documents.term_from_doc(json.loads(line), pm)
+                record = documents.term_from_doc(documents.load_json(line), pm)
             except (ValueError, MalformedContent, MalformedRecord, InvalidGupri) as exc:
                 raise ParseFailure(args.file, lineno, str(exc)) from None
             engine.terminology.register_term(record)
@@ -228,24 +227,17 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
         _emit(documents.import_report_to_doc(report))
         return 0
     doc = _read_json_file(args.file)
-    parsers = {
-        "schema": documents.schema_from_doc,
-        "crosswalk": documents.crosswalk_from_doc,
-        "operation": documents.operation_from_doc,
-        "fdo": documents.fdo_from_doc,
-    }
+    parse, register = {
+        "schema": (documents.schema_from_doc, engine.schemas.register_schema),
+        "crosswalk": (documents.crosswalk_from_doc, engine.crosswalks.register_crosswalk),
+        "operation": (documents.operation_from_doc, engine.operations.register_operation),
+        "fdo": (documents.fdo_from_doc, engine.fdos.register_fdo),
+    }[args.kind]
     try:
-        parsed = parsers[args.kind](doc, pm)
+        parsed = parse(doc, pm)
     except (MalformedContent, MalformedRecord, InvalidGupri) as exc:
         raise ParseFailure(args.file, 1, str(exc)) from None
-    if args.kind == "schema":
-        registered = engine.schemas.register_schema(parsed)
-    elif args.kind == "crosswalk":
-        registered = engine.crosswalks.register_crosswalk(parsed)
-    elif args.kind == "operation":
-        registered = engine.operations.register_operation(parsed)
-    else:
-        registered = engine.fdos.register_fdo(parsed)
+    registered = register(parsed)
     store.export_store(engine, root)
     _emit({"registered": pm.compress(registered.canonical)})
     return 0
@@ -281,12 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ParseFailure, IoFailure) as exc:
-        sys.stderr.write(documents.render({"error": exc.tag, "message": str(exc)}))
-        return 3
     except SemintError as exc:
         sys.stderr.write(documents.render({"error": exc.tag, "message": str(exc)}))
-        return 1
+        return 3 if isinstance(exc, (ParseFailure, IoFailure)) else 1
 
 
 if __name__ == "__main__":

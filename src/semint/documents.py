@@ -50,7 +50,7 @@ from .terminology import (
     TermRecord,
 )
 
-__all__ = ["render", "render_line"]
+__all__ = ["load_json", "render", "render_line"]
 
 
 def render(obj: Any) -> str:
@@ -61,6 +61,19 @@ def render(obj: Any) -> str:
 def render_line(obj: Any) -> str:
     """Canonical single-line JSON, used for line-oriented files."""
     return json.dumps(obj, separators=(", ", ": "), ensure_ascii=False)
+
+
+def load_json(text: str) -> Any:
+    """JSON read from outside the process; every way it can fail, nesting too
+    deep to parse and a lone surrogate escape included, raises ValueError."""
+    try:
+        doc = json.loads(text)
+        if "\\u" in text:
+            # a lone surrogate parses, but no reply or file could encode it
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return doc
 
 
 def _compact(g: Gupri, pm: PrefixMap) -> str:
@@ -280,7 +293,7 @@ def instance_from_doc(data: Any, pm: PrefixMap) -> StatementInstance:
 def instance_from_json(raw: bytes | str, pm: PrefixMap) -> StatementInstance:
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
-    return instance_from_doc(json.loads(raw), pm)
+    return instance_from_doc(load_json(raw), pm)
 
 
 def validation_to_doc(report: ValidationReport) -> dict:

@@ -8,7 +8,6 @@ once; callers supply the edges and, for paths, their tie-break rule.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Hashable, Iterable, Mapping, TypeVar
 
 __all__ = ["components", "reach", "shortest_paths"]
@@ -42,20 +41,23 @@ def components(edges: Iterable[tuple[N, N]]) -> dict[N, N]:
     return {x: find(x) for x in parent}
 
 
-def reach(adjacency: Mapping[N, Iterable[N]]) -> dict[N, frozenset[N]]:
-    """Nodes reachable in one or more steps from each key of ``adjacency``."""
-    out: dict[N, frozenset[N]] = {}
-    for start in adjacency:
-        seen: set[N] = set()
-        queue = deque(adjacency.get(start, ()))
-        while queue:
-            node = queue.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            queue.extend(adjacency.get(node, ()))
-        out[start] = frozenset(seen)
-    return out
+def reach(adjacency: Mapping[N, Iterable[N]], start: N, goal: N | None = None) -> set[N]:
+    """Nodes reachable in one or more steps from ``start``.
+
+    With ``goal`` the walk stops once it reaches the goal, so the result holds
+    the goal exactly when it is reachable, and maybe not every other node.
+    """
+    seen: set[N] = set()
+    stack = list(adjacency.get(start, ()))
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if node == goal:
+            break
+        stack.extend(adjacency.get(node, ()))
+    return seen
 
 
 def shortest_paths(

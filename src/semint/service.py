@@ -8,7 +8,7 @@ Reads run against the engine's immutable snapshots; the two compute endpoints
 
 from __future__ import annotations
 
-import json
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
@@ -22,7 +22,7 @@ __all__ = ["StoreServer", "make_server", "serve"]
 #: Largest request body accepted, in bytes; far above any real instance or record.
 MAX_BODY_BYTES = 1 << 20
 
-#: Seconds a request body may go without a byte arriving before it is complete.
+#: Seconds a request body may take to arrive in full.
 BODY_TIMEOUT_S = 5.0
 
 
@@ -163,26 +163,31 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self, length: int) -> bytes | None:
         """The request body, or None after replying to one that is too long
-        or that stops arriving for ``BODY_TIMEOUT_S`` before it is complete."""
+        or that has not arrived in full ``BODY_TIMEOUT_S`` after the headers."""
         # either way the unread rest of the body is unknown, so the connection
         # cannot be reused
         if length > MAX_BODY_BYTES:
             self.close_connection = True
             self._send_error(413, "payload-too-large", f"request body over {MAX_BODY_BYTES} bytes")
             return None
-        # the timeout covers the body only: idle keep-alive connections keep the default
-        self.connection.settimeout(BODY_TIMEOUT_S)
+        # the deadline covers the body only: idle keep-alive connections keep the default
+        deadline = time.monotonic() + BODY_TIMEOUT_S
+        raw = bytearray()
         try:
-            raw = self.rfile.read(length)
+            while len(raw) < length and (left := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(left)
+                if not (chunk := self.rfile.read1(length - len(raw))):
+                    break
+                raw += chunk
         except TimeoutError:
-            raw = b""
+            pass
         finally:
             self.connection.settimeout(self.timeout)
         if len(raw) < length:
             self.close_connection = True
             self._send_error(400, "malformed-request", f"request body shorter than Content-Length {length}")
             return None
-        return raw
+        return bytes(raw)
 
     def _post(self) -> None:
         length = self.headers.get("Content-Length", "0")
@@ -195,7 +200,7 @@ class _Handler(BaseHTTPRequestHandler):
         if raw is None:
             return
         try:
-            body = json.loads(raw.decode("utf-8"))
+            body = documents.load_json(raw.decode("utf-8"))
         except ValueError as exc:
             self._send_error(400, "malformed-json", str(exc))
             return

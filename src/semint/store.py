@@ -15,7 +15,6 @@ emitted with fixed key order, so export-import-export is byte-stable.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -132,7 +131,7 @@ def load_store(path: str | Path) -> Engine:
             if not line.strip():
                 continue
             try:
-                record = documents.term_from_doc(json.loads(line), prefix_map)
+                record = documents.term_from_doc(documents.load_json(line), prefix_map)
                 engine.terminology.register_term(record)
             except (SemintError, ValueError) as exc:
                 raise ParseFailure("terms", lineno, str(exc)) from None
@@ -146,26 +145,17 @@ def load_store(path: str | Path) -> Engine:
             first = report.rejected[0]
             raise ParseFailure("mappings.tsv", first.line, first.reason)
 
-    for file, doc in _documents_in(layout.schemas_dir):
-        try:
-            engine.schemas.register_schema(documents.schema_from_doc(doc, prefix_map))
-        except SemintError as exc:
-            raise ParseFailure(file, 1, str(exc)) from None
-    for file, doc in _documents_in(layout.crosswalks_dir):
-        try:
-            engine.crosswalks._insert_trusted(documents.crosswalk_from_doc(doc, prefix_map))
-        except SemintError as exc:
-            raise ParseFailure(file, 1, str(exc)) from None
-    for file, doc in _documents_in(layout.operations_dir):
-        try:
-            engine.operations.register_operation(documents.operation_from_doc(doc, prefix_map))
-        except SemintError as exc:
-            raise ParseFailure(file, 1, str(exc)) from None
-    for file, doc in _documents_in(layout.fdos_dir):
-        try:
-            engine.fdos.register_fdo(documents.fdo_from_doc(doc, prefix_map))
-        except SemintError as exc:
-            raise ParseFailure(file, 1, str(exc)) from None
+    for directory, parse, register in (
+        (layout.schemas_dir, documents.schema_from_doc, engine.schemas.register_schema),
+        (layout.crosswalks_dir, documents.crosswalk_from_doc, engine.crosswalks._insert_trusted),
+        (layout.operations_dir, documents.operation_from_doc, engine.operations.register_operation),
+        (layout.fdos_dir, documents.fdo_from_doc, engine.fdos.register_fdo),
+    ):
+        for file, doc in _documents_in(directory):
+            try:
+                register(parse(doc, prefix_map))
+            except SemintError as exc:
+                raise ParseFailure(file, 1, str(exc)) from None
     return engine
 
 
@@ -174,7 +164,7 @@ def _documents_in(directory: Path):
         return
     for file in sorted(directory.glob("*.json")):
         try:
-            yield str(file.relative_to(directory.parent)), json.loads(file.read_text(encoding="utf-8"))
+            yield str(file.relative_to(directory.parent)), documents.load_json(file.read_text(encoding="utf-8"))
         except OSError as exc:
             raise IoFailure(f"cannot read {file}: {exc}") from exc
         except ValueError as exc:

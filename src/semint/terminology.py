@@ -296,20 +296,21 @@ class ClosureSnapshot:
     """Immutable closure over one mapping multiset; answers every terminology
     question about it.
 
-    Equivalence classes are connected components; hierarchical reachability is
-    lifted to referential classes and kept separate for the actionable
-    (subClassOf/subPropertyOf) and advisory (plus broadMatch) edge sets.
-    ``edges`` are the mappings the closure was built from, so path
-    explanations walk the same edge set the verdicts come from.
+    Equivalence classes are connected components. Hierarchy edges are lifted
+    to referential classes and kept separate for the actionable
+    (subClassOf/subPropertyOf) and advisory (plus broadMatch) edge sets; each
+    hierarchical question walks them from one class, so a build is about
+    linear in the edge count. ``edges`` are the mappings the closure was built from, so
+    path explanations walk the same edge set the verdicts come from.
     """
 
     ont_root: Mapping[str, str]
     ont_members: Mapping[str, frozenset[str]]
     ref_root: Mapping[str, str]
     ref_members: Mapping[str, frozenset[str]]
-    subclass_reach: Mapping[str, frozenset[str]]
-    subproperty_reach: Mapping[str, frozenset[str]]
-    loose_reach: Mapping[str, frozenset[str]]
+    subclass_adj: Mapping[str, set[str]]
+    subproperty_adj: Mapping[str, set[str]]
+    loose_adj: Mapping[str, set[str]]
     associative_pairs: frozenset[frozenset[str]]
     edges: tuple[EntityMapping, ...]
 
@@ -325,13 +326,14 @@ class ClosureSnapshot:
     def referential_class(self, g: Gupri) -> frozenset[str]:
         return self.ref_members.get(self.referential_root(g), frozenset({g.canonical}))
 
-    def _above(self, reach: Mapping[str, frozenset[str]], a: Gupri, b: Gupri) -> bool:
-        """True when b's referential class is above a's in ``reach``."""
-        return self.referential_root(b) in reach.get(self.referential_root(a), frozenset())
+    def _above(self, adjacency: Mapping[str, set[str]], a: Gupri, b: Gupri) -> bool:
+        """True when b's referential class is above a's in ``adjacency``."""
+        goal = self.referential_root(b)
+        return goal in graph.reach(adjacency, self.referential_root(a), goal)
 
     def subclass_reachable(self, a: Gupri, b: Gupri) -> bool:
         """True when a's referential class reaches b's via subClassOf edges."""
-        return self._above(self.subclass_reach, a, b)
+        return self._above(self.subclass_adj, a, b)
 
     def interop_level(self, a: Gupri, b: Gupri) -> InteropVerdict:
         """Strongest interoperability verdict between two canonical identifiers."""
@@ -341,13 +343,13 @@ class ClosureSnapshot:
             return InteropVerdict(InteropLevel.ONTOLOGICAL, actionable=True)
         if self.referential_root(a) == self.referential_root(b):
             return InteropVerdict(InteropLevel.REFERENTIAL, actionable=True)
-        if self._above(self.subclass_reach, a, b) or self._above(self.subproperty_reach, a, b):
+        if self._above(self.subclass_adj, a, b) or self._above(self.subproperty_adj, a, b):
             return InteropVerdict(InteropLevel.HIERARCHICAL, direction="broader", actionable=True)
-        if self._above(self.subclass_reach, b, a) or self._above(self.subproperty_reach, b, a):
+        if self._above(self.subclass_adj, b, a) or self._above(self.subproperty_adj, b, a):
             return InteropVerdict(InteropLevel.HIERARCHICAL, direction="narrower", actionable=True)
-        if self._above(self.loose_reach, a, b):
+        if self._above(self.loose_adj, a, b):
             return InteropVerdict(InteropLevel.HIERARCHICAL, direction="broader", actionable=False)
-        if self._above(self.loose_reach, b, a):
+        if self._above(self.loose_adj, b, a):
             return InteropVerdict(InteropLevel.HIERARCHICAL, direction="narrower", actionable=False)
         if frozenset({a.canonical, b.canonical}) in self.associative_pairs:
             return InteropVerdict(InteropLevel.ASSOCIATIVE, actionable=False)
@@ -411,7 +413,9 @@ class ClosureSnapshot:
         return list(paths.get(b.canonical, ()))
 
     def to_doc(self) -> dict:
-        """Deterministic plain-data rendering, for output and byte comparison."""
+        """Deterministic plain-data rendering, for output and byte comparison;
+        the one reader that walks the hierarchy from every class."""
+        sub, prop = self.subclass_adj, self.subproperty_adj
         return {
             "ontological_classes": [
                 sorted(m) for _, m in sorted(self.ont_members.items()) if len(m) > 1
@@ -419,12 +423,8 @@ class ClosureSnapshot:
             "referential_classes": [
                 sorted(m) for _, m in sorted(self.ref_members.items()) if len(m) > 1
             ],
-            "subclass_reach": {
-                k: sorted(v) for k, v in sorted(self.subclass_reach.items()) if v
-            },
-            "subproperty_reach": {
-                k: sorted(v) for k, v in sorted(self.subproperty_reach.items()) if v
-            },
+            "subclass_reach": {k: sorted(graph.reach(sub, k)) for k in sorted(sub)},
+            "subproperty_reach": {k: sorted(graph.reach(prop, k)) for k in sorted(prop)},
             "associative_pairs": sorted(sorted(p) for p in self.associative_pairs),
         }
 
@@ -630,9 +630,9 @@ class TerminologyRegistry:
             ont_members=_classes(ont_root),
             ref_root=ref_root,
             ref_members=_classes(ref_root),
-            subclass_reach=graph.reach(subclass_adj),
-            subproperty_reach=graph.reach(subproperty_adj),
-            loose_reach=graph.reach(loose_adj),
+            subclass_adj=subclass_adj,
+            subproperty_adj=subproperty_adj,
+            loose_adj=loose_adj,
             associative_pairs=frozenset(associative),
             edges=edges,
         )

@@ -128,3 +128,79 @@ def oracle_closures(
         if m.predicate in REFERENTIAL_PREDICATES
     ]
     return equivalence_partition(nodes, ont_edges), equivalence_partition(nodes, ref_edges)
+
+
+def oracle_ladder(
+    nodes: list[str], mappings: list[EntityMapping]
+) -> tuple[dict[tuple[str, str], tuple[str, str | None, bool]], dict[str, dict[str, list[str]]]]:
+    """The verdict ladder for every ordered pair of nodes, and the rendered
+    hierarchy reach, from brute-force partitions and from reachability over
+    referential classes.
+
+    A verdict is ``(level label, direction, actionable)``. ``narrowMatch``
+    counts as ``broadMatch`` with its ends swapped. The reach rendering keys
+    each class by its smallest member and omits classes that reach nothing.
+    """
+
+    def ends(predicates) -> list[tuple[str, str]]:
+        return [(m.subject.canonical, m.object.canonical) for m in mappings if m.predicate in predicates]
+
+    ont_of = {n: c for c in equivalence_partition(nodes, ends(ONTOLOGICAL_PREDICATES)) for n in c}
+    ref_classes = equivalence_partition(nodes, ends(REFERENTIAL_PREDICATES))
+    ref_of = {n: c for c in ref_classes for n in c}
+
+    def upward(m: EntityMapping) -> tuple[str, str]:
+        s, o = m.subject.canonical, m.object.canonical
+        return (o, s) if m.predicate is MappingPredicate.NARROW_MATCH else (s, o)
+
+    def above(predicates) -> set[tuple[frozenset[str], frozenset[str]]]:
+        """(lower, upper) referential classes joined by a chain of ``predicates``."""
+        lifted = [
+            (ref_of[s], ref_of[o])
+            for s, o in (upward(m) for m in mappings if m.predicate in predicates)
+            if ref_of[s] != ref_of[o]
+        ]
+        return directed_reachability(list(ref_classes), lifted)
+
+    sub = above({MappingPredicate.SUB_CLASS_OF})
+    prop = above({MappingPredicate.SUB_PROPERTY_OF})
+    loose = above(
+        {
+            MappingPredicate.SUB_CLASS_OF,
+            MappingPredicate.SUB_PROPERTY_OF,
+            MappingPredicate.BROAD_MATCH,
+            MappingPredicate.NARROW_MATCH,
+        }
+    )
+    associative = {frozenset(e) for e in ends({MappingPredicate.CLOSE_MATCH, MappingPredicate.RELATED_MATCH})}
+    verdicts = {}
+    for a in nodes:
+        for b in nodes:
+            up, down = (ref_of[a], ref_of[b]), (ref_of[b], ref_of[a])
+            if a == b:
+                verdict = ("Identical", None, True)
+            elif ont_of[a] == ont_of[b]:
+                verdict = ("Ontological", None, True)
+            elif ref_of[a] == ref_of[b]:
+                verdict = ("Referential", None, True)
+            elif up in sub or up in prop:
+                verdict = ("Hierarchical", "broader", True)
+            elif down in sub or down in prop:
+                verdict = ("Hierarchical", "narrower", True)
+            elif up in loose:
+                verdict = ("Hierarchical", "broader", False)
+            elif down in loose:
+                verdict = ("Hierarchical", "narrower", False)
+            elif frozenset((a, b)) in associative:
+                verdict = ("Associative", None, False)
+            else:
+                verdict = ("None", None, False)
+            verdicts[a, b] = verdict
+
+    def rendered(pairs) -> dict[str, list[str]]:
+        reached: dict[str, list[str]] = {}
+        for lower, upper in pairs:
+            reached.setdefault(min(lower), []).append(min(upper))
+        return {k: sorted(v) for k, v in sorted(reached.items())}
+
+    return verdicts, {"subclass_reach": rendered(sub), "subproperty_reach": rendered(prop)}

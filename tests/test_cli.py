@@ -324,6 +324,23 @@ def test_import_mappings_table1_direction(tmp_path, capsys):
     assert "ex:child\trdfs:subClassOf\tex:parent" in stored
 
 
+UNREADABLE_JSON = {
+    "too-deep": "[" * 100_000,
+    # json.dumps escapes the lone surrogate, which parses but cannot be encoded
+    "lone-surrogate": json.dumps({"schema": "urn:x:\ud800", "fills": {}}),
+}
+
+
+@pytest.mark.parametrize("text", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+def test_unreadable_json_file_parse_failure(store_dir, tmp_path, capsys, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    for argv in (["validate", str(path)], ["import", "terms", str(path)], ["import", "fdo", str(path)]):
+        code, _, err = run(capsys, "--store", str(store_dir), *argv)
+        assert code == 3, argv
+        assert json.loads(err)["error"] == "parse-failure"
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     root = tmp_path / "broken"
     run(capsys, "--store", str(root), "init")

@@ -41,8 +41,19 @@ def test_reach_matches_oracle(edges):
     adjacency: dict[int, set[int]] = {}
     for u, v in edges:
         adjacency.setdefault(u, set()).add(v)
-    pairs = {(u, v) for u, targets in graph.reach(adjacency).items() for v in targets}
+    pairs = {(u, v) for u in NODES for v in graph.reach(adjacency, u)}
     assert pairs == directed_reachability(NODES, edges)
+
+
+@settings(deadline=None)
+@given(edge_lists, st.sampled_from(NODES), st.sampled_from(NODES))
+def test_reach_goal_found_iff_reachable(edges, start, goal):
+    adjacency: dict[int, set[int]] = {}
+    for u, v in edges:
+        adjacency.setdefault(u, set()).add(v)
+    found = graph.reach(adjacency, start, goal)
+    assert (goal in found) == ((start, goal) in directed_reachability(NODES, edges))
+    assert found <= graph.reach(adjacency, start)
 
 
 @settings(deadline=None)

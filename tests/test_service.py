@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -8,9 +9,11 @@ import urllib.error
 import urllib.request
 from dataclasses import replace
 from pathlib import Path
-from urllib.parse import quote
+from urllib.parse import quote, urlencode, urlsplit
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semint import export_store, load_store
 from semint.cli import main
@@ -19,6 +22,7 @@ from semint import service
 from semint.service import make_server
 
 from conftest import build_weight_fixture
+from test_documents import VALID, _paths, _replaced, json_values
 from test_store import populated_fixture
 
 
@@ -283,6 +287,61 @@ def test_post_short_body_400_after_timeout(served, monkeypatch):
     assert json.loads(body)["error"] == "malformed-request"
 
 
+def test_post_trickled_body_400_at_deadline(served, monkeypatch):
+    # bytes arriving faster than the timeout do not extend it: it bounds the
+    # whole body, not each read
+    monkeypatch.setattr(service, "BODY_TIMEOUT_S", 0.2)
+    host, port = served["base"][len("http://") :].split(":")
+    stop = threading.Event()
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        reply = conn.makefile("rb")
+
+        def trickle():
+            try:
+                for _ in range(19):
+                    if stop.wait(0.1):
+                        return
+                    conn.sendall(b" ")
+            except OSError:
+                pass  # the server closed the connection
+
+        conn.sendall(f"POST /assess HTTP/1.1\r\nHost: {host}\r\nContent-Length: 20\r\n\r\n".encode())
+        start = time.monotonic()
+        sender = threading.Thread(target=trickle)
+        sender.start()
+        status, _, body = raw_reply(reply)
+        elapsed = time.monotonic() - start
+        stop.set()
+        sender.join()
+    assert status == b"400"
+    assert json.loads(body)["error"] == "malformed-request"
+    # a per-read timeout of 0.2 s would not fire until the 19 bytes, 0.1 s
+    # apart, had all arrived, after 1.9 s
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("route", ["/assess", "/transform"])
+def test_post_too_deep_json_400(served, route):
+    request = urllib.request.Request(served["base"] + route, data=b"[" * 100_000, method="POST")
+    with pytest.raises(urllib.error.HTTPError) as caught:
+        urllib.request.urlopen(request)
+    assert caught.value.code == 400
+    assert json.loads(caught.value.read())["error"] == "malformed-json"
+
+
+def test_post_assess_lone_surrogate_400(served):
+    fx = served["fixture"]
+    from semint.documents import fdo_to_doc
+
+    doc = {**fdo_to_doc(fx.golden, fx.engine.prefix_map), "gupri": "urn:x:\ud800"}
+    # json.dumps escapes the surrogate, as a client library would
+    request = urllib.request.Request(served["base"] + "/assess", data=json.dumps(doc).encode(), method="POST")
+    with pytest.raises(urllib.error.HTTPError) as caught:
+        urllib.request.urlopen(request)
+    assert caught.value.code == 400
+    assert json.loads(caught.value.read())["error"] == "malformed-json"
+
+
 def test_post_assess_record_body(served):
     fx = served["fixture"]
     pm = fx.engine.prefix_map
@@ -412,3 +471,68 @@ def test_cli_and_service_payloads_byte_identical(served, capsys):
         status, body = http_get(base, path)
         assert status == 200
         assert body == cli_bytes(store, *argv, capsys=capsys), (argv, path)
+
+
+# ---------------------------------------------------------------------------
+# no facade request gets a 5xx reply
+
+GET_ROUTES = ["/terms/", "/mappings", "/interop", "/schemas/", "/crosswalks", "/operations", "/find", "/fdos/", "/"]
+QUERY_KEYS = [
+    "a", "b", "min_confidence", "subject", "object", "source", "target", "schema", "reachable",
+    "term", "expand", "statement_type", "category",
+]  # fmt: skip
+query_values = st.text(max_size=12) | st.sampled_from(
+    ["pato:weight", "ncit:weight", "ex:ghost", "true", "0.5", "nan", "referential", "measurement"]
+)
+VALID_POSTS = [
+    *VALID["fdo_from_doc"],
+    {
+        "instance": VALID["instance_from_doc"][0],
+        "crosswalk": VALID["crosswalk_from_doc"][0]["id"],
+        "min_confidence": 0.5,
+        "allow_referential": True,
+    },
+]
+post_bodies = (
+    st.binary(max_size=64)
+    | json_values.map(lambda v: json.dumps(v).encode())
+    # a valid request with one value, at any depth, replaced by arbitrary JSON
+    | st.sampled_from(VALID_POSTS)
+    .flatmap(lambda doc: st.tuples(st.just(doc), st.sampled_from(list(_paths(doc))), json_values))
+    .map(lambda drawn: json.dumps(_replaced(*drawn)).encode())
+)
+
+
+def facade_request(base: str, method: str, path: str, body: bytes | None = None) -> None:
+    """Send one request; the reply must not be a 5xx, and a 4xx must be tagged."""
+    url = urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        conn.request(method, path, body=body)
+        reply = conn.getresponse()
+        status, data = reply.status, reply.read()
+    finally:
+        conn.close()
+    assert status < 500, (method, path, body, data)
+    if status >= 400:
+        assert set(json.loads(data)) == {"error", "message"}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    route=st.sampled_from(GET_ROUTES),
+    text=st.text(max_size=16),
+    suffix=st.sampled_from(["", "/assessment"]),
+    query=st.dictionaries(st.sampled_from(QUERY_KEYS), query_values, max_size=4),
+)
+def test_facade_get_never_5xx(served, route, text, suffix, query):
+    facade_request(served["base"], "GET", route + quote(text, safe="") + suffix + "?" + urlencode(query))
+
+
+@settings(deadline=None, max_examples=80)
+@given(route=st.sampled_from(["/assess", "/transform"]), body=post_bodies)
+@example(route="/assess", body=b"[" * 100_000)
+@example(route="/transform", body=b"[" * 100_000)
+@example(route="/assess", body=json.dumps({**VALID["fdo_from_doc"][0], "gupri": "urn:x:\ud800"}).encode())
+def test_facade_post_never_5xx(served, route, body):
+    facade_request(served["base"], "POST", route, body)

@@ -186,6 +186,27 @@ def test_corrupt_schema_document_parse_failure(tmp_path):
     assert excinfo.value.file.startswith("schemas/")
 
 
+@pytest.mark.parametrize("case", ["too-deep", "lone-surrogate"])
+@pytest.mark.parametrize("target", ["terms", "fdos"])
+def test_unreadable_json_parse_failure(tmp_path, case, target):
+    fx = populated_fixture()
+    export_store(fx.engine, tmp_path / "store")
+    path = tmp_path / "store" / "terms"
+    if target == "fdos":
+        path = next((tmp_path / "store" / "fdos").glob("*.json"))
+    if case == "too-deep":
+        path.write_text("[" * 100_000 + "\n" + path.read_text())
+    elif target == "terms":
+        # json.dumps escapes the lone surrogate, which parses but cannot be encoded
+        first, rest = path.read_text().split("\n", 1)
+        path.write_text(json.dumps({**json.loads(first), "definition": "x\ud800"}) + "\n" + rest)
+    else:
+        path.write_text(json.dumps({**json.loads(path.read_text()), "creator": "x\ud800"}))
+    with pytest.raises(ParseFailure) as excinfo:
+        load_store(tmp_path / "store")
+    assert excinfo.value.file.startswith(target)
+
+
 def test_wrong_json_shape_parse_failure(tmp_path):
     # a list field holding a number is malformed content, not a crash
     fx = populated_fixture()

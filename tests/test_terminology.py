@@ -27,7 +27,7 @@ from semint.store import ExpandMode, FindQuery, find
 from semint.terminology import NOOP_MAPPING_ID, TerminologyRegistry
 
 from conftest import add_mapping, make_engine, term
-from oracles import all_shortest_paths, oracle_closures, random_mapping_set
+from oracles import all_shortest_paths, oracle_closures, oracle_ladder, random_mapping_set
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +662,22 @@ def test_explain_path_edges_meet_threshold_and_chain(rng, threshold):
                 assert at in ends
                 at = ends[1] if ends[0] == at else ends[0]
             assert at == (b if path else a)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.sampled_from([None, 0.5, 0.9, 1.0]))
+def test_verdict_ladder_matches_oracle(rng, threshold):
+    engine = make_engine()
+    nodes, mappings = random_mapping_set(rng, engine.prefix_map, max_terms=10, max_edges=30)
+    for m in mappings:
+        engine.terminology.add_mapping(m)
+    kept = [m for m in mappings if threshold is None or m.confidence >= threshold]
+    verdicts, reach = oracle_ladder(nodes, kept)
+    for (a, b), expected in verdicts.items():
+        verdict = engine.terminology.interop_level(Gupri(a), Gupri(b), threshold)
+        assert (verdict.level.label, verdict.direction, verdict.actionable) == expected, (a, b)
+    doc = engine.terminology.compute_closure(threshold).to_doc()
+    assert {key: doc[key] for key in reach} == reach
 
 
 # ---------------------------------------------------------------------------
