@@ -181,15 +181,7 @@ def _run(args: argparse.Namespace) -> int:
         _emit(documents.assessment_to_doc(report, pm))
         return 0
     if args.command == "find":
-        category = StatementCategory(args.category) if args.category else None
-        query = store.FindQuery(
-            term=pm.gupri(args.term) if args.term else None,
-            expand=store.ExpandMode(args.expand),
-            statement_type=pm.gupri(args.statement_type) if args.statement_type else None,
-            category=category,
-        )
-        results = store.find(engine, query)
-        _emit({"results": [pm.compress(g.canonical) for g in results]})
+        _emit(store.find_document(engine, vars(args)))
         return 0
     if args.command == "serve":
         service.serve(engine, args.bind)

@@ -27,6 +27,7 @@ from .errors import (
     NotInvertible,
     ReferentialDisallowed,
     SchemaMismatch,
+    SemintError,
     SourceInvalid,
     TargetInvalid,
     UncoveredRequiredTargetSlot,
@@ -362,15 +363,7 @@ class CrosswalkRegistry:
             provenance=CrosswalkProvenance(justification="composition"),
         )
         snap = self.terminology.compute_closure()
-        report = self._check(snap, composed)
-        for c in report.checks:
-            if c.status in (AlignmentStatus.ROLE_MISMATCH, AlignmentStatus.INCOMPATIBLE):
-                raise IncompatibleAlignment(self._report_problem(report))
-        if report.uncovered_required_target:
-            raise JoinProducesUncoveredRequiredSlot(
-                f"required target slot(s) uncovered after join: "
-                f"{', '.join(report.uncovered_required_target)}"
-            )
+        self._checked_level(snap, composed, JoinProducesUncoveredRequiredSlot, " after join")
         level = min(self._level_of(snap, ab), self._level_of(snap, bc))
         return replace(composed, level=level)
 
@@ -398,15 +391,18 @@ class CrosswalkRegistry:
             raise NotInvertible(f"crosswalk {cw.id} is not invertible: {exc}") from exc
         return replace(inverted, level=level)
 
-    def _checked_level(self, snap: ClosureSnapshot, cw: Crosswalk) -> CrosswalkLevel:
-        """Level of a crosswalk that must pass its check, from one check."""
+    def _checked_level(
+        self, snap: ClosureSnapshot, cw: Crosswalk, uncovered: type[SemintError] = UncoveredRequiredTargetSlot, context: str = ""
+    ) -> CrosswalkLevel:
+        """Level of a crosswalk that must pass its check, from one check; an
+        uncovered required target slot raises ``uncovered``, noting ``context``."""
         report = self._check(snap, cw)
         for c in report.checks:
             if c.status in (AlignmentStatus.ROLE_MISMATCH, AlignmentStatus.INCOMPATIBLE):
                 raise IncompatibleAlignment(self._report_problem(report))
         if report.uncovered_required_target:
-            raise UncoveredRequiredTargetSlot(
-                f"required target slot(s) uncovered: {', '.join(report.uncovered_required_target)}"
+            raise uncovered(
+                f"required target slot(s) uncovered{context}: {', '.join(report.uncovered_required_target)}"
             )
         return self._level(cw, report)
 

@@ -9,7 +9,8 @@ which keeps the files diff-friendly; parsing always canonicalizes again.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from enum import Enum
+from typing import Any, Mapping, TypeVar
 
 from .crosswalks import (
     Crosswalk,
@@ -51,6 +52,8 @@ from .terminology import (
 )
 
 __all__ = ["load_json", "render", "render_line"]
+
+_E = TypeVar("_E", bound=Enum)
 
 
 def render(obj: Any) -> str:
@@ -98,6 +101,23 @@ def _as_list(data: Any, context: str) -> list:
     return data
 
 
+def decode_enum(cls: type[_E], value: Any, what: str) -> _E:
+    """The member of ``cls`` with this value; a value no member has raises
+    MalformedContent naming ``what`` and the value."""
+    try:
+        return cls(value)
+    except ValueError:
+        raise MalformedContent(f"{what} {value!r}") from None
+
+
+def decode_flag(value: Any, what: str) -> bool:
+    """A JSON boolean; any other value, "false" included, raises
+    MalformedContent naming ``what``."""
+    if isinstance(value, bool):
+        return value
+    raise MalformedContent(f"{what} {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # terms
 
@@ -118,16 +138,15 @@ def term_to_doc(record: TermRecord, pm: PrefixMap) -> dict:
 def term_from_doc(data: Any, pm: PrefixMap) -> TermRecord:
     obj = _as_obj(data, "term record")
     labels = _as_obj(obj.get("labels", {}), "term labels")
-    try:
-        referent_kind = ReferentKind(obj.get("referent_kind", "class"))
-    except ValueError:
-        raise MalformedContent(f"term record: bad referent_kind {obj.get('referent_kind')!r}") from None
+    referent_kind = decode_enum(ReferentKind, obj.get("referent_kind", "class"), "term record: bad referent_kind")
     return TermRecord(
         id=pm.gupri(str(_require(obj, "id", "term record"))),
         labels={str(k): str(v) for k, v in labels.items()},
         definition=obj.get("definition"),
         recognition_criteria=obj.get("recognition_criteria"),
-        recognition_criteria_applicable=bool(obj.get("recognition_criteria_applicable", True)),
+        recognition_criteria_applicable=decode_flag(
+            obj.get("recognition_criteria_applicable", True), "term record: bad recognition_criteria_applicable"
+        ),
         synonyms=tuple(str(s) for s in _as_list(obj.get("synonyms", []), "term synonyms")),
         referent_kind=referent_kind,
     )
@@ -200,18 +219,11 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
     slots = []
     for raw in _as_list(_require(obj, "slots", "schema document"), "schema slots"):
         slot = _as_obj(raw, "slot spec")
-        kind_text = str(_require(slot, "kind", "slot spec"))
-        try:
-            kind = SlotKind(kind_text)
-        except ValueError:
-            raise MalformedContent(f"slot spec: bad kind {kind_text!r}") from None
+        kind = decode_enum(SlotKind, str(_require(slot, "kind", "slot spec")), "slot spec: bad kind")
         constraint_text = str(_require(slot, "constraint", "slot spec"))
         constraint: Gupri | DatatypeTag
         if kind is SlotKind.LITERAL:
-            try:
-                constraint = DatatypeTag(constraint_text)
-            except ValueError:
-                raise MalformedContent(f"slot spec: bad datatype {constraint_text!r}") from None
+            constraint = decode_enum(DatatypeTag, constraint_text, "slot spec: bad datatype")
         else:
             constraint = pm.gupri(constraint_text)
         try:
@@ -221,7 +233,7 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
                     role=str(_require(slot, "role", "slot spec")),
                     kind=kind,
                     constraint=constraint,
-                    required=bool(slot.get("required", True)),
+                    required=decode_flag(slot.get("required", True), "slot spec: bad required"),
                 )
             )
         except MalformedRecord as exc:
@@ -255,11 +267,7 @@ def fill_from_doc(data: Any, pm: PrefixMap) -> SlotFill:
                 pm.gupri(str(value)), pm.gupri(str(asserted)) if asserted else None
             )
         if kind_text == "literal":
-            tag_text = str(_require(obj, "datatype", "slot fill"))
-            try:
-                tag = DatatypeTag(tag_text)
-            except ValueError:
-                raise MalformedContent(f"slot fill: bad datatype {tag_text!r}") from None
+            tag = decode_enum(DatatypeTag, str(_require(obj, "datatype", "slot fill")), "slot fill: bad datatype")
             return SlotFill.literal(str(value), tag)
     except MalformedRecord as exc:
         raise MalformedContent(str(exc)) from None
@@ -413,19 +421,11 @@ def operation_to_doc(d: OperationDescriptor, pm: PrefixMap) -> dict:
 
 def operation_from_doc(data: Any, pm: PrefixMap) -> OperationDescriptor:
     obj = _as_obj(data, "operation document")
-    kind_text = str(obj.get("kind", "external-reference"))
-    try:
-        kind = OperationKind(kind_text)
-    except ValueError:
-        raise MalformedContent(f"operation document: bad kind {kind_text!r}") from None
+    kind = decode_enum(OperationKind, str(obj.get("kind", "external-reference")), "operation document: bad kind")
     params = []
     for raw in _as_list(obj.get("params", []), "operation params"):
         p = _as_obj(raw, "operation param")
-        tag_text = str(_require(p, "datatype", "operation param"))
-        try:
-            tag = DatatypeTag(tag_text)
-        except ValueError:
-            raise MalformedContent(f"operation param: bad datatype {tag_text!r}") from None
+        tag = decode_enum(DatatypeTag, str(_require(p, "datatype", "operation param")), "operation param: bad datatype")
         params.append(OperationParam(name=str(_require(p, "name", "operation param")), datatype=tag))
     return OperationDescriptor(
         id=pm.gupri(str(_require(obj, "id", "operation document"))),
@@ -508,16 +508,10 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
         raise MalformedContent(f"fdo content: bad kind {kind!r}")
     category = None
     if obj.get("category") is not None:
-        try:
-            category = StatementCategory(str(obj["category"]))
-        except ValueError:
-            raise MalformedContent(f"fdo document: bad category {obj['category']!r}") from None
+        category = decode_enum(StatementCategory, obj["category"], "fdo document: bad category")
     certainty = None
     if obj.get("certainty") is not None:
-        try:
-            certainty = CertaintyLevel(str(obj["certainty"]))
-        except ValueError:
-            raise MalformedContent(f"fdo document: bad certainty {obj['certainty']!r}") from None
+        certainty = decode_enum(CertaintyLevel, obj["certainty"], "fdo document: bad certainty")
     schema_ref: Gupri | tuple[Gupri, ...] | None = None
     raw_ref = obj.get("schema_ref")
     if isinstance(raw_ref, list):

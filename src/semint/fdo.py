@@ -120,45 +120,12 @@ class CollectionAssessment:
     per_check: tuple[tuple[str, int, int, int], ...]  # (check_id, pass, fail, na)
 
 
-#: Checklist order; fixed so reports are byte-stable.
-CHECK_IDS = (
-    "F1",
-    "F2",
-    "F3",
-    "F4",
-    "F5.1",
-    "F5.2",
-    "F6.1",
-    "F6.2",
-    "F7",
-    "A1.1",
-    "A1.2",
-    "A1.3",
-    "A2",
-    "I1",
-    "I2",
-    "I3",
-    "I4",
-    "I5",
-    "R1.1",
-    "R1.2",
-    "R1.3",
-    "R1.4",
-)
+#: What a check evaluator returns: the status and its detail.
+_Outcome = tuple[CheckStatus, str]
 
-_OUT_OF_SCOPE = {
-    "F2",
-    "F4",
-    "A1.1",
-    "A1.2",
-    "A1.3",
-    "A2",
-    "I1",
-    "I2",
-    "I3",
-    "R1.3",
-}
 _OUT_OF_SCOPE_DETAIL = "protocol/registry-level; out of scope"
+_NO_TERMS = (CheckStatus.NOT_APPLICABLE, "content mentions no terms")
+_NO_STATEMENTS = (CheckStatus.NOT_APPLICABLE, "no statement content")
 
 
 class FdoRegistry:
@@ -218,26 +185,13 @@ class FdoRegistry:
         """Evaluate the checklist; deterministic given the registries."""
         record = self._canonicalized(record)
         snap = self.terminology.compute_closure()
-        evaluators = {
-            "F1": self._check_f1,
-            "F3": self._check_f3,
-            "F5.1": self._check_f5_1,
-            "F5.2": self._check_f5_2,
-            "F6.1": self._check_f6_1,
-            "F6.2": self._check_f6_2,
-            "F7": self._check_f7,
-            "I4": self._check_i4,
-            "I5": self._check_i5,
-            "R1.1": self._check_r1_1,
-            "R1.2": self._check_r1_2,
-            "R1.4": self._check_r1_4,
-        }
-        checks: list[CheckResult] = []
-        for check_id in CHECK_IDS:
-            if check_id in _OUT_OF_SCOPE:
+        terms = record.content_terms()
+        checks = []
+        for check_id, _, evaluate in _CHECKLIST:
+            if evaluate is None:
                 checks.append(CheckResult(check_id, CheckStatus.NOT_APPLICABLE, _OUT_OF_SCOPE_DETAIL))
             else:
-                checks.append(evaluators[check_id](record, snap))
+                checks.append(CheckResult(check_id, *evaluate(self, record, snap, terms)))
         passed = sum(1 for c in checks if c.status is CheckStatus.PASS)
         applicable = sum(1 for c in checks if c.status is not CheckStatus.NOT_APPLICABLE)
         score = passed / applicable if applicable else 0.0
@@ -266,34 +220,32 @@ class FdoRegistry:
         return CollectionAssessment(mean_score=mean, per_check=tuple(rows))
 
     # -- individual checks --------------------------------------------------------
+    # Each takes the record, the call's snapshot and the record's content terms,
+    # and returns (status, detail).
 
-    def _check_f1(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
-        return CheckResult("F1", CheckStatus.PASS, f"gupri {record.gupri} is canonical")
+    def _check_f1(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
+        return CheckStatus.PASS, f"gupri {record.gupri} is canonical"
 
-    def _check_f3(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
+    def _check_f3(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if record.data_identifier is not None:
-            return CheckResult("F3", CheckStatus.PASS, f"data identifier {record.data_identifier}")
-        return CheckResult("F3", CheckStatus.FAIL, "no data identifier linking metadata to data")
+            return CheckStatus.PASS, f"data identifier {record.data_identifier}"
+        return CheckStatus.FAIL, "no data identifier linking metadata to data"
 
-    def _check_f5_1(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
-        terms = record.content_terms()
+    def _check_f5_1(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if not terms:
-            return CheckResult("F5.1", CheckStatus.NOT_APPLICABLE, "content mentions no terms")
+            return _NO_TERMS
         unresolved = [str(t) for t in terms if not self.terminology.has_term(t)]
         if unresolved:
-            return CheckResult(
-                "F5.1", CheckStatus.FAIL, f"unresolved term(s): {', '.join(unresolved)}"
-            )
+            return CheckStatus.FAIL, f"unresolved term(s): {', '.join(unresolved)}"
         singletons = sum(1 for t in terms if len(snap.referential_class(t)) == 1)
         detail = "all content terms resolve"
         if singletons:
             detail += f"; {singletons} in singleton referential classes (vacuously mapped)"
-        return CheckResult("F5.1", CheckStatus.PASS, detail)
+        return CheckStatus.PASS, detail
 
-    def _check_f5_2(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
-        terms = record.content_terms()
+    def _check_f5_2(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if not terms:
-            return CheckResult("F5.2", CheckStatus.NOT_APPLICABLE, "content mentions no terms")
+            return _NO_TERMS
         failing = []
         for t in terms:
             if not self.terminology.has_term(t):
@@ -303,38 +255,32 @@ class FdoRegistry:
             if audit["has_multilingual_labels"] != "pass" or audit["has_synonyms"] != "pass":
                 failing.append(str(t))
         if failing:
-            return CheckResult(
-                "F5.2",
-                CheckStatus.FAIL,
-                f"term(s) missing multilingual labels or synonyms: {', '.join(failing)}",
-            )
-        return CheckResult("F5.2", CheckStatus.PASS, "all content terms carry labels and synonyms")
+            return CheckStatus.FAIL, f"term(s) missing multilingual labels or synonyms: {', '.join(failing)}"
+        return CheckStatus.PASS, "all content terms carry labels and synonyms"
 
-    def _check_f6_1(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
+    def _check_f6_1(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         instances = record.instances()
         if not instances:
-            return CheckResult("F6.1", CheckStatus.NOT_APPLICABLE, "no statement content")
+            return _NO_STATEMENTS
         if record.schema_ref is None:
-            return CheckResult("F6.1", CheckStatus.FAIL, "no schema reference in metadata")
+            return CheckStatus.FAIL, "no schema reference in metadata"
         for inst in instances:
             if not self.schemas.has_schema(inst.schema_id):
-                return CheckResult("F6.1", CheckStatus.FAIL, f"schema {inst.schema_id} not registered")
+                return CheckStatus.FAIL, f"schema {inst.schema_id} not registered"
             report = self.schemas.validate_instance_at(snap, inst)
             if not report.valid:
                 first = report.violations[0]
-                return CheckResult(
-                    "F6.1", CheckStatus.FAIL, f"instance invalid: {first.code} on {first.slot_id}"
-                )
-        return CheckResult("F6.1", CheckStatus.PASS, "schema referenced and content validates")
+                return CheckStatus.FAIL, f"instance invalid: {first.code} on {first.slot_id}"
+        return CheckStatus.PASS, "schema referenced and content validates"
 
-    def _check_f6_2(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
+    def _check_f6_2(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         instances = record.instances()
         if not instances:
-            return CheckResult("F6.2", CheckStatus.NOT_APPLICABLE, "no statement content")
+            return _NO_STATEMENTS
         roots = set()
         for inst in instances:
             if not self.schemas.has_schema(inst.schema_id):
-                return CheckResult("F6.2", CheckStatus.FAIL, f"schema {inst.schema_id} not registered")
+                return CheckStatus.FAIL, f"schema {inst.schema_id} not registered"
             schema = self.schemas.schema(inst.schema_id)
             roots.add(snap.referential_root(schema.statement_type))
         groups = {
@@ -343,24 +289,21 @@ class FdoRegistry:
         }
         relevant = [groups[r] for r in sorted(roots) if r in groups]
         if not relevant:
-            return CheckResult(
-                "F6.2", CheckStatus.NOT_APPLICABLE, "no alternative schema for the statement type"
-            )
+            return CheckStatus.NOT_APPLICABLE, "no alternative schema for the statement type"
         uncovered = [g for g in relevant if not g.crosswalk_covered]
         if uncovered:
             ids = "; ".join(", ".join(str(s) for s in g.schema_ids) for g in uncovered)
-            return CheckResult("F6.2", CheckStatus.FAIL, f"schemas not crosswalk-covered: {ids}")
-        return CheckResult("F6.2", CheckStatus.PASS, "alternative schemas are crosswalk-covered")
+            return CheckStatus.FAIL, f"schemas not crosswalk-covered: {ids}"
+        return CheckStatus.PASS, "alternative schemas are crosswalk-covered"
 
-    def _check_f7(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
+    def _check_f7(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if record.category is not None:
-            return CheckResult("F7", CheckStatus.PASS, f"category {record.category.value}")
-        return CheckResult("F7", CheckStatus.FAIL, "no statement category declared")
+            return CheckStatus.PASS, f"category {record.category.value}"
+        return CheckStatus.FAIL, "no statement category declared"
 
-    def _check_i4(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
-        terms = record.content_terms()
+    def _check_i4(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if not terms:
-            return CheckResult("I4", CheckStatus.NOT_APPLICABLE, "content mentions no terms")
+            return _NO_TERMS
         missing = []
         without_criteria = 0
         for t in terms:
@@ -373,32 +316,62 @@ class FdoRegistry:
             elif rec.recognition_criteria_applicable and not rec.recognition_criteria:
                 without_criteria += 1
         if missing:
-            return CheckResult("I4", CheckStatus.FAIL, f"term(s) without definition: {', '.join(missing)}")
+            return CheckStatus.FAIL, f"term(s) without definition: {', '.join(missing)}"
         detail = "all content terms carry definitions"
         if without_criteria:
             detail += f"; {without_criteria} lack recognition criteria (advisory)"
-        return CheckResult("I4", CheckStatus.PASS, detail)
+        return CheckStatus.PASS, detail
 
-    def _check_i5(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
+    def _check_i5(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if record.logical_framework:
-            return CheckResult("I5", CheckStatus.PASS, f"framework {record.logical_framework}")
-        return CheckResult("I5", CheckStatus.FAIL, "no logical framework declared")
+            return CheckStatus.PASS, f"framework {record.logical_framework}"
+        return CheckStatus.FAIL, "no logical framework declared"
 
-    def _check_r1_1(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
+    def _check_r1_1(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if record.license:
-            return CheckResult("R1.1", CheckStatus.PASS, f"license {record.license}")
-        return CheckResult("R1.1", CheckStatus.FAIL, "no usage license")
+            return CheckStatus.PASS, f"license {record.license}"
+        return CheckStatus.FAIL, "no usage license"
 
-    def _check_r1_2(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
+    def _check_r1_2(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if record.creator and record.authors:
-            return CheckResult(
-                "R1.2", CheckStatus.PASS, "creator and content authors recorded separately"
-            )
+            return CheckStatus.PASS, "creator and content authors recorded separately"
         if not record.creator:
-            return CheckResult("R1.2", CheckStatus.FAIL, "no record creator")
-        return CheckResult("R1.2", CheckStatus.FAIL, "no content authors")
+            return CheckStatus.FAIL, "no record creator"
+        return CheckStatus.FAIL, "no content authors"
 
-    def _check_r1_4(self, record: FdoRecord, snap: ClosureSnapshot) -> CheckResult:
+    def _check_r1_4(self, record: FdoRecord, snap: ClosureSnapshot, terms: list[Gupri]) -> _Outcome:
         if record.certainty is not None:
-            return CheckResult("R1.4", CheckStatus.PASS, f"certainty {record.certainty.value}")
-        return CheckResult("R1.4", CheckStatus.FAIL, "no certainty level")
+            return CheckStatus.PASS, f"certainty {record.certainty.value}"
+        return CheckStatus.FAIL, "no certainty level"
+
+
+#: The checklist in report order, fixed so reports are byte-stable: check id,
+#: what it checks, and its evaluator, or None for a protocol- or
+#: registry-level item that no local registry decides (not applicable).
+_CHECKLIST = (
+    ("F1", "the record has a canonical, globally unique identifier", FdoRegistry._check_f1),
+    ("F2", "data are described with rich metadata", None),
+    ("F3", "metadata name the identifier of the data", FdoRegistry._check_f3),
+    ("F4", "metadata are indexed in a searchable resource", None),
+    ("F5.1", "content terms resolve and are mapped", FdoRegistry._check_f5_1),
+    ("F5.2", "content terms carry multilingual labels and synonyms", FdoRegistry._check_f5_2),
+    ("F6.1", "statements reference a schema and validate against it", FdoRegistry._check_f6_1),
+    ("F6.2", "alternative schemas of the statement type are crosswalk-covered", FdoRegistry._check_f6_2),
+    ("F7", "the statement category is declared", FdoRegistry._check_f7),
+    ("A1.1", "retrievable over an open, free protocol", None),
+    ("A1.2", "the protocol allows authentication where needed", None),
+    ("A1.3", "the record is retrievable by its identifier", None),
+    ("A2", "metadata outlive the data", None),
+    ("I1", "a formal language for knowledge representation", None),
+    ("I2", "vocabularies that follow FAIR principles", None),
+    ("I3", "qualified references to other metadata", None),
+    ("I4", "content terms carry definitions and recognition criteria", FdoRegistry._check_i4),
+    ("I5", "the logical framework is declared", FdoRegistry._check_i5),
+    ("R1.1", "a usage license is stated", FdoRegistry._check_r1_1),
+    ("R1.2", "creator and content authors are recorded separately", FdoRegistry._check_r1_2),
+    ("R1.3", "community standards are met", None),
+    ("R1.4", "the certainty level is stated", FdoRegistry._check_r1_4),
+)
+
+#: Checklist order, for report rows and collection tallies.
+CHECK_IDS = tuple(check_id for check_id, _, _ in _CHECKLIST)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum, IntEnum
+from typing import Iterable, Mapping
 
 from . import graph
 from .crosswalks import CrosswalkRegistry
@@ -111,6 +112,12 @@ class XInteropResult:
     paths: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (schema, crosswalk path)
 
 
+def _best_path(reach: Mapping[str, tuple[str, ...]], schemas: Iterable[str]) -> tuple[str, ...] | None:
+    """The shortest, then lexicographically smallest, crosswalk path in
+    ``reach`` to any of ``schemas``; None when ``reach`` has none of them."""
+    return min((reach[s] for s in schemas if s in reach), key=lambda path: (len(path), path), default=None)
+
+
 class OperationsRegistry:
     """Registry of operation descriptors plus actionability queries."""
 
@@ -198,13 +205,7 @@ class OperationsRegistry:
         )
         found: dict[str, ApplicableOperation] = {}
         for op in self.operations():
-            best: tuple[str, ...] | None = None
-            for schema in sorted(op.applicable_schemas):
-                path = reach.get(schema.canonical)
-                if path is None:
-                    continue
-                if best is None or (len(path), path) < (len(best), best):
-                    best = path
+            best = _best_path(reach, (s.canonical for s in op.applicable_schemas))
             if best is not None:
                 found[op.id.canonical] = ApplicableOperation(operation=op, via=best)
         entries = [found[k] for k in sorted(found)]
@@ -250,12 +251,7 @@ class OperationsRegistry:
             )
         paths = []
         for schema in sorted({a.canonical, b.canonical}):
-            reach = self._reachable(schema, DEFAULT_MAX_HOPS)
-            best: tuple[str, ...] | None = None
-            for other in sorted(applicable):
-                path = reach.get(other)
-                if path is not None and (best is None or (len(path), path) < (len(best), best)):
-                    best = path
+            best = _best_path(self._reachable(schema, DEFAULT_MAX_HOPS), applicable)
             if best is None:
                 return XInteropResult(status=XInteropStatus.FALSE)
             paths.append((schema, best))

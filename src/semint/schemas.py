@@ -25,7 +25,7 @@ from .errors import (
 )
 from .identifiers import Gupri
 from .records import RecordTable
-from .terminology import ClosureSnapshot, InteropLevel, TerminologyRegistry
+from .terminology import ClosureSnapshot, TerminologyRegistry
 
 __all__ = [
     "DatatypeTag",
@@ -279,13 +279,14 @@ class SchemaRegistry:
         subClassOf reachability; ``strict`` restricts equivalence to the
         ontological grade. ``native`` accepts only identity or subclass
         reachability, with no mapping assistance; transforms use it to decide
-        when a fill must be rewritten into the target vocabulary.
+        when a fill must be rewritten into the target vocabulary. Equivalence
+        is a shared root at the asked grade, as in ``interop_level``.
         """
         if term == constraint:
             return True
         if not native:
-            needed = InteropLevel.ONTOLOGICAL if strict else InteropLevel.REFERENTIAL
-            if snap.interop_level(term, constraint).level >= needed:
+            root = snap.ontological_root if strict else snap.referential_root
+            if root(term) == root(constraint):
                 return True
         return snap.subclass_reachable(term, constraint)
 

@@ -15,7 +15,6 @@ from urllib.parse import parse_qs, unquote, urlparse
 from . import documents, store
 from .engine import Engine
 from .errors import BindFailure, MalformedContent, SemintError
-from .fdo import StatementCategory
 
 __all__ = ["StoreServer", "make_server", "serve"]
 
@@ -128,7 +127,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             self._send(200, documents.applicable_to_doc(entries, degree, pm))
         elif path == "/find":
-            self._send(200, self._find(params))
+            self._send(200, store.find_document(engine, params))
         elif path.startswith("/fdos/") and path.endswith("/assessment"):
             gupri = unquote(path[len("/fdos/") : -len("/assessment")])
             report = engine.fdos.assess_fdo(gupri)
@@ -138,28 +137,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, documents.fdo_to_doc(record, pm))
         else:
             self._send_error(404, "unknown-route", f"no route for {path}")
-
-    def _find(self, params: dict[str, str]) -> dict:
-        engine = self.engine
-        pm = engine.prefix_map
-        try:
-            expand = store.ExpandMode(params.get("expand", "none"))
-        except ValueError:
-            raise MalformedContent(f"bad expand mode {params.get('expand')!r}") from None
-        category = None
-        if "category" in params:
-            try:
-                category = StatementCategory(params["category"])
-            except ValueError:
-                raise MalformedContent(f"bad category {params['category']!r}") from None
-        query = store.FindQuery(
-            term=pm.gupri(params["term"]) if "term" in params else None,
-            expand=expand,
-            statement_type=pm.gupri(params["statement_type"]) if "statement_type" in params else None,
-            category=category,
-        )
-        results = store.find(engine, query)
-        return {"results": [pm.compress(g.canonical) for g in results]}
 
     def _read_body(self, length: int) -> bytes | None:
         """The request body, or None after replying to one that is too long

@@ -20,25 +20,18 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Mapping
 
 from . import documents
 from .engine import Engine
 from .errors import EmptyQuery, IoFailure, ParseFailure, SemintError
 from .fdo import StatementCategory
 from .identifiers import Gupri, PrefixMap
-from .terminology import InteropLevel
+from .terminology import InteropLevel, TerminologyRegistry
 
-__all__ = ["StoreLayout", "init_store", "load_store", "export_store", "FindQuery", "ExpandMode", "find"]
+__all__ = ["StoreLayout", "init_store", "load_store", "export_store", "FindQuery", "ExpandMode", "find", "find_document"]
 
-_MAPPING_COLUMNS = (
-    "subject_id",
-    "predicate_id",
-    "object_id",
-    "mapping_justification",
-    "confidence",
-    "comment",
-    "author_id",
-)
+_MAPPING_COLUMNS = TerminologyRegistry.REQUIRED_COLUMNS + TerminologyRegistry.OPTIONAL_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -180,18 +173,20 @@ def _filename(compact_id: str, canonical: str) -> str:
     return f"{slug[:80]}-{digest}.json"
 
 
-def _write_replacing(target: Path, text: str) -> None:
+def _write_replacing(target: Path, text: str, listed: bool) -> None:
     """Write through a temporary file in the same directory, so ``target``
     holds either its old or its new content, never a part of either. The
     temporary name does not match ``*.json``, so a load never reads it.
 
-    A file that already holds ``text`` is left alone: an export changes few
-    files, and on ext4 a rename over an existing file also starts writing the
-    new data out, so replacing unchanged files costs more than comparing them.
+    A ``listed`` file, one the export found before it wrote anything, is left
+    alone when it already holds ``text``: an export changes few files, and on
+    ext4 a rename over an existing file also starts writing the new data out,
+    so replacing unchanged files costs more than comparing them. A file not
+    listed is new, so it is written without reading it first.
     """
     data = text.encode("utf-8")
     try:
-        if target.read_bytes() == data:
+        if listed and target.read_bytes() == data:
             return
     except FileNotFoundError:
         pass
@@ -210,7 +205,7 @@ def export_store(engine: Engine, path: str | Path) -> StoreLayout:
     Every file whose content changes is replaced whole, and documents of
     records the engine no longer holds are deleted only after every write
     succeeded, so an export that fails partway leaves each record of the
-    store loadable.
+    store loadable. Each directory is listed once, before any write.
     """
     layout = StoreLayout(Path(path))
     pm = engine.prefix_map
@@ -218,14 +213,21 @@ def export_store(engine: Engine, path: str | Path) -> StoreLayout:
         layout.root.mkdir(parents=True, exist_ok=True)
         for d in layout.document_dirs():
             d.mkdir(exist_ok=True)
+        listed_documents = {f for d in layout.document_dirs() for f in d.glob("*.json")}
+        listed = listed_documents | set(layout.root.iterdir())
+        written: set[Path] = set()
+
+        def write(target: Path, text: str) -> None:
+            _write_replacing(target, text, target in listed)
+            written.add(target)
 
         prefix_lines = [f"{prefix}\t{iri}" for prefix, iri in pm.bindings()]
-        _write_replacing(layout.prefixes_path, "\n".join(prefix_lines) + ("\n" if prefix_lines else ""))
+        write(layout.prefixes_path, "\n".join(prefix_lines) + ("\n" if prefix_lines else ""))
 
         term_lines = [
             documents.render_line(documents.term_to_doc(t, pm)) for t in engine.terminology.terms()
         ]
-        _write_replacing(layout.terms_path, "\n".join(term_lines) + ("\n" if term_lines else ""))
+        write(layout.terms_path, "\n".join(term_lines) + ("\n" if term_lines else ""))
 
         rows = ["\t".join(_MAPPING_COLUMNS)]
         for m in engine.terminology.mappings():
@@ -242,14 +244,10 @@ def export_store(engine: Engine, path: str | Path) -> StoreLayout:
                     ]
                 )
             )
-        _write_replacing(layout.mappings_path, "\n".join(rows) + "\n")
-
-        written: set[Path] = set()
+        write(layout.mappings_path, "\n".join(rows) + "\n")
 
         def write_document(directory: Path, doc: dict, id_field: str, canonical: str) -> None:
-            target = directory / _filename(doc[id_field], canonical)
-            _write_replacing(target, documents.render(doc))
-            written.add(target)
+            write(directory / _filename(doc[id_field], canonical), documents.render(doc))
 
         for schema in engine.schemas.schemas():
             write_document(layout.schemas_dir, documents.schema_to_doc(schema, pm), "id", schema.id.canonical)
@@ -259,10 +257,8 @@ def export_store(engine: Engine, path: str | Path) -> StoreLayout:
             write_document(layout.operations_dir, documents.operation_to_doc(op, pm), "id", op.id.canonical)
         for record in engine.fdos.records():
             write_document(layout.fdos_dir, documents.fdo_to_doc(record, pm), "gupri", record.gupri.canonical)
-        for d in layout.document_dirs():
-            for stale in d.glob("*.json"):
-                if stale not in written:
-                    stale.unlink()
+        for stale in sorted(listed_documents - written):
+            stale.unlink()
     except OSError as exc:
         raise IoFailure(f"cannot export store to {layout.root}: {exc}") from exc
     return layout
@@ -326,3 +322,18 @@ def find(engine: Engine, query: FindQuery) -> list[Gupri]:
             continue
         results.append(record.gupri)
     return results
+
+
+def find_document(engine: Engine, params: Mapping[str, str | None]) -> dict:
+    """:func:`find` for query text, as the CLI options and the facade's query
+    parameters give it, answered as the ``{"results": [...]}`` document both
+    emit. Absent or empty text leaves a criterion unset."""
+    pm = engine.prefix_map
+    category = params.get("category")
+    query = FindQuery(
+        expand=documents.decode_enum(ExpandMode, params.get("expand") or "none", "bad expand mode"),
+        category=documents.decode_enum(StatementCategory, category, "bad category") if category else None,
+        term=pm.gupri(params["term"]) if params.get("term") else None,
+        statement_type=pm.gupri(params["statement_type"]) if params.get("statement_type") else None,
+    )
+    return {"results": [pm.compress(g.canonical) for g in find(engine, query)]}

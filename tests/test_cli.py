@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from semint import export_store
+from semint import export_store, load_store
 from semint.cli import main
-from semint.documents import instance_to_doc, render
+from semint.documents import instance_to_doc, render, schema_from_doc, term_from_doc
+from semint.errors import MalformedContent, ParseFailure
 
 from conftest import build_weight_fixture
 from test_store import populated_fixture
@@ -348,3 +352,108 @@ def test_parse_failure_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "--store", str(root), "closure")
     assert code == 3
     assert json.loads(err)["error"] == "parse-failure"
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_schema_required_accepts_only_json_booleans(store_dir, tmp_path, capsys, value):
+    # "required": "false" once registered a required slot
+    schema_file = sorted((store_dir / "schemas").glob("*.json"))[0]
+    doc = json.loads(schema_file.read_text())
+    pm = build_weight_fixture().engine.prefix_map
+    assert [s.required for s in schema_from_doc(doc, pm).slots] == [True] * 4
+    doc["slots"][0]["required"] = False
+    assert schema_from_doc(doc, pm).slots[0].required is False
+    del doc["slots"][0]["required"]
+    assert schema_from_doc(doc, pm).slots[0].required is True
+    doc["slots"][0]["required"] = value
+    with pytest.raises(MalformedContent, match="slot spec: bad required"):
+        schema_from_doc(doc, pm)
+
+    path = tmp_path / "schema.json"
+    path.write_text(render(doc))
+    code, _, err = run(capsys, "--store", str(store_dir), "import", "schema", str(path))
+    assert code == 3
+    assert json.loads(err)["error"] == "parse-failure"
+    schema_file.write_text(render(doc))
+    with pytest.raises(ParseFailure) as excinfo:
+        load_store(store_dir)
+    assert excinfo.value.file.startswith("schemas/")
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_term_criteria_applicable_accepts_only_json_booleans(store_dir, tmp_path, capsys, value):
+    # "recognition_criteria_applicable": "false" once kept the criteria applicable
+    terms_file = store_dir / "terms"
+    first, rest = terms_file.read_text().split("\n", 1)
+    doc = json.loads(first)
+    pm = build_weight_fixture().engine.prefix_map
+    assert term_from_doc(doc, pm).recognition_criteria_applicable is True
+    doc["recognition_criteria_applicable"] = False
+    assert term_from_doc(doc, pm).recognition_criteria_applicable is False
+    doc["recognition_criteria_applicable"] = value
+    with pytest.raises(MalformedContent, match="term record: bad recognition_criteria_applicable"):
+        term_from_doc(doc, pm)
+
+    path = tmp_path / "terms.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    code, _, err = run(capsys, "--store", str(store_dir), "import", "terms", str(path))
+    assert code == 3
+    assert json.loads(err)["error"] == "parse-failure"
+    terms_file.write_text(json.dumps(doc) + "\n" + rest)
+    with pytest.raises(ParseFailure) as excinfo:
+        load_store(store_dir)
+    assert excinfo.value.file == "terms"
+
+
+DETERMINISM_SCRIPT = """
+import tempfile
+from pathlib import Path
+from semint import documents, export_store
+from semint.cli import main
+from test_store import populated_fixture
+
+fx = populated_fixture()
+pm = fx.engine.prefix_map
+snap = fx.engine.terminology.compute_closure()
+for a, b in [
+    ("pato:weight", "ncit:weight"),
+    ("obi:weight-assay", "oboe:weight-observation"),
+    ("unit:gram", "unit:mass-unit"),
+    ("unit:mass-unit", "unit:gram"),
+    ("ex:apple", "obo:material-entity"),
+    ("ex:apple", "unit:gram"),
+]:
+    ga, gb = pm.gupri(a), pm.gupri(b)
+    print(documents.render_line(documents.verdict_to_doc(ga, gb, snap.interop_level(ga, gb), pm)))
+    print(documents.render_line([documents.mapping_to_doc(m, pm) for m in snap.explain_path(ga, gb)]))
+with tempfile.TemporaryDirectory() as tmp:
+    root = str(Path(tmp) / "store")
+    export_store(fx.engine, root)
+    instance = Path(tmp) / "instance.json"
+    instance.write_text(documents.render(documents.instance_to_doc(fx.instance, pm)))
+    for argv in (
+        ["closure"],
+        ["transform", str(instance), "ex:weight-crosswalk"],
+        ["assess", "ex:fdo-apple-weight"],
+        ["find", "--term", "ncit:weight", "--expand", "referential"],
+        ["ops", "applicable", "obi:weight-schema", "--reachable"],
+        ["plan", "obi:weight-schema", "oboe:weight-schema"],
+        ["plan", "--strategy", "hub=obi:weight-schema", "oboe:weight-schema"],
+    ):
+        assert main(["--store", root, *argv]) == 0, argv
+"""
+
+
+def test_outputs_identical_across_hash_seeds():
+    # set iteration order follows PYTHONHASHSEED; no answer may
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", DETERMINISM_SCRIPT], env=env, capture_output=True, check=True, timeout=120
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") > 50

@@ -3,9 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semint import (
     DatatypeTag,
+    Gupri,
     MappingPredicate,
     SlotFill,
     SlotKind,
@@ -24,6 +27,13 @@ from semint.errors import (
 from semint.schemas import canonical_decimal, literal_parses
 
 from conftest import add_mapping, build_weight_fixture, make_engine, term
+from oracles import (
+    ONTOLOGICAL_PREDICATES,
+    REFERENTIAL_PREDICATES,
+    directed_reachability,
+    equivalence_partition,
+    random_mapping_set,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +372,41 @@ def test_constraint_satisfying_fills_always_validate():
     for index in range(25):
         inst = _random_schema_and_instance(engine, rng, index)
         assert engine.schemas.validate_instance(inst).valid
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.sampled_from([None, 0.5]))
+def test_satisfies_constraint_matches_oracle(rng, threshold):
+    # identity, a shared class at the mode's grade, or subClassOf reachability
+    # over referential classes; native mode accepts only identity and reach
+    engine = make_engine()
+    nodes, mappings = random_mapping_set(rng, engine.prefix_map, max_terms=10, max_edges=30)
+    for m in mappings:
+        engine.terminology.add_mapping(m)
+    kept = [m for m in mappings if threshold is None or m.confidence >= threshold]
+
+    def ends(predicates) -> list[tuple[str, str]]:
+        return [(m.subject.canonical, m.object.canonical) for m in kept if m.predicate in predicates]
+
+    ont_of = {n: c for c in equivalence_partition(nodes, ends(ONTOLOGICAL_PREDICATES)) for n in c}
+    ref_classes = equivalence_partition(nodes, ends(REFERENTIAL_PREDICATES))
+    ref_of = {n: c for c in ref_classes for n in c}
+    lifted = [(ref_of[s], ref_of[o]) for s, o in ends({MappingPredicate.SUB_CLASS_OF}) if ref_of[s] != ref_of[o]]
+    below = directed_reachability(list(ref_classes), lifted)
+    snap = engine.terminology.compute_closure(threshold)
+    for a in nodes:
+        for b in nodes:
+            reached = a == b or (ref_of[a], ref_of[b]) in below
+            expected = {
+                "default": reached or ref_of[a] == ref_of[b],
+                "strict": reached or ont_of[a] == ont_of[b],
+                "native": reached,
+            }
+            for mode, want in expected.items():
+                got = engine.schemas.satisfies_constraint(
+                    snap, Gupri(a), Gupri(b), strict=mode == "strict", native=mode == "native"
+                )
+                assert got == want, (mode, a, b)
 
 
 def test_validation_monotone_in_actionable_mappings(weight):

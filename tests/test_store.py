@@ -123,6 +123,25 @@ def test_export_replaces_only_changed_files(tmp_path):
     assert not list(root.rglob("*.tmp"))
 
 
+def test_export_into_empty_directory_reads_no_file(tmp_path, monkeypatch):
+    # a target the export did not list before writing is new: no read probe
+    fx = populated_fixture()
+    reads: list[Path] = []
+    read_bytes = Path.read_bytes
+
+    def counting(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    export_store(fx.engine, tmp_path / "store")
+    assert reads == []
+    export_store(fx.engine, tmp_path / "store")
+    assert len(reads) == len([p for p in (tmp_path / "store").rglob("*") if p.is_file()])
+    monkeypatch.undo()
+    assert tree_bytes(tmp_path / "store") == tree_bytes(export_store(fx.engine, tmp_path / "copy").root)
+
+
 def test_export_deletes_documents_of_dropped_records(tmp_path):
     fx = populated_fixture()
     root = tmp_path / "store"
