@@ -266,15 +266,13 @@ class CrosswalkRegistry:
             )
         if sslot.constraint == tslot.constraint:
             return AlignmentStatus.EQUAL, "identical constraint"
-        verdict = snap.interop_level(sslot.constraint, tslot.constraint)
-        if verdict.level >= InteropLevel.ONTOLOGICAL:
-            return AlignmentStatus.ONTOLOGICALLY_MAPPED, (
-                f"{sslot.constraint} ontologically mapped to {tslot.constraint}"
-            )
-        if verdict.level >= InteropLevel.REFERENTIAL:
-            return AlignmentStatus.REFERENTIALLY_MAPPED, (
-                f"{sslot.constraint} referentially mapped to {tslot.constraint}"
-            )
+        # a shared root at a grade is the mapping, as in satisfies_constraint
+        for root, status, grade in (
+            (snap.ontological_root, AlignmentStatus.ONTOLOGICALLY_MAPPED, "ontologically"),
+            (snap.referential_root, AlignmentStatus.REFERENTIALLY_MAPPED, "referentially"),
+        ):
+            if root(sslot.constraint) == root(tslot.constraint):
+                return status, f"{sslot.constraint} {grade} mapped to {tslot.constraint}"
         return AlignmentStatus.INCOMPATIBLE, (
             f"no actionable mapping between {sslot.constraint} and {tslot.constraint}"
         )

@@ -118,6 +118,14 @@ def decode_flag(value: Any, what: str) -> bool:
     raise MalformedContent(f"{what} {value!r}")
 
 
+def decode_text(value: Any, what: str) -> str | None:
+    """A JSON string, or None for a missing value or null; any other value
+    raises MalformedContent naming ``what``."""
+    if value is None or isinstance(value, str):
+        return value
+    raise MalformedContent(f"{what} {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # terms
 
@@ -142,8 +150,8 @@ def term_from_doc(data: Any, pm: PrefixMap) -> TermRecord:
     return TermRecord(
         id=pm.gupri(str(_require(obj, "id", "term record"))),
         labels={str(k): str(v) for k, v in labels.items()},
-        definition=obj.get("definition"),
-        recognition_criteria=obj.get("recognition_criteria"),
+        definition=decode_text(obj.get("definition"), "term record: bad definition"),
+        recognition_criteria=decode_text(obj.get("recognition_criteria"), "term record: bad recognition_criteria"),
         recognition_criteria_applicable=decode_flag(
             obj.get("recognition_criteria_applicable", True), "term record: bad recognition_criteria_applicable"
         ),
@@ -243,7 +251,7 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
         statement_type=pm.gupri(str(_require(obj, "statement_type", "schema document"))),
         label=str(obj.get("label", "")),
         slots=tuple(slots),
-        logical_framework=obj.get("logical_framework"),
+        logical_framework=decode_text(obj.get("logical_framework"), "schema document: bad logical_framework"),
     )
 
 
@@ -364,9 +372,9 @@ def crosswalk_from_doc(data: Any, pm: PrefixMap) -> Crosswalk:
         alignments=tuple(alignments),
         level=level,
         provenance=CrosswalkProvenance(
-            author=provenance.get("author"),
-            date=provenance.get("date"),
-            justification=provenance.get("justification"),
+            author=decode_text(provenance.get("author"), "crosswalk provenance: bad author"),
+            date=decode_text(provenance.get("date"), "crosswalk provenance: bad date"),
+            justification=decode_text(provenance.get("justification"), "crosswalk provenance: bad justification"),
         ),
     )
 
@@ -436,7 +444,7 @@ def operation_from_doc(data: Any, pm: PrefixMap) -> OperationDescriptor:
         ),
         kind=kind,
         params=tuple(params),
-        tool=obj.get("tool"),
+        tool=decode_text(obj.get("tool"), "operation document: bad tool"),
     )
 
 
@@ -523,13 +531,13 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
         gupri=pm.gupri(str(_require(obj, "gupri", "fdo document"))),
         content=content,
         schema_ref=schema_ref,
-        creator=obj.get("creator"),
+        creator=decode_text(obj.get("creator"), "fdo document: bad creator"),
         authors=tuple(str(a) for a in _as_list(obj.get("authors", []), "fdo authors")),
         category=category,
-        logical_framework=obj.get("logical_framework"),
-        human_readable=obj.get("human_readable"),
+        logical_framework=decode_text(obj.get("logical_framework"), "fdo document: bad logical_framework"),
+        human_readable=decode_text(obj.get("human_readable"), "fdo document: bad human_readable"),
         certainty=certainty,
-        license=obj.get("license"),
+        license=decode_text(obj.get("license"), "fdo document: bad license"),
         provenance={str(k): str(v) for k, v in provenance.items()},
         data_identifier=pm.gupri(str(obj["data_identifier"])) if obj.get("data_identifier") else None,
     )

@@ -58,6 +58,14 @@ class SlotKind(Enum):
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
+# datetime.fromisoformat's grammar on Python 3.10, which later versions widen:
+# YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]]
+_DATETIME_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(.[0-9]{2}(:[0-9]{2}(:[0-9]{2}(\.[0-9]{3}([0-9]{3})?)?)?)?"
+    r"([+-][0-9]{2}:[0-9]{2}(:[0-9]{2}(\.[0-9]{6})?)?)?)?",
+    re.DOTALL,
+)
 
 
 def canonical_decimal(text: str) -> str:
@@ -89,8 +97,11 @@ def literal_parses(value: str, tag: DatatypeTag) -> bool:
     if tag is DatatypeTag.BOOLEAN:
         return value in ("true", "false")
     if tag is DatatypeTag.DATETIME:
+        text = value.replace("Z", "+00:00")
+        if not _DATETIME_RE.fullmatch(text):
+            return False
         try:
-            datetime.fromisoformat(value.replace("Z", "+00:00"))
+            datetime.fromisoformat(text)
             return True
         except ValueError:
             return False

@@ -34,6 +34,15 @@ def _float_param(params: dict[str, str], key: str) -> float | None:
         raise MalformedContent(f"{key} must be a number, got {params[key]!r}") from None
 
 
+def _flag_param(params: dict[str, str], key: str) -> bool:
+    """A query flag: absent or ``false`` is False, ``true`` is True, and any
+    other text is rejected."""
+    value = params.get(key, "false")
+    if value not in ("true", "false"):
+        raise MalformedContent(f"{key} must be true or false, got {value!r}")
+    return value == "true"
+
+
 class StoreServer(ThreadingHTTPServer):
     daemon_threads = True
 
@@ -121,9 +130,8 @@ class _Handler(BaseHTTPRequestHandler):
             if "schema" not in params:
                 self._send_error(400, "missing-parameter", "operations needs schema")
                 return
-            include_reachable = params.get("reachable", "false") == "true"
             entries, degree = engine.operations.applicable_operations(
-                params["schema"], include_reachable=include_reachable
+                params["schema"], include_reachable=_flag_param(params, "reachable")
             )
             self._send(200, documents.applicable_to_doc(entries, degree, pm))
         elif path == "/find":

@@ -22,7 +22,8 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
-from typing import Mapping
+from itertools import chain
+from typing import Iterator, Mapping
 
 from . import graph
 from .errors import (
@@ -145,6 +146,15 @@ _ASSOCIATIVE = frozenset({MappingPredicate.CLOSE_MATCH, MappingPredicate.RELATED
 _TRANSITIVE = _REFERENTIAL_GRADE | _HIERARCHICAL
 _SYMMETRIC = _REFERENTIAL_GRADE | _ASSOCIATIVE
 _ACTIONABLE = _REFERENTIAL_GRADE | _HIERARCHICAL
+
+#: Hierarchy relations, declared once for the snapshot build and the verdict
+#: ladder. subClassOf and subPropertyOf each give an actionable rung on their
+#: own; the loose set joins both with broadMatch for the advisory rungs, so
+#: each strict relation is a subset of it.
+_SUBCLASS = frozenset({MappingPredicate.SUB_CLASS_OF})
+_SUBPROPERTY = frozenset({MappingPredicate.SUB_PROPERTY_OF})
+_LOOSE = _HIERARCHICAL | {MappingPredicate.BROAD_MATCH}
+_NO_EDGES: frozenset[MappingPredicate] = frozenset()
 
 #: Sentinel returned when a self-mapping is accepted without being stored.
 NOOP_MAPPING_ID = "m-noop"
@@ -297,20 +307,18 @@ class ClosureSnapshot:
     question about it.
 
     Equivalence classes are connected components. Hierarchy edges are lifted
-    to referential classes and kept separate for the actionable
-    (subClassOf/subPropertyOf) and advisory (plus broadMatch) edge sets; each
-    hierarchical question walks them from one class, so a build is about
-    linear in the edge count. ``edges`` are the mappings the closure was built from, so
-    path explanations walk the same edge set the verdicts come from.
+    to referential classes, one adjacency per hierarchy relation (subClassOf,
+    subPropertyOf, and the loose set); each hierarchical question walks them
+    from one class, so a build is about linear in the edge count. ``edges``
+    are the mappings the closure was built from, so path explanations walk
+    the same edge set the verdicts come from.
     """
 
     ont_root: Mapping[str, str]
     ont_members: Mapping[str, frozenset[str]]
     ref_root: Mapping[str, str]
     ref_members: Mapping[str, frozenset[str]]
-    subclass_adj: Mapping[str, set[str]]
-    subproperty_adj: Mapping[str, set[str]]
-    loose_adj: Mapping[str, set[str]]
+    hierarchy: Mapping[frozenset[MappingPredicate], Mapping[str, set[str]]]
     associative_pairs: frozenset[frozenset[str]]
     edges: tuple[EntityMapping, ...]
 
@@ -326,34 +334,49 @@ class ClosureSnapshot:
     def referential_class(self, g: Gupri) -> frozenset[str]:
         return self.ref_members.get(self.referential_root(g), frozenset({g.canonical}))
 
-    def _above(self, adjacency: Mapping[str, set[str]], a: Gupri, b: Gupri) -> bool:
-        """True when b's referential class is above a's in ``adjacency``."""
+    def _above(self, relation: frozenset[MappingPredicate], a: Gupri, b: Gupri) -> bool:
+        """True when b's referential class is above a's over ``relation``."""
         goal = self.referential_root(b)
-        return goal in graph.reach(adjacency, self.referential_root(a), goal)
+        return goal in graph.reach(self.hierarchy[relation], self.referential_root(a), goal)
 
     def subclass_reachable(self, a: Gupri, b: Gupri) -> bool:
         """True when a's referential class reaches b's via subClassOf edges."""
-        return self._above(self.subclass_adj, a, b)
+        return self._above(_SUBCLASS, a, b)
+
+    def _ladder(
+        self, a: Gupri, b: Gupri
+    ) -> tuple[InteropVerdict, frozenset[MappingPredicate], frozenset[MappingPredicate]]:
+        """The verdict for (a, b) with the edges that witness it: the
+        predicates walked in both directions, and those walked only in the
+        verdict's direction.
+
+        A loose walk decides whether any hierarchy rung applies in a
+        direction, and the strict walks run only in a direction it reached,
+        as each strict relation is a subset of the loose one; an unrelated
+        pair costs two walks.
+        """
+        if a == b:
+            return InteropVerdict(InteropLevel.IDENTICAL, actionable=True), _NO_EDGES, _NO_EDGES
+        if self.ontological_root(a) == self.ontological_root(b):
+            return InteropVerdict(InteropLevel.ONTOLOGICAL, actionable=True), _ONTOLOGICAL_GRADE, _NO_EDGES
+        if self.referential_root(a) == self.referential_root(b):
+            return InteropVerdict(InteropLevel.REFERENTIAL, actionable=True), _REFERENTIAL_GRADE, _NO_EDGES
+        reached = []
+        for direction, lower, upper in (("broader", a, b), ("narrower", b, a)):
+            if self._above(_LOOSE, lower, upper):
+                for relation in (_SUBCLASS, _SUBPROPERTY):
+                    if self._above(relation, lower, upper):
+                        return InteropVerdict(InteropLevel.HIERARCHICAL, direction, True), _REFERENTIAL_GRADE, relation
+                reached.append(direction)
+        if reached:
+            return InteropVerdict(InteropLevel.HIERARCHICAL, reached[0], False), _REFERENTIAL_GRADE, _LOOSE
+        if frozenset({a.canonical, b.canonical}) in self.associative_pairs:
+            return InteropVerdict(InteropLevel.ASSOCIATIVE, actionable=False), _ASSOCIATIVE, _NO_EDGES
+        return InteropVerdict(InteropLevel.NONE, actionable=False), _NO_EDGES, _NO_EDGES
 
     def interop_level(self, a: Gupri, b: Gupri) -> InteropVerdict:
         """Strongest interoperability verdict between two canonical identifiers."""
-        if a == b:
-            return InteropVerdict(InteropLevel.IDENTICAL, actionable=True)
-        if self.ontological_root(a) == self.ontological_root(b):
-            return InteropVerdict(InteropLevel.ONTOLOGICAL, actionable=True)
-        if self.referential_root(a) == self.referential_root(b):
-            return InteropVerdict(InteropLevel.REFERENTIAL, actionable=True)
-        if self._above(self.subclass_adj, a, b) or self._above(self.subproperty_adj, a, b):
-            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="broader", actionable=True)
-        if self._above(self.subclass_adj, b, a) or self._above(self.subproperty_adj, b, a):
-            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="narrower", actionable=True)
-        if self._above(self.loose_adj, a, b):
-            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="broader", actionable=False)
-        if self._above(self.loose_adj, b, a):
-            return InteropVerdict(InteropLevel.HIERARCHICAL, direction="narrower", actionable=False)
-        if frozenset({a.canonical, b.canonical}) in self.associative_pairs:
-            return InteropVerdict(InteropLevel.ASSOCIATIVE, actionable=False)
-        return InteropVerdict(InteropLevel.NONE, actionable=False)
+        return self._ladder(a, b)[0]
 
     def equivalence_class(self, a: Gupri, level: InteropLevel) -> frozenset[str]:
         """Canonical members of the closed class containing ``a`` at an
@@ -365,31 +388,16 @@ class ClosureSnapshot:
         raise ValueError(f"{level!r} does not form equivalence classes")
 
     def explain_path(self, a: Gupri, b: Gupri) -> list[EntityMapping]:
-        """Shortest mapping-edge path witnessing the interop verdict for (a, b).
+        """Shortest mapping-edge path witnessing the interop verdict for (a, b),
+        over exactly the edges that give that verdict.
 
         Empty for Identical and None verdicts. Ties between equal-length paths
         are broken by the lexicographic canonical order of intermediate nodes,
         and between parallel edges by the smallest mapping id.
         """
-        verdict = self.interop_level(a, b)
+        verdict, both, directed = self._ladder(a, b)
         if verdict.level in (InteropLevel.IDENTICAL, InteropLevel.NONE):
             return []
-        if verdict.level is InteropLevel.ASSOCIATIVE:
-            direct = [
-                m
-                for m in self.edges
-                if m.predicate in _ASSOCIATIVE
-                and {m.subject, m.object} == {a, b}
-            ]
-            return sorted(direct, key=_mapping_order)[:1]
-        allowed: set[MappingPredicate] = set(_ONTOLOGICAL_GRADE)
-        if verdict.level is not InteropLevel.ONTOLOGICAL:
-            allowed = set(_REFERENTIAL_GRADE)
-        directed: set[MappingPredicate] = set()
-        if verdict.level is InteropLevel.HIERARCHICAL:
-            directed = set(_HIERARCHICAL)
-            if not verdict.actionable:
-                directed.add(MappingPredicate.BROAD_MATCH)
         adjacency: dict[str, dict[str, EntityMapping]] = {}
 
         def connect(u: str, v: str, m: EntityMapping) -> None:
@@ -398,10 +406,10 @@ class ClosureSnapshot:
             if best is None or m.id < best.id:
                 slot[v] = m
 
-        forward = "broader" == (verdict.direction or "broader")
+        forward = verdict.direction != "narrower"
         for m in self.edges:
             s, o = m.subject.canonical, m.object.canonical
-            if m.predicate in allowed:
+            if m.predicate in both:
                 connect(s, o, m)
                 connect(o, s, m)
             elif m.predicate in directed:
@@ -415,7 +423,7 @@ class ClosureSnapshot:
     def to_doc(self) -> dict:
         """Deterministic plain-data rendering, for output and byte comparison;
         the one reader that walks the hierarchy from every class."""
-        sub, prop = self.subclass_adj, self.subproperty_adj
+        sub, prop = self.hierarchy[_SUBCLASS], self.hierarchy[_SUBPROPERTY]
         return {
             "ontological_classes": [
                 sorted(m) for _, m in sorted(self.ont_members.items()) if len(m) > 1
@@ -595,45 +603,33 @@ class TerminologyRegistry:
 
     @staticmethod
     def _build_snapshot(edges: tuple[EntityMapping, ...]) -> ClosureSnapshot:
-        ont_root = graph.components(
-            (m.subject.canonical, m.object.canonical) for m in edges if m.predicate in _ONTOLOGICAL_GRADE
-        )
-        ref_root = graph.components(
-            (m.subject.canonical, m.object.canonical) for m in edges if m.predicate in _REFERENTIAL_GRADE
-        )
-
-        def lift(term: str) -> str:
-            return ref_root.get(term, term)
-
-        subclass_adj: dict[str, set[str]] = {}
-        subproperty_adj: dict[str, set[str]] = {}
-        loose_adj: dict[str, set[str]] = {}
-        associative: set[frozenset[str]] = set()
+        # a predicate set test runs Enum.__hash__ in Python, so each edge is
+        # looked up once and each relation then reads its predicates' ends
+        by_predicate: dict[MappingPredicate, list[tuple[str, str]]] = {p: [] for p in MappingPredicate}
         for m in edges:
-            s, o = lift(m.subject.canonical), lift(m.object.canonical)
-            if m.predicate is MappingPredicate.SUB_CLASS_OF:
+            by_predicate[m.predicate].append((m.subject.canonical, m.object.canonical))
+
+        def ends(predicates: frozenset[MappingPredicate]) -> Iterator[tuple[str, str]]:
+            return chain.from_iterable(by_predicate[p] for p in predicates)
+
+        ont_root = graph.components(ends(_ONTOLOGICAL_GRADE))
+        ref_root = graph.components(ends(_REFERENTIAL_GRADE))
+        hierarchy: dict[frozenset[MappingPredicate], dict[str, set[str]]] = {}
+        for relation in (_SUBCLASS, _SUBPROPERTY, _LOOSE):
+            adjacency = hierarchy[relation] = {}
+            for s, o in ends(relation):
+                s, o = ref_root.get(s, s), ref_root.get(o, o)
                 if s != o:
-                    subclass_adj.setdefault(s, set()).add(o)
-                    loose_adj.setdefault(s, set()).add(o)
-            elif m.predicate is MappingPredicate.SUB_PROPERTY_OF:
-                if s != o:
-                    subproperty_adj.setdefault(s, set()).add(o)
-                    loose_adj.setdefault(s, set()).add(o)
-            elif m.predicate is MappingPredicate.BROAD_MATCH:
-                if s != o:
-                    loose_adj.setdefault(s, set()).add(o)
-            elif m.predicate in _ASSOCIATIVE:
-                associative.add(frozenset({m.subject.canonical, m.object.canonical}))
+                    adjacency.setdefault(s, set()).add(o)
+        associative = frozenset(frozenset(pair) for pair in ends(_ASSOCIATIVE))
 
         return ClosureSnapshot(
             ont_root=ont_root,
             ont_members=_classes(ont_root),
             ref_root=ref_root,
             ref_members=_classes(ref_root),
-            subclass_adj=subclass_adj,
-            subproperty_adj=subproperty_adj,
-            loose_adj=loose_adj,
-            associative_pairs=frozenset(associative),
+            hierarchy=hierarchy,
+            associative_pairs=associative,
             edges=edges,
         )
 

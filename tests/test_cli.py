@@ -10,6 +10,7 @@ import pytest
 
 from semint import export_store, load_store
 from semint.cli import main
+from semint import documents
 from semint.documents import instance_to_doc, render, schema_from_doc, term_from_doc
 from semint.errors import MalformedContent, ParseFailure
 
@@ -403,6 +404,67 @@ def test_term_criteria_applicable_accepts_only_json_booleans(store_dir, tmp_path
     with pytest.raises(ParseFailure) as excinfo:
         load_store(store_dir)
     assert excinfo.value.file == "terms"
+
+
+# (store directory or terms file, CLI import kind, parser, field path, a wrong value)
+TEXT_FIELDS = {
+    "term-definition": ("terms", "terms", documents.term_from_doc, ("definition",), 7),
+    "term-recognition_criteria": ("terms", "terms", documents.term_from_doc, ("recognition_criteria",), ["x"]),
+    "schema-logical_framework": ("schemas", "schema", schema_from_doc, ("logical_framework",), 7),
+    "crosswalk-author": ("crosswalks", "crosswalk", documents.crosswalk_from_doc, ("provenance", "author"), {"x": 1}),
+    "crosswalk-date": ("crosswalks", "crosswalk", documents.crosswalk_from_doc, ("provenance", "date"), 20240101),
+    "crosswalk-justification": (
+        "crosswalks", "crosswalk", documents.crosswalk_from_doc, ("provenance", "justification"), True
+    ),
+    "operation-tool": ("operations", "operation", documents.operation_from_doc, ("tool",), ["convert"]),
+    "fdo-creator": ("fdos", "fdo", documents.fdo_from_doc, ("creator",), {"x": 1}),
+    "fdo-logical_framework": ("fdos", "fdo", documents.fdo_from_doc, ("logical_framework",), 7),
+    "fdo-human_readable": ("fdos", "fdo", documents.fdo_from_doc, ("human_readable",), False),
+    "fdo-license": ("fdos", "fdo", documents.fdo_from_doc, ("license",), ["not", "a", "license"]),
+}
+
+
+@pytest.mark.parametrize("where,kind,parse,path,wrong", TEXT_FIELDS.values(), ids=TEXT_FIELDS)
+def test_text_fields_accept_only_json_strings(store_dir, tmp_path, capsys, where, kind, parse, path, wrong):
+    # a list license would pass R1.1 on its repr, "license ['not', 'a', 'license']"
+    target = store_dir / where
+    if kind == "terms":
+        first, rest = target.read_text().split("\n", 1)
+    else:
+        target = sorted(target.glob("*.json"))[0]
+    doc = json.loads(first if kind == "terms" else target.read_text())
+    *outer, field = path
+    holder = doc
+    for key in outer:
+        holder = holder.setdefault(key, {})
+    pm = build_weight_fixture().engine.prefix_map
+
+    def parsed_field():
+        value = parse(doc, pm)
+        for key in path:
+            value = getattr(value, key)
+        return value
+
+    holder[field] = "some text"
+    assert parsed_field() == "some text"
+    holder[field] = None
+    assert parsed_field() is None
+    del holder[field]
+    assert parsed_field() is None
+    holder[field] = wrong
+    with pytest.raises(MalformedContent, match=f"bad {field}"):
+        parse(doc, pm)
+
+    text = json.dumps(doc) + "\n" if kind == "terms" else render(doc)
+    path_in = tmp_path / "input.json"
+    path_in.write_text(text)
+    code, _, err = run(capsys, "--store", str(store_dir), "import", kind, str(path_in))
+    assert code == 3
+    assert json.loads(err)["error"] == "parse-failure"
+    target.write_text(text + rest if kind == "terms" else text)
+    with pytest.raises(ParseFailure) as excinfo:
+        load_store(store_dir)
+    assert excinfo.value.file.startswith(where)
 
 
 DETERMINISM_SCRIPT = """

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import random
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semint import (
     Crosswalk,
+    Gupri,
     CrosswalkLevel,
     DatatypeTag,
     Engine,
@@ -37,7 +40,7 @@ from semint.errors import (
 )
 
 from conftest import add_mapping, build_weight_fixture, make_engine, term
-from oracles import hub_links, pairwise_links
+from oracles import hub_links, oracle_closures, pairwise_links, random_mapping_set
 
 
 def instance_bytes(engine: Engine, inst: StatementInstance) -> str:
@@ -128,6 +131,45 @@ def random_chain_instance(engine, schema_id, literal_slots, n_slots, rng: random
 
 # ---------------------------------------------------------------------------
 # registration and checking
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.sampled_from([None, 0.5]))
+def test_alignment_status_matches_oracle(rng, threshold):
+    # one-slot resource schemas constrained by every pair of random terms
+    engine = make_engine()
+    pm = engine.prefix_map
+    nodes, mappings = random_mapping_set(rng, pm)
+    for m in mappings:
+        engine.terminology.add_mapping(m)
+    kept = [m for m in mappings if threshold is None or m.confidence >= threshold]
+    ont, ref = oracle_closures(nodes, kept)
+    ont_of = {n: c for c in ont for n in c}
+    ref_of = {n: c for c in ref for n in c}
+    schemas = [
+        engine.schemas.register_schema(
+            StatementSchema(
+                id=pm.gupri(f"ex:probe-schema-{i}"),
+                statement_type=pm.gupri("ex:probe-type"),
+                label="",
+                slots=(SlotSpec("slot", "ROLE", SlotKind.RESOURCE, Gupri(node)),),
+            )
+        )
+        for i, node in enumerate(nodes)
+    ]
+    for a, source in zip(nodes, schemas):
+        for b, target in zip(nodes, schemas):
+            cw = Crosswalk(pm.gupri("ex:probe"), source, target, (SlotAlignment("slot", "slot"),))
+            (check,) = engine.crosswalks.check_crosswalk(cw, threshold).checks
+            if a == b:
+                expected = AlignmentStatus.EQUAL
+            elif ont_of[a] == ont_of[b]:
+                expected = AlignmentStatus.ONTOLOGICALLY_MAPPED
+            elif ref_of[a] == ref_of[b]:
+                expected = AlignmentStatus.REFERENTIALLY_MAPPED
+            else:
+                expected = AlignmentStatus.INCOMPATIBLE
+            assert check.status is expected, (a, b)
 
 
 def test_register_weight_crosswalk(weight):

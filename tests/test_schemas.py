@@ -68,7 +68,13 @@ def test_canonical_decimal_rejects_nonsense():
         ("true", DatatypeTag.BOOLEAN, True),
         ("yes", DatatypeTag.BOOLEAN, False),
         ("2024-05-14T10:00:00Z", DatatypeTag.DATETIME, True),
+        ("2024-01-01", DatatypeTag.DATETIME, True),
         ("last tuesday", DatatypeTag.DATETIME, False),
+        # Python 3.11 parses these; 3.10 and the datetime grammar reject them
+        ("20240101", DatatypeTag.DATETIME, False),
+        ("2024-01-01T10:00:00.1", DatatypeTag.DATETIME, False),
+        ("2024-W01-1", DatatypeTag.DATETIME, False),
+        ("20240101T100000", DatatypeTag.DATETIME, False),
         ("anything", DatatypeTag.STRING, True),
     ],
 )

@@ -124,6 +124,18 @@ def test_get_operations(served):
     assert json.loads(body)["degree"] == 1
 
 
+@pytest.mark.parametrize("value", ["1", "True", "yes"])
+def test_get_operations_reachable_accepts_only_true_or_false(served, value):
+    # reachable=1 must not quietly get the direct-only answer
+    status, body = http_get(served["base"], f"/operations?schema=obi:weight-schema&reachable={value}")
+    assert status == 400
+    assert json.loads(body)["error"] == "malformed-content"
+    plain = http_get(served["base"], "/operations?schema=obi:weight-schema")
+    assert http_get(served["base"], "/operations?schema=obi:weight-schema&reachable=false") == plain
+    status, _ = http_get(served["base"], "/operations?schema=obi:weight-schema&reachable=true")
+    assert status == 200
+
+
 def test_get_fdo_and_assessment(served):
     status, body = http_get(served["base"], "/fdos/" + quote("ex:fdo-apple-weight", safe=""))
     assert status == 200
@@ -363,6 +375,21 @@ def test_post_assess_wrong_json_shape_400(served):
     status, body = http_post(served["base"], "/assess", doc)
     assert status == 400
     assert json.loads(body)["error"] == "malformed-content"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("license", ["not", "a", "license"]), ("creator", {"x": 1}), ("logical_framework", 7), ("human_readable", 1)],
+)
+def test_post_assess_text_field_not_a_string_400(served, field, value):
+    # such a record would pass R1.1, R1.2 and I5 on the value's repr
+    fx = served["fixture"]
+    from semint.documents import fdo_to_doc
+
+    doc = {**fdo_to_doc(fx.golden, fx.engine.prefix_map), field: value}
+    status, body = http_post(served["base"], "/assess", doc)
+    assert status == 400
+    assert json.loads(body) == {"error": "malformed-content", "message": f"fdo document: bad {field} {value!r}"}
 
 
 def test_post_bad_json_400(served):

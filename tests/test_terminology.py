@@ -502,6 +502,40 @@ def test_explain_path_matches_bfs_oracle(engine):
         assert walked == min(expected)
 
 
+def test_explain_path_walks_only_the_relation_of_the_verdict(engine):
+    # a < y < z < b by subClassOf gives the actionable verdict; the shorter
+    # a < x by subClassOf, x < b by subPropertyOf on its own is only advisory
+    add_mapping(engine, "ex:a", MappingPredicate.SUB_CLASS_OF, "ex:x")
+    add_mapping(engine, "ex:x", MappingPredicate.SUB_PROPERTY_OF, "ex:b")
+    chain = [("ex:a", "ex:y"), ("ex:y", "ex:z"), ("ex:z", "ex:b")]
+    for lower, upper in chain:
+        add_mapping(engine, lower, MappingPredicate.SUB_CLASS_OF, upper)
+    pm = engine.prefix_map
+    expected = [(pm.canonicalize(lower), "rdfs:subClassOf", pm.canonicalize(upper)) for lower, upper in chain]
+    for a, b, direction, steps in (("ex:a", "ex:b", "broader", expected), ("ex:b", "ex:a", "narrower", expected[::-1])):
+        verdict = engine.terminology.interop_level(a, b)
+        assert (verdict.level, verdict.direction, verdict.actionable) == (InteropLevel.HIERARCHICAL, direction, True)
+        path = engine.terminology.explain_path(a, b)
+        assert [(m.subject.canonical, m.predicate.curie, m.object.canonical) for m in path] == steps
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.randoms(use_true_random=False), st.sampled_from([None, 0.5]))
+def test_explain_path_edges_alone_give_the_verdict(rng, threshold):
+    engine = make_engine()
+    nodes, mappings = random_mapping_set(rng, engine.prefix_map)
+    for m in mappings:
+        engine.terminology.add_mapping(m)
+    kept = [m for m in mappings if threshold is None or m.confidence >= threshold]
+    verdicts, _ = oracle_ladder(nodes, kept)
+    snap = engine.terminology.compute_closure(threshold)
+    for (a, b), expected in verdicts.items():
+        path = snap.explain_path(Gupri(a), Gupri(b))
+        ends = {a, b} | {m.subject.canonical for m in path} | {m.object.canonical for m in path}
+        alone, _ = oracle_ladder(sorted(ends), path)
+        assert alone[a, b] == expected, (a, b, path)
+
+
 # ---------------------------------------------------------------------------
 # audits
 
