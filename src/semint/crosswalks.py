@@ -557,8 +557,11 @@ class CrosswalkRegistry:
         for canonical in ids:
             if not self.schemas.has_schema(Gupri(canonical)):
                 raise UnknownSchema(f"schema {canonical} not registered")
+        # the required links join every requested schema, pairwise or through
+        # the hub, so a completed plan covers every pair
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
         if strategy == "pairwise":
-            required = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+            required = pairs
             nodes = set(ids)
         elif strategy == "hub":
             if hub is None:
@@ -572,23 +575,16 @@ class CrosswalkRegistry:
             raise ValueError(f"unknown strategy {strategy!r}")
 
         links = self._links()
-        existing = graph.components(links)
-        planned = graph.components(links + required)
-
-        def covered(roots: dict[str, str], a: str, b: str) -> bool:
-            return roots.get(a) is not None and roots.get(a) == roots.get(b)
-
-        missing = tuple(link for link in required if not covered(existing, *link))
+        roots = graph.components(links)
+        # a schema with no crosswalk is absent from roots, alone in its component
+        missing = tuple((a, b) for a, b in required if roots.get(a, a) != roots.get(b, b))
         existing_pairs = {
             tuple(sorted(link)) for link in links if link[0] in nodes and link[1] in nodes
         }
-        pairs_covered = tuple(
-            (a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if covered(planned, a, b)
-        )
         return PlanReport(
             strategy=strategy,
             required_count=len(required),
             existing_count=len(existing_pairs),
             missing=missing,
-            pairs_covered=pairs_covered,
+            pairs_covered=tuple(pairs),
         )

@@ -113,17 +113,28 @@ def decode_enum(cls: type[_E], value: Any, what: str) -> _E:
 def decode_flag(value: Any, what: str) -> bool:
     """A JSON boolean; any other value, "false" included, raises
     MalformedContent naming ``what``."""
-    if isinstance(value, bool):
-        return value
-    raise MalformedContent(f"{what} {value!r}")
+    return _typed(value, bool, what)
 
 
 def decode_text(value: Any, what: str) -> str | None:
     """A JSON string, or None for a missing value or null; any other value
     raises MalformedContent naming ``what``."""
-    if value is None or isinstance(value, str):
+    return None if value is None else _typed(value, str, what)
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    if isinstance(value, kind):
         return value
     raise MalformedContent(f"{what} {value!r}")
+
+
+def _texts(data: Any, context: str) -> tuple[str, ...]:
+    return tuple(_typed(item, str, f"{context}: bad item") for item in _as_list(data, context))
+
+
+def _text_map(data: Any, context: str) -> dict[str, str]:
+    obj = _as_obj(data, context)
+    return {_typed(k, str, f"{context}: bad key"): _typed(v, str, f"{context}: bad value") for k, v in obj.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +156,16 @@ def term_to_doc(record: TermRecord, pm: PrefixMap) -> dict:
 
 def term_from_doc(data: Any, pm: PrefixMap) -> TermRecord:
     obj = _as_obj(data, "term record")
-    labels = _as_obj(obj.get("labels", {}), "term labels")
     referent_kind = decode_enum(ReferentKind, obj.get("referent_kind", "class"), "term record: bad referent_kind")
     return TermRecord(
         id=pm.gupri(str(_require(obj, "id", "term record"))),
-        labels={str(k): str(v) for k, v in labels.items()},
+        labels=_text_map(obj.get("labels", {}), "term labels"),
         definition=decode_text(obj.get("definition"), "term record: bad definition"),
         recognition_criteria=decode_text(obj.get("recognition_criteria"), "term record: bad recognition_criteria"),
         recognition_criteria_applicable=decode_flag(
             obj.get("recognition_criteria_applicable", True), "term record: bad recognition_criteria_applicable"
         ),
-        synonyms=tuple(str(s) for s in _as_list(obj.get("synonyms", []), "term synonyms")),
+        synonyms=_texts(obj.get("synonyms", []), "term synonyms"),
         referent_kind=referent_kind,
     )
 
@@ -249,7 +259,7 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
     return StatementSchema(
         id=pm.gupri(str(_require(obj, "id", "schema document"))),
         statement_type=pm.gupri(str(_require(obj, "statement_type", "schema document"))),
-        label=str(obj.get("label", "")),
+        label=decode_text(obj.get("label"), "schema document: bad label") or "",
         slots=tuple(slots),
         logical_framework=decode_text(obj.get("logical_framework"), "schema document: bad logical_framework"),
     )
@@ -437,7 +447,7 @@ def operation_from_doc(data: Any, pm: PrefixMap) -> OperationDescriptor:
         params.append(OperationParam(name=str(_require(p, "name", "operation param")), datatype=tag))
     return OperationDescriptor(
         id=pm.gupri(str(_require(obj, "id", "operation document"))),
-        label=str(obj.get("label", "")),
+        label=decode_text(obj.get("label"), "operation document: bad label") or "",
         applicable_schemas=frozenset(
             pm.gupri(str(s))
             for s in _as_list(_require(obj, "applicable_schemas", "operation document"), "applicable schemas")
@@ -526,19 +536,18 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
         schema_ref = tuple(pm.gupri(str(s)) for s in raw_ref)
     elif raw_ref is not None:
         schema_ref = pm.gupri(str(raw_ref))
-    provenance = _as_obj(obj.get("provenance", {}), "fdo provenance")
     return FdoRecord(
         gupri=pm.gupri(str(_require(obj, "gupri", "fdo document"))),
         content=content,
         schema_ref=schema_ref,
         creator=decode_text(obj.get("creator"), "fdo document: bad creator"),
-        authors=tuple(str(a) for a in _as_list(obj.get("authors", []), "fdo authors")),
+        authors=_texts(obj.get("authors", []), "fdo authors"),
         category=category,
         logical_framework=decode_text(obj.get("logical_framework"), "fdo document: bad logical_framework"),
         human_readable=decode_text(obj.get("human_readable"), "fdo document: bad human_readable"),
         certainty=certainty,
         license=decode_text(obj.get("license"), "fdo document: bad license"),
-        provenance={str(k): str(v) for k, v in provenance.items()},
+        provenance=_text_map(obj.get("provenance", {}), "fdo provenance"),
         data_identifier=pm.gupri(str(obj["data_identifier"])) if obj.get("data_identifier") else None,
     )
 

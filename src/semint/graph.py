@@ -8,9 +8,9 @@ once; callers supply the edges and, for paths, their tie-break rule.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, Mapping, TypeVar
+from typing import Any, Callable, Container, Hashable, Iterable, Mapping, TypeVar
 
-__all__ = ["components", "reach", "shortest_paths"]
+__all__ = ["best_path", "components", "reach"]
 
 N = TypeVar("N", bound=Hashable)
 E = TypeVar("E")
@@ -60,61 +60,47 @@ def reach(adjacency: Mapping[N, Iterable[N]], start: N, goal: N | None = None) -
     return seen
 
 
-def shortest_paths(
+def best_path(
     adjacency: Mapping[N, Mapping[N, E]],
     start: N,
+    goals: Container[N],
     step_key: Callable[[N, E], Any],
     max_hops: int | None = None,
-    goal: N | None = None,
-) -> dict[N, tuple[E, ...]]:
-    """Shortest path from ``start`` to each node it reaches, as edge labels.
+) -> tuple[E, ...] | None:
+    """Shortest path from ``start`` to any node in ``goals``, as edge labels.
 
     ``adjacency[u][v]`` is the label of the one edge kept from u to v. Among
     paths of equal length the one whose sequence of ``step_key(v, label)``
-    over its steps is smallest wins. ``start`` maps to the empty path. Paths
-    are at most ``max_hops`` long when it is given. With ``goal`` the search
-    stops at the goal's level and only the goal's path is returned, if any.
+    over its steps is smallest wins. The path is empty when ``start`` is a
+    goal, and None when no goal lies within ``max_hops`` steps.
     """
-    parent: dict[N, tuple[N, E] | None] = {start: None}
-    # the current level in path order; equal key sequences share a rank
-    frontier: list[tuple[int, N]] = [(0, start)]
-    hops = 0
-    while frontier and (max_hops is None or hops < max_hops):
-        if goal is not None and goal in parent:
-            break
-        # walking the level in rank order, a node's best path comes from its
-        # first-ranked predecessor; step keys decide only between equal ranks
-        found: dict[N, tuple[int, Any, N, E]] = {}
-        for rank, u in frontier:
-            for v, label in adjacency.get(u, {}).items():
-                if v in parent:
-                    continue
-                best = found.get(v)
-                if best is not None and best[0] < rank:
-                    continue
-                key = step_key(v, label)
-                if best is None or key < best[1]:
-                    found[v] = (rank, key, u, label)
-        frontier = []
-        previous = None
-        for v in sorted(found, key=lambda n: found[n][:2]):
-            rank, key, u, label = found[v]
-            parent[v] = (u, label)
-            if (rank, key) != previous:
-                previous = (rank, key)
-                next_rank = len(frontier)
-            frontier.append((next_rank, v))
-        hops += 1
-
-    def path(node: N) -> tuple[E, ...]:
-        labels = []
-        step = parent[node]
-        while step is not None:
-            node, label = step
-            labels.append(label)
-            step = parent[node]
-        return tuple(reversed(labels))
-
-    if goal is not None:
-        return {goal: path(goal)} if goal in parent else {}
-    return {node: path(node) for node in parent}
+    # breadth-first levels, each in first-seen order, up to the first goal
+    levels = [[start]]
+    seen = {start}
+    while not any(node in goals for node in levels[-1]):
+        if not levels[-1] or (max_hops is not None and len(levels) > max_hops):
+            return None
+        level = list(dict.fromkeys(v for u in levels[-1] for v in adjacency.get(u, {}) if v not in seen))
+        seen.update(level)
+        levels.append(level)
+    # walking back, mark the nodes of each level that lead on to a goal
+    marked = [{node for node in levels.pop() if node in goals}]
+    for level in reversed(levels):
+        marked.insert(0, {u for u in level if any(v in marked[0] for v in adjacency.get(u, {}))})
+    # every marked node leads on, so the smallest key at each step gives the
+    # smallest key sequence; every node that key reaches goes on, in
+    # first-seen order, so that the answer is the same in every process
+    paths: dict[N, tuple[E, ...]] = {start: ()}
+    for ahead in marked[1:]:
+        steps = [
+            (step_key(v, label), v, path + (label,))
+            for u, path in paths.items()
+            for v, label in adjacency[u].items()
+            if v in ahead
+        ]
+        smallest = min(key for key, _, _ in steps)
+        paths = {}
+        for key, v, path in steps:
+            if key == smallest:
+                paths.setdefault(v, path)
+    return next(iter(paths.values()))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping
 
 from . import graph
 from .crosswalks import CrosswalkRegistry
@@ -112,10 +111,9 @@ class XInteropResult:
     paths: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (schema, crosswalk path)
 
 
-def _best_path(reach: Mapping[str, tuple[str, ...]], schemas: Iterable[str]) -> tuple[str, ...] | None:
-    """The shortest, then lexicographically smallest, crosswalk path in
-    ``reach`` to any of ``schemas``; None when ``reach`` has none of them."""
-    return min((reach[s] for s in schemas if s in reach), key=lambda path: (len(path), path), default=None)
+def _crosswalk_id(_schema: str, cw_id: str) -> str:
+    """Step key of crosswalk paths: equally short ones go by their crosswalk ids."""
+    return cw_id
 
 
 class OperationsRegistry:
@@ -171,16 +169,6 @@ class OperationsRegistry:
 
     # -- applicability ------------------------------------------------------------
 
-    def _reachable(self, start: str, max_hops: int) -> dict[str, tuple[str, ...]]:
-        """Schemas reachable over directed crosswalks with the paths taken.
-
-        Shortest path per schema; ties broken by the lexicographic order of
-        the crosswalk ids along the path.
-        """
-        return graph.shortest_paths(
-            self.crosswalks.directed_adjacency(), start, lambda _, cw_id: cw_id, max_hops
-        )
-
     def applicable_operations(
         self,
         target: str | Gupri | StatementInstance,
@@ -194,21 +182,16 @@ class OperationsRegistry:
         crosswalk path needed first. The degree of machine-actionability is
         the number of distinct applicable operations.
         """
-        if isinstance(target, StatementInstance):
-            schema_id = self.schemas.schema(target.schema_id).id
-        else:
-            schema_id = self.schemas.schema(target).id
-        reach = (
-            self._reachable(schema_id.canonical, max_hops)
-            if include_reachable
-            else {schema_id.canonical: ()}
-        )
-        found: dict[str, ApplicableOperation] = {}
+        schema = target.schema_id if isinstance(target, StatementInstance) else target
+        schema_id = self.schemas.schema(schema).id
+        adjacency = self.crosswalks.directed_adjacency()
+        hops = max_hops if include_reachable else 0
+        entries = []
         for op in self.operations():
-            best = _best_path(reach, (s.canonical for s in op.applicable_schemas))
-            if best is not None:
-                found[op.id.canonical] = ApplicableOperation(operation=op, via=best)
-        entries = [found[k] for k in sorted(found)]
+            goals = {s.canonical for s in op.applicable_schemas}
+            via = graph.best_path(adjacency, schema_id.canonical, goals, _crosswalk_id, hops)
+            if via is not None:
+                entries.append(ApplicableOperation(operation=op, via=via))
         return entries, len(entries)
 
     # -- actionability ladder --------------------------------------------------------
@@ -244,18 +227,16 @@ class OperationsRegistry:
         b = self.schemas.schema(schema_b).id
         descriptor = self.operation(op)
         applicable = {s.canonical for s in descriptor.applicable_schemas}
-        if a.canonical in applicable and b.canonical in applicable:
-            return XInteropResult(
-                status=XInteropStatus.TRUE_DIRECT,
-                paths=tuple(sorted({(a.canonical, ()), (b.canonical, ())})),
-            )
+        adjacency = self.crosswalks.directed_adjacency()
         paths = []
         for schema in sorted({a.canonical, b.canonical}):
-            best = _best_path(self._reachable(schema, DEFAULT_MAX_HOPS), applicable)
-            if best is None:
+            via = graph.best_path(adjacency, schema, applicable, _crosswalk_id, DEFAULT_MAX_HOPS)
+            if via is None:
                 return XInteropResult(status=XInteropStatus.FALSE)
-            paths.append((schema, best))
-        return XInteropResult(status=XInteropStatus.TRUE_VIA_CROSSWALK, paths=tuple(paths))
+            paths.append((schema, via))
+        direct = not any(via for _, via in paths)
+        status = XInteropStatus.TRUE_DIRECT if direct else XInteropStatus.TRUE_VIA_CROSSWALK
+        return XInteropResult(status=status, paths=tuple(paths))
 
     # -- builtin: unit conversion ------------------------------------------------------
 

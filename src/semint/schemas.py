@@ -58,13 +58,13 @@ class SlotKind(Enum):
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
-# datetime.fromisoformat's grammar on Python 3.10, which later versions widen:
-# YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]]
+# datetime.fromisoformat's grammar on Python 3.10, which later versions widen,
+# with the date and time separated as ISO 8601 and RFC 3339 allow, where 3.10
+# takes any character: YYYY-MM-DD[(T| )HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]]
 _DATETIME_RE = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
-    r"(.[0-9]{2}(:[0-9]{2}(:[0-9]{2}(\.[0-9]{3}([0-9]{3})?)?)?)?"
-    r"([+-][0-9]{2}:[0-9]{2}(:[0-9]{2}(\.[0-9]{6})?)?)?)?",
-    re.DOTALL,
+    r"([T ][0-9]{2}(:[0-9]{2}(:[0-9]{2}(\.[0-9]{3}([0-9]{3})?)?)?)?"
+    r"([+-][0-9]{2}:[0-9]{2}(:[0-9]{2}(\.[0-9]{6})?)?)?)?"
 )
 
 

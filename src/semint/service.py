@@ -8,9 +8,10 @@ Reads run against the engine's immutable snapshots; the two compute endpoints
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, unquote, urlparse
+from urllib.parse import parse_qsl, unquote, urlparse
 
 from . import documents, store
 from .engine import Engine
@@ -92,20 +93,31 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get(self) -> None:
         url = urlparse(self.path)
-        params = {k: v[-1] for k, v in parse_qs(url.query).items()}
+        # a blank value leaves a parameter unset, but its name must be known
+        given = parse_qsl(url.query, keep_blank_values=True)
         path = url.path
         engine = self.engine
         pm = engine.prefix_map
 
+        def reads(*names: str) -> dict[str, str]:
+            """The last non-empty value of each parameter; a name not in ``names`` is rejected."""
+            for name, _ in given:
+                if name not in names:
+                    raise MalformedContent(f"unknown query parameter {name!r} for {path}")
+            return {name: value for name, value in given if value}
+
         if path.startswith("/terms/"):
+            reads()
             term = engine.terminology.term(unquote(path[len("/terms/") :]))
             self._send(200, documents.term_to_doc(term, pm))
         elif path == "/mappings":
+            params = reads("subject", "object")
             subject = pm.gupri(params["subject"]) if "subject" in params else None
             object_ = pm.gupri(params["object"]) if "object" in params else None
             mappings = engine.terminology.mappings_between(subject, object_)
             self._send(200, [documents.mapping_to_doc(m, pm) for m in mappings])
         elif path == "/interop":
+            params = reads("a", "b", "min_confidence")
             if "a" not in params or "b" not in params:
                 self._send_error(400, "missing-parameter", "interop needs a and b")
                 return
@@ -114,9 +126,11 @@ class _Handler(BaseHTTPRequestHandler):
             verdict = engine.terminology.interop_level(a, b, min_confidence)
             self._send(200, documents.verdict_to_doc(a, b, verdict, pm))
         elif path.startswith("/schemas/"):
+            reads()
             schema = engine.schemas.schema(unquote(path[len("/schemas/") :]))
             self._send(200, documents.schema_to_doc(schema, pm))
         elif path == "/crosswalks":
+            params = reads("source", "target")
             source = pm.gupri(params["source"]) if "source" in params else None
             target = pm.gupri(params["target"]) if "target" in params else None
             found = [
@@ -127,6 +141,7 @@ class _Handler(BaseHTTPRequestHandler):
             ]
             self._send(200, [documents.crosswalk_to_doc(cw, pm) for cw in found])
         elif path == "/operations":
+            params = reads("schema", "reachable")
             if "schema" not in params:
                 self._send_error(400, "missing-parameter", "operations needs schema")
                 return
@@ -135,12 +150,15 @@ class _Handler(BaseHTTPRequestHandler):
             )
             self._send(200, documents.applicable_to_doc(entries, degree, pm))
         elif path == "/find":
+            params = reads(*(field.name for field in dataclasses.fields(store.FindQuery)))
             self._send(200, store.find_document(engine, params))
         elif path.startswith("/fdos/") and path.endswith("/assessment"):
+            reads()
             gupri = unquote(path[len("/fdos/") : -len("/assessment")])
             report = engine.fdos.assess_fdo(gupri)
             self._send(200, documents.assessment_to_doc(report, pm))
         elif path.startswith("/fdos/"):
+            reads()
             record = engine.fdos.record(unquote(path[len("/fdos/") :]))
             self._send(200, documents.fdo_to_doc(record, pm))
         else:

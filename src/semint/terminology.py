@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from itertools import chain
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from . import graph
 from .errors import (
@@ -417,8 +417,7 @@ class ClosureSnapshot:
                     connect(s, o, m)
                 else:
                     connect(o, s, m)
-        paths = graph.shortest_paths(adjacency, a.canonical, lambda v, _: v, goal=b.canonical)
-        return list(paths.get(b.canonical, ()))
+        return list(graph.best_path(adjacency, a.canonical, (b.canonical,), lambda v, _: v) or ())
 
     def to_doc(self) -> dict:
         """Deterministic plain-data rendering, for output and byte comparison;
@@ -475,29 +474,41 @@ class TerminologyRegistry:
     # -- mapping registry ---------------------------------------------------
 
     def add_mapping(self, m: EntityMapping) -> str:
-        m = self._normalize(m)
-        if m.subject == m.object:
-            return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
-        if self._mappings.add(m.id, m):
-            self._closure = None  # the stale snapshot is freed by the write, not by the next read
-        return m.id
-
-    def _normalize(self, m: EntityMapping) -> EntityMapping:
-        subject = self.prefix_map.gupri(m.subject)
-        object_ = self.prefix_map.gupri(m.object)
-        predicate = m.predicate
-        if predicate is MappingPredicate.NARROW_MATCH:
-            subject, object_ = object_, subject
-            predicate = MappingPredicate.BROAD_MATCH
-        return EntityMapping.create(
-            subject,
-            predicate,
-            object_,
+        return self._add(
+            m.subject,
+            m.predicate,
+            m.object,
             justification=m.justification,
             confidence=m.confidence,
             author=m.author,
             comment=m.comment,
         )
+
+    def _add(
+        self,
+        subject: str | Gupri,
+        predicate: MappingPredicate,
+        object_: str | Gupri,
+        *,
+        table1_direction: bool = False,
+        **fields: Any,
+    ) -> str:
+        """Store a mapping, built once as it is stored: canonical ends,
+        narrowMatch as the reversed broadMatch and, with ``table1_direction``,
+        a subClassOf/subPropertyOf row read parent first. The other ``fields``
+        go to :meth:`EntityMapping.create` as they are."""
+        subject, object_ = self.prefix_map.gupri(subject), self.prefix_map.gupri(object_)
+        if table1_direction and predicate in _HIERARCHICAL:
+            subject, object_ = object_, subject
+        if predicate is MappingPredicate.NARROW_MATCH:
+            subject, object_ = object_, subject
+            predicate = MappingPredicate.BROAD_MATCH
+        m = EntityMapping.create(subject, predicate, object_, **fields)
+        if m.subject == m.object:
+            return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
+        if self._mappings.add(m.id, m):
+            self._closure = None  # the stale snapshot is freed by the write, not by the next read
+        return m.id
 
     def remove_mapping(self, mapping_id: str) -> bool:
         if removed := self._mappings.remove(mapping_id):
@@ -554,28 +565,26 @@ class TerminologyRegistry:
                 continue
             row = dict(zip(header, fields))
             try:
-                mapping = self._row_to_mapping(row, table1_direction=table1_direction)
+                self._add_row(row, table1_direction=table1_direction)
             except (InvalidGupri, UnknownPredicate, MalformedRecord, ValueError) as exc:
                 rejected.append(RejectedRow(lineno, str(exc)))
                 continue
-            self.add_mapping(mapping)
             accepted += 1
         if header is None:
             raise MissingRequiredColumn("file has no header row")
         return ImportReport(accepted=accepted, rejected=tuple(rejected))
 
-    def _row_to_mapping(self, row: Mapping[str, str], *, table1_direction: bool) -> EntityMapping:
+    def _add_row(self, row: Mapping[str, str], *, table1_direction: bool) -> str:
         subject = self.prefix_map.gupri(row["subject_id"].strip())
         object_ = self.prefix_map.gupri(row["object_id"].strip())
         predicate = MappingPredicate.from_curie(row["predicate_id"].strip())
-        if table1_direction and predicate in _HIERARCHICAL:
-            subject, object_ = object_, subject
         confidence_text = row.get("confidence", "").strip()
         confidence = float(confidence_text) if confidence_text else 1.0
-        return EntityMapping.create(
+        return self._add(
             subject,
             predicate,
             object_,
+            table1_direction=table1_direction,
             justification=row.get("mapping_justification", "").strip() or "unspecified",
             confidence=confidence,
             author=row.get("author_id", "").strip() or None,

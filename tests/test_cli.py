@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from semint.cli import main
 from semint import documents
 from semint.documents import instance_to_doc, render, schema_from_doc, term_from_doc
 from semint.errors import MalformedContent, ParseFailure
+from semint.service import make_server
 
 from conftest import build_weight_fixture
 from test_store import populated_fixture
@@ -411,12 +415,14 @@ TEXT_FIELDS = {
     "term-definition": ("terms", "terms", documents.term_from_doc, ("definition",), 7),
     "term-recognition_criteria": ("terms", "terms", documents.term_from_doc, ("recognition_criteria",), ["x"]),
     "schema-logical_framework": ("schemas", "schema", schema_from_doc, ("logical_framework",), 7),
+    "schema-label": ("schemas", "schema", schema_from_doc, ("label",), 7),
     "crosswalk-author": ("crosswalks", "crosswalk", documents.crosswalk_from_doc, ("provenance", "author"), {"x": 1}),
     "crosswalk-date": ("crosswalks", "crosswalk", documents.crosswalk_from_doc, ("provenance", "date"), 20240101),
     "crosswalk-justification": (
         "crosswalks", "crosswalk", documents.crosswalk_from_doc, ("provenance", "justification"), True
     ),
     "operation-tool": ("operations", "operation", documents.operation_from_doc, ("tool",), ["convert"]),
+    "operation-label": ("operations", "operation", documents.operation_from_doc, ("label",), {"x": 1}),
     "fdo-creator": ("fdos", "fdo", documents.fdo_from_doc, ("creator",), {"x": 1}),
     "fdo-logical_framework": ("fdos", "fdo", documents.fdo_from_doc, ("logical_framework",), 7),
     "fdo-human_readable": ("fdos", "fdo", documents.fdo_from_doc, ("human_readable",), False),
@@ -445,15 +451,73 @@ def test_text_fields_accept_only_json_strings(store_dir, tmp_path, capsys, where
             value = getattr(value, key)
         return value
 
+    # a label is text that is empty when unset; the other fields are None
+    unset = "" if field == "label" else None
     holder[field] = "some text"
     assert parsed_field() == "some text"
     holder[field] = None
-    assert parsed_field() is None
+    assert parsed_field() == unset
     del holder[field]
-    assert parsed_field() is None
+    assert parsed_field() == unset
     holder[field] = wrong
     with pytest.raises(MalformedContent, match=f"bad {field}"):
         parse(doc, pm)
+
+    text = json.dumps(doc) + "\n" if kind == "terms" else render(doc)
+    path_in = tmp_path / "input.json"
+    path_in.write_text(text)
+    code, _, err = run(capsys, "--store", str(store_dir), "import", kind, str(path_in))
+    assert code == 3
+    assert json.loads(err)["error"] == "parse-failure"
+    target.write_text(text + rest if kind == "terms" else text)
+    with pytest.raises(ParseFailure) as excinfo:
+        load_store(store_dir)
+    assert excinfo.value.file.startswith(where)
+
+
+# (store directory or terms file, CLI import kind, field, a wrong value, the item or value named)
+LIST_AND_MAP_FIELDS = {
+    "term-labels": ("terms", "terms", "labels", {"en": 7}, "term labels: bad value 7"),
+    "term-synonyms": ("terms", "terms", "synonyms", ["ok", 7, {"x": 1}], "term synonyms: bad item 7"),
+    "fdo-authors": ("fdos", "fdo", "authors", [{"x": 1}, 7], "fdo authors: bad item {'x': 1}"),
+    "fdo-provenance": ("fdos", "fdo", "provenance", {"source": ["a", "b"]}, "fdo provenance: bad value ['a', 'b']"),
+}
+
+
+@pytest.mark.parametrize("where,kind,field,wrong,message", LIST_AND_MAP_FIELDS.values(), ids=LIST_AND_MAP_FIELDS)
+def test_list_items_and_map_values_accept_only_json_strings(store_dir, tmp_path, capsys, where, kind, field, wrong, message):
+    # str() of such a value would be stored, and an FDO with it would still pass R1.2
+    target = store_dir / where
+    if kind == "terms":
+        first, rest = target.read_text().split("\n", 1)
+        doc = json.loads(first)
+    else:
+        target = sorted(target.glob("*.json"))[0]
+        doc = json.loads(target.read_text())
+    pm = build_weight_fixture().engine.prefix_map
+    parse = term_from_doc if kind == "terms" else documents.fdo_from_doc
+    doc[field] = wrong
+    with pytest.raises(MalformedContent) as excinfo:
+        parse(doc, pm)
+    assert str(excinfo.value) == message
+
+    if kind == "fdo":
+        server = make_server(load_store(store_dir), "127.0.0.1:0")
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            request = urllib.request.Request(f"http://{host}:{port}/assess", data=render(doc).encode(), method="POST")
+            with pytest.raises(urllib.error.HTTPError) as http_error:
+                urllib.request.urlopen(request)
+            with http_error.value:
+                assert http_error.value.code == 400
+                assert json.loads(http_error.value.read()) == {"error": "malformed-content", "message": message}
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
     text = json.dumps(doc) + "\n" if kind == "terms" else render(doc)
     path_in = tmp_path / "input.json"

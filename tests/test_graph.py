@@ -58,41 +58,53 @@ def test_reach_goal_found_iff_reachable(edges, start, goal):
 
 @settings(deadline=None)
 @given(edge_lists, st.sampled_from(NODES))
-def test_shortest_paths_pick_smallest_node_sequence(edges, start):
+def test_best_path_picks_smallest_node_sequence(edges, start):
     adjacency = labelled_adjacency(edges, edges)
-    paths = graph.shortest_paths(adjacency, start, lambda v, _: v)
     for goal in NODES:
+        path = graph.best_path(adjacency, start, (goal,), lambda v, _: v)
         expected = all_shortest_paths(node_sets(adjacency), start, goal)
         if not expected:
-            assert goal not in paths
-            assert graph.shortest_paths(adjacency, start, lambda v, _: v, goal=goal) == {}
+            assert path is None
             continue
-        best = min(expected)
-        assert [start] + [v for _, v in paths[goal]] == best
-        alone = graph.shortest_paths(adjacency, start, lambda v, _: v, goal=goal)
-        assert alone == {goal: paths[goal]}
+        assert [start] + [v for _, v in path] == min(expected)
 
 
 @settings(deadline=None)
 @given(edge_lists, st.lists(st.integers(0, 2), min_size=24, max_size=24), st.sampled_from(NODES))
 @example(edges=[(0, 1), (0, 2), (1, 3), (2, 3)], labels=[0, 0, 1, 0] + [0] * 20, start=0)
-def test_shortest_paths_pick_smallest_key_sequence_with_repeated_keys(edges, labels, start):
+def test_best_path_picks_smallest_key_sequence_with_repeated_keys(edges, labels, start):
     # few distinct keys, so different paths often share a key sequence; in
     # the example 1 and 2 are reached by equal keys and 2 leads on with the
     # smaller one
     adjacency = labelled_adjacency(edges, labels)
-    paths = graph.shortest_paths(adjacency, start, lambda _, label: label)
     for goal in NODES:
+        path = graph.best_path(adjacency, start, (goal,), lambda _, label: label)
         expected = all_shortest_paths(node_sets(adjacency), start, goal)
         if expected:
             keys = [tuple(adjacency[p[i]][p[i + 1]] for i in range(len(p) - 1)) for p in expected]
-            assert paths[goal] == min(keys)
+            assert path == min(keys)
+        else:
+            assert path is None
 
 
 @settings(deadline=None)
-@given(edge_lists, st.sampled_from(NODES), st.integers(0, 4))
-def test_shortest_paths_max_hops_bound(edges, start, max_hops):
-    adjacency = labelled_adjacency(edges, edges)
-    unbounded = graph.shortest_paths(adjacency, start, lambda v, _: v)
-    bounded = graph.shortest_paths(adjacency, start, lambda v, _: v, max_hops)
-    assert bounded == {n: p for n, p in unbounded.items() if len(p) <= max_hops}
+@given(
+    edge_lists,
+    st.lists(st.integers(0, 2), min_size=24, max_size=24),
+    st.sampled_from(NODES),
+    st.sets(st.sampled_from(NODES), min_size=1, max_size=4),
+    st.none() | st.integers(0, 4),
+)
+# the goal lies one step past the bound; 3 is nearer than 2 but keyed higher
+@example(edges=[(0, 1), (1, 2), (0, 3)], labels=[0, 0, 1] + [0] * 21, start=0, goals={2}, max_hops=1)
+@example(edges=[(0, 1), (1, 2), (0, 3)], labels=[0, 0, 1] + [0] * 21, start=0, goals={2, 3}, max_hops=None)
+def test_best_path_reaches_nearest_goal_within_max_hops(edges, labels, start, goals, max_hops):
+    adjacency = labelled_adjacency(edges, labels)
+    candidates = []
+    for goal in goals:
+        for p in all_shortest_paths(node_sets(adjacency), start, goal):
+            keys = tuple(adjacency[p[i]][p[i + 1]] for i in range(len(p) - 1))
+            if max_hops is None or len(keys) <= max_hops:
+                candidates.append((len(keys), keys))
+    expected = min(candidates)[1] if candidates else None
+    assert graph.best_path(adjacency, start, goals, lambda _, label: label, max_hops) == expected

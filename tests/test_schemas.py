@@ -75,6 +75,11 @@ def test_canonical_decimal_rejects_nonsense():
         ("2024-01-01T10:00:00.1", DatatypeTag.DATETIME, False),
         ("2024-W01-1", DatatypeTag.DATETIME, False),
         ("20240101T100000", DatatypeTag.DATETIME, False),
+        # the date and time are separated by T or a space, not by an offset
+        ("2024-01-01 10:00", DatatypeTag.DATETIME, True),
+        ("2024-01-01-05:00", DatatypeTag.DATETIME, False),
+        ("2024-01-01+00:00", DatatypeTag.DATETIME, False),
+        ("2024-01-01x10:00", DatatypeTag.DATETIME, False),
         ("anything", DatatypeTag.STRING, True),
     ],
 )

@@ -163,6 +163,44 @@ def test_unknown_route_404(served):
     assert status == 404
 
 
+FDO_PATH = "/fdos/" + quote("ex:fdo-apple-weight", safe="")
+
+
+@pytest.mark.parametrize(
+    "path, unknown",
+    [
+        ("/interop?a=pato:weight&b=ncit:weight&min_confidenc=1.1", "min_confidenc"),
+        ("/operations?schema=obi:weight-schema&reachabel=true", "reachabel"),
+        ("/terms/" + quote("pato:weight", safe="") + "?lang=en", "lang"),
+        ("/mappings?subject=pato:weight&predicate=skos:exactMatch", "predicate"),
+        ("/interop?a=pato:weight&b=ncit:weight&min_confidenc=", "min_confidenc"),
+        ("/schemas/" + quote("obi:weight-schema", safe="") + "?verbose=true", "verbose"),
+        ("/crosswalks?source=obi:weight-schema&sorce=ex:x", "sorce"),
+        ("/operations?schema=obi:weight-schema&reachabel", "reachabel"),
+        ("/find?term=pato:weight&expnd=referential", "expnd"),
+        (FDO_PATH + "?format=json", "format"),
+        (FDO_PATH + "/assessment?min_confidence=0.5", "min_confidence"),
+    ],
+)
+def test_get_unknown_query_parameter_400(served, path, unknown):
+    status, body = http_get(served["base"], path)
+    assert status == 400
+    doc = json.loads(body)
+    assert doc["error"] == "malformed-content"
+    assert repr(unknown) in doc["message"]
+
+
+def test_get_known_query_parameter_with_blank_value_stays_unset(served):
+    blank = http_get(served["base"], "/find?term=pato:weight&expand=referential&statement_type=&category=")
+    assert blank == http_get(served["base"], "/find?term=pato:weight&expand=referential")
+    assert blank[0] == 200
+
+
+def test_unknown_route_404_whatever_its_query(served):
+    status, body = http_get(served["base"], "/nothing/here?bogus=1")
+    assert (status, json.loads(body)["error"]) == (404, "unknown-route")
+
+
 # ---------------------------------------------------------------------------
 # writes
 

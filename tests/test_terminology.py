@@ -219,6 +219,32 @@ def test_import_tsv_table1_direction_flips_hierarchy(engine):
     assert str(stored.object).endswith("parent")
 
 
+def test_import_tsv_builds_each_mapping_once(engine, monkeypatch):
+    rows = [
+        "subject_id\tpredicate_id\tobject_id\tconfidence",
+        "ex:a\towl:sameAs\tex:b\t0.9",
+        "ex:c\tskos:narrowMatch\tex:d\t",
+        "ex:parent\trdfs:subClassOf\tex:child\t",
+    ]
+    create = EntityMapping.create.__func__
+    built = []
+
+    def counting_create(cls, *args, **kwargs):
+        built.append(args)
+        return create(cls, *args, **kwargs)
+
+    monkeypatch.setattr(EntityMapping, "create", classmethod(counting_create))
+    report = engine.terminology.import_mappings_tsv("\n".join(rows) + "\n", table1_direction=True)
+    assert report.accepted == len(built) == 3
+    monkeypatch.undo()
+    # the one build already has the stored orientation, so the ids are those add_mapping gives
+    expected = make_engine()
+    add_mapping(expected, "ex:a", MappingPredicate.SAME_AS, "ex:b", confidence=0.9)
+    add_mapping(expected, "ex:c", MappingPredicate.NARROW_MATCH, "ex:d")
+    add_mapping(expected, "ex:child", MappingPredicate.SUB_CLASS_OF, "ex:parent")
+    assert engine.terminology.mappings() == expected.terminology.mappings()
+
+
 def test_import_tsv_ignores_unknown_columns(engine):
     rows = [
         "subject_id\tsubject_label\tpredicate_id\tobject_id\tobject_label\tmapping_tool",
