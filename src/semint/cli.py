@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import documents, service, store
+from . import documents, store
 from .errors import (
     InvalidGupri,
     IoFailure,
@@ -184,6 +184,9 @@ def _run(args: argparse.Namespace) -> int:
         _emit(store.find_document(engine, vars(args)))
         return 0
     if args.command == "serve":
+        # only serve needs the facade and http.server; importing them costs every other command
+        from . import service
+
         service.serve(engine, args.bind)
         return 0
     raise AssertionError(f"unhandled command {args.command}")

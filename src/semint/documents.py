@@ -247,8 +247,8 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
         try:
             slots.append(
                 SlotSpec(
-                    slot_id=str(_require(slot, "slot_id", "slot spec")),
-                    role=str(_require(slot, "role", "slot spec")),
+                    slot_id=_typed(_require(slot, "slot_id", "slot spec"), str, "slot spec: bad slot_id"),
+                    role=_typed(_require(slot, "role", "slot spec"), str, "slot spec: bad role"),
                     kind=kind,
                     constraint=constraint,
                     required=decode_flag(slot.get("required", True), "slot spec: bad required"),
@@ -308,11 +308,10 @@ def instance_from_doc(data: Any, pm: PrefixMap) -> StatementInstance:
     obj = _as_obj(data, "instance document")
     fills_obj = _as_obj(_require(obj, "fills", "instance document"), "instance fills")
     fills = {str(slot_id): fill_from_doc(f, pm) for slot_id, f in fills_obj.items()}
-    provenance = obj.get("provenance")
     return StatementInstance(
         schema_id=pm.gupri(str(_require(obj, "schema", "instance document"))),
         fills=fills,
-        provenance=str(provenance) if provenance is not None else None,
+        provenance=decode_text(obj.get("provenance"), "instance document: bad provenance"),
     )
 
 
@@ -364,8 +363,8 @@ def crosswalk_from_doc(data: Any, pm: PrefixMap) -> Crosswalk:
         a = _as_obj(raw, "alignment")
         alignments.append(
             SlotAlignment(
-                source_slot=str(_require(a, "source_slot", "alignment")),
-                target_slot=str(_require(a, "target_slot", "alignment")),
+                source_slot=_typed(_require(a, "source_slot", "alignment"), str, "alignment: bad source_slot"),
+                target_slot=_typed(_require(a, "target_slot", "alignment"), str, "alignment: bad target_slot"),
             )
         )
     level = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, unquote, urlparse
 
@@ -64,16 +65,40 @@ class _Handler(BaseHTTPRequestHandler):
     def engine(self) -> Engine:
         return self.server.engine  # type: ignore[attr-defined]
 
-    def _send(self, status: int, doc) -> None:
+    def _send(self, status: int, doc, *, close: bool = False) -> None:
+        """Reply with ``doc`` as JSON in one write; ``close`` ends the connection.
+
+        ``end_headers`` would write the buffered head on its own and the body
+        in a second write, and the server's Nagle buffering (RFC 896) holds
+        that second segment until the client's delayed ACK (RFC 1122
+        4.2.3.2), about 40 ms later. So the blank line and the body join the
+        head, and one flush writes them all."""
         body = documents.render(doc).encode("utf-8")
         self.send_response(status)
+        if close:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.command == "HEAD":
+            body = b""
+        if self.request_version == "HTTP/0.9":  # a reply with no status line or headers
+            self.wfile.write(body)
+        else:
+            self._headers_buffer += [b"\r\n", body]
+            self.flush_headers()
 
     def _send_error(self, status: int, tag: str, message: str) -> None:
         self._send(status, {"error": tag, "message": message})
+
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own errors (a bad request line, too many headers, an
+        unsupported method) as tagged JSON, closing the connection as the
+        stdlib does."""
+        tag = "unsupported-method" if code == HTTPStatus.NOT_IMPLEMENTED else "malformed-request"
+        text = message or self.responses[code][0]
+        if explain:
+            text = f"{text}: {explain}"
+        self._send(code, {"error": tag, "message": text}, close=True)
 
     def _dispatch(self, handler) -> None:
         try:

@@ -531,6 +531,30 @@ def test_list_items_and_map_values_accept_only_json_strings(store_dir, tmp_path,
     assert excinfo.value.file.startswith(where)
 
 
+def test_import_leaves_the_facade_unloaded():
+    # only serve needs the facade and http.server, so no other command pays their import
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys, semint.cli; print(sorted({'semint.service', 'http.server'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_serve_runs_the_facade(store_dir, monkeypatch):
+    from semint import service
+
+    served = []
+    monkeypatch.setattr(service, "serve", lambda engine, bind: served.append(bind))
+    assert main(["--store", str(store_dir), "serve", "--bind", "127.0.0.1:0"]) == 0
+    assert served == ["127.0.0.1:0"]
+
+
 DETERMINISM_SCRIPT = """
 import tempfile
 from pathlib import Path

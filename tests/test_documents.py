@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semint import documents
-from semint.errors import SemintError
+from semint.errors import MalformedContent, SemintError
 
 from test_store import populated_fixture
 
@@ -77,3 +77,28 @@ def test_parsers_raise_only_domain_errors(parser, data):
         getattr(documents, parser)(mutated, PM)
     except SemintError:
         pass
+
+
+# (parser, field path, a wrong value): fields that are kept as text, never coerced with str()
+TEXT_ONLY_FIELDS = {
+    "slot-slot_id": ("schema_from_doc", ("slots", 0, "slot_id"), 7),
+    "slot-role": ("schema_from_doc", ("slots", 0, "role"), ["x", 1]),
+    "alignment-source_slot": ("crosswalk_from_doc", ("alignments", 0, "source_slot"), None),
+    "alignment-target_slot": ("crosswalk_from_doc", ("alignments", 0, "target_slot"), {"a": 1}),
+    "instance-provenance": ("instance_from_doc", ("provenance",), {"a": 1}),
+}
+
+
+@pytest.mark.parametrize("parser,path,wrong", TEXT_ONLY_FIELDS.values(), ids=TEXT_ONLY_FIELDS)
+def test_text_only_fields_reject_other_json(parser, path, wrong):
+    doc = _replaced(VALID[parser][0], path, wrong)
+    with pytest.raises(MalformedContent, match=f"bad {path[-1]}"):
+        getattr(documents, parser)(doc, PM)
+
+
+def test_instance_provenance_is_text_or_none():
+    doc = VALID["instance_from_doc"][0]
+    assert documents.instance_from_doc(doc, PM).provenance == doc["provenance"]
+    assert documents.instance_from_doc(_replaced(doc, ("provenance",), None), PM).provenance is None
+    missing = {key: value for key, value in doc.items() if key != "provenance"}
+    assert documents.instance_from_doc(missing, PM).provenance is None

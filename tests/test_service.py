@@ -511,6 +511,124 @@ def test_interop_min_confidence_param(served):
 
 
 # ---------------------------------------------------------------------------
+# each reply is one write
+
+
+class _WriteCounting(service._Handler):
+    """Records the size of each ``wfile.write`` call, one list per connection."""
+
+    def setup(self):
+        super().setup()
+        self.server.writes.append(writes := [])
+        write = self.wfile.write
+
+        def counted(data):
+            writes.append(len(data))
+            return write(data)
+
+        self.wfile.write = counted
+
+
+@pytest.fixture(scope="module")
+def write_counted(served):
+    """A second server over the same store whose handlers count their writes."""
+    server = make_server(load_store(served["store"]), "127.0.0.1:0")
+    server.RequestHandlerClass = _WriteCounting
+    server.writes = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+def test_each_reply_is_one_write(served, write_counted):
+    # a head and a body written apart would leave the body to Nagle's
+    # algorithm, which holds it until the client's delayed ACK
+    fx = served["fixture"]
+    transform = {"instance": instance_to_doc(fx.instance, fx.engine.prefix_map), "crosswalk": "ex:weight-crosswalk"}
+    host, port = write_counted.server_address[:2]
+    cases = [
+        ("GET", "/terms/pato:weight", b"", None, b"200"),
+        ("POST", "/transform", render(transform).encode(), None, b"200"),
+        ("GET", "/terms/ex:ghost", b"", None, b"404"),
+        ("POST", "/assess", b"{}", service.MAX_BODY_BYTES + 1, b"413"),
+        ("PUT", "/terms/pato:weight", b"", None, b"501"),
+    ]
+    for method, path, body, length, status in cases:
+        length = len(body) if length is None else length
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\nContent-Length: {length}\r\n\r\n"
+        with socket.create_connection((host, port), timeout=5) as conn:
+            conn.sendall(head.encode() + body)
+            received = conn.makefile("rb").read()  # until the server closes
+        assert received.split()[1] == status, (method, path)
+        assert write_counted.writes[-1] == [len(received)], (method, path)
+
+
+def test_keep_alive_replies_are_not_held_back(served):
+    # at about 40 ms a reply, a stall between head and body takes 0.8 s here
+    url = urlsplit(served["base"])
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        start = time.monotonic()
+        for _ in range(20):
+            conn.request("GET", "/terms/" + quote("pato:weight", safe=""))
+            reply = conn.getresponse()
+            assert reply.status == 200
+            reply.read()
+        elapsed = time.monotonic() - start
+    finally:
+        conn.close()
+    assert elapsed < 0.4
+
+
+@pytest.mark.parametrize(
+    "head,status,tag",
+    [
+        ("PUT /terms/pato:weight HTTP/1.1", b"501", "unsupported-method"),
+        ("GET /" + "a" * 70_000 + " HTTP/1.1", b"414", "malformed-request"),
+        ("GET /terms/pato:weight HTTP/1.1" + "\r\nX: y" * 101, b"431", "malformed-request"),
+    ],
+    ids=["PUT", "long-request-line", "too-many-headers"],
+)
+def test_stdlib_errors_are_tagged_json(served, head, status, tag):
+    host, port = served["base"][len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(f"{head}\r\nHost: {host}\r\n\r\n".encode())
+        reply = conn.makefile("rb")
+        got, headers, body = raw_reply(reply)
+        assert reply.read() == b""  # the server closed the connection
+    assert got == status
+    assert headers["Connection"].strip() == "close"
+    assert headers["Content-Type"].strip() == "application/json; charset=utf-8"
+    assert json.loads(body)["error"] == tag
+
+
+def test_head_is_unsupported_and_carries_no_body(served):
+    host, port = served["base"][len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(f"HEAD /terms/pato:weight HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
+        reply = conn.makefile("rb")
+        status = reply.readline().split()[1]
+        headers = dict(line.decode().split(":", 1) for line in iter(reply.readline, b"\r\n"))
+        assert reply.read() == b""
+    assert status == b"501"
+    assert headers["Connection"].strip() == "close"
+    assert int(headers["Content-Length"]) > 0  # the length a GET of the reply would carry
+
+
+def test_unsupported_http_version_is_tagged_json(served):
+    # the version is refused before the request takes it, so the stdlib
+    # replies as to HTTP/0.9: the body alone, with no status line or headers
+    host, port = served["base"][len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(b"GET /terms/pato:weight HTTP/9.9\r\n\r\n")
+        body = conn.makefile("rb").read()
+    assert json.loads(body) == {"error": "malformed-request", "message": "Invalid HTTP version (9.9)"}
+
+
+# ---------------------------------------------------------------------------
 # CLI and facade parity
 
 
