@@ -277,16 +277,16 @@ def fill_to_doc(fill: SlotFill, pm: PrefixMap) -> dict:
 def fill_from_doc(data: Any, pm: PrefixMap) -> SlotFill:
     obj = _as_obj(data, "slot fill")
     kind_text = str(_require(obj, "kind", "slot fill"))
-    value = _require(obj, "value", "slot fill")
+    value = _typed(_require(obj, "value", "slot fill"), str, "slot fill: bad value")
     try:
         if kind_text == "resource":
             asserted = obj.get("asserted_class")
             return SlotFill.resource(
-                pm.gupri(str(value)), pm.gupri(str(asserted)) if asserted else None
+                pm.gupri(value), pm.gupri(str(asserted)) if asserted else None
             )
         if kind_text == "literal":
             tag = decode_enum(DatatypeTag, str(_require(obj, "datatype", "slot fill")), "slot fill: bad datatype")
-            return SlotFill.literal(str(value), tag)
+            return SlotFill.literal(value, tag)
     except MalformedRecord as exc:
         raise MalformedContent(str(exc)) from None
     raise MalformedContent(f"slot fill: bad kind {kind_text!r}")
@@ -443,7 +443,8 @@ def operation_from_doc(data: Any, pm: PrefixMap) -> OperationDescriptor:
     for raw in _as_list(obj.get("params", []), "operation params"):
         p = _as_obj(raw, "operation param")
         tag = decode_enum(DatatypeTag, str(_require(p, "datatype", "operation param")), "operation param: bad datatype")
-        params.append(OperationParam(name=str(_require(p, "name", "operation param")), datatype=tag))
+        name = _typed(_require(p, "name", "operation param"), str, "operation param: bad name")
+        params.append(OperationParam(name=name, datatype=tag))
     return OperationDescriptor(
         id=pm.gupri(str(_require(obj, "id", "operation document"))),
         label=decode_text(obj.get("label"), "operation document: bad label") or "",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .crosswalks import CrosswalkRegistry
 from .errors import ConflictingFdo, MalformedContent, UnknownFdo
@@ -90,6 +90,15 @@ class FdoRecord:
                     if fill.asserted_class is not None:
                         terms.add(fill.asserted_class)
         return sorted(terms)
+
+
+def _records_by_term(records: tuple[FdoRecord, ...]) -> dict[str, list[FdoRecord]]:
+    """The records whose content mentions each canonical term."""
+    by_term: dict[str, list[FdoRecord]] = {}
+    for record in records:
+        for term in record.content_terms():
+            by_term.setdefault(term.canonical, []).append(record)
+    return by_term
 
 
 class CheckStatus(Enum):
@@ -175,6 +184,13 @@ class FdoRegistry:
 
     def records(self) -> list[FdoRecord]:
         return self._records.sorted()
+
+    def records_mentioning(self, terms: Iterable[str]) -> list[FdoRecord]:
+        """The records whose content mentions any of the canonical ``terms``,
+        in canonical order, from an index derived once per table version."""
+        by_term = self._records.derived(_records_by_term)
+        found = {record.gupri.canonical: record for term in terms for record in by_term.get(term, ())}
+        return [found[key] for key in sorted(found)]
 
     # -- assessment ------------------------------------------------------------------
 

@@ -3,22 +3,23 @@
 A registered identifier keeps denoting one content (FAIR F1): a key is stored
 once, registering it again with the same content changes nothing, and with
 different content raises the registry's conflict error. Writes and listings
-hold the table's one lock; single-key reads need none. Every write bumps
-``version``, so what is derived from the records can carry the version it was
-derived from.
+hold the table's one lock; single-key reads need none. Every write starts a
+new version of the table, and a value derived from the records of one version
+is served only while that version is current.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-from typing import Callable, Generic, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
 from .errors import SemintError
 
 __all__ = ["RecordTable"]
 
 R = TypeVar("R")
+T = TypeVar("T")
 
 
 class RecordTable(Generic[R]):
@@ -28,8 +29,11 @@ class RecordTable(Generic[R]):
         self.noun = noun
         self.unknown = unknown
         self.conflict = conflict
-        self.version = 0
         self._rows: dict[str, R] = {}
+        # what was derived from the current version, keyed by the function
+        # that derived it; a write replaces the dict, so the values derived
+        # from the old version are freed by the write, not by the next read
+        self._derived: dict[Callable, Any] = {}
         self._lock = threading.Lock()
 
     def add(self, key: str, record: R, same: Callable[[R, R], bool] = operator.eq) -> bool:
@@ -40,7 +44,7 @@ class RecordTable(Generic[R]):
             existing = self._rows.get(key)
             if existing is None:
                 self._rows[key] = record
-                self.version += 1
+                self._derived = {}
                 return True
         if not same(existing, record):
             raise self.conflict(f"{self.noun} {key} already registered with different content")
@@ -56,7 +60,7 @@ class RecordTable(Generic[R]):
         with self._lock:
             if self._rows.pop(key, None) is None:
                 return False
-            self.version += 1
+            self._derived = {}
             return True
 
     def __contains__(self, key: str) -> bool:
@@ -67,7 +71,25 @@ class RecordTable(Generic[R]):
         with self._lock:
             return [record for _, record in sorted(self._rows.items())]
 
-    def rows(self) -> tuple[tuple[R, ...], int]:
-        """The records, unordered, with the version they reflect."""
+    def rows(self) -> tuple[R, ...]:
+        """The records, unordered."""
         with self._lock:
-            return tuple(self._rows.values()), self.version
+            return tuple(self._rows.values())
+
+    def derived(self, derive: Callable[[tuple[R, ...]], T]) -> T:
+        """``derive`` applied to the records, computed once per version.
+
+        The records and the dict their value goes into are taken together, so
+        a value derived from the records before a write lands in the dict the
+        write dropped: it is returned to its own caller, a read that began
+        before the write, and never served after it. Two readers that miss at
+        once may both derive; both return the value stored first.
+        """
+        values = self._derived
+        try:
+            return values[derive]
+        except KeyError:
+            pass
+        with self._lock:
+            rows, values = tuple(self._rows.values()), self._derived
+        return values.setdefault(derive, derive(rows))

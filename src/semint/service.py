@@ -87,8 +87,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._headers_buffer += [b"\r\n", body]
             self.flush_headers()
 
-    def _send_error(self, status: int, tag: str, message: str) -> None:
-        self._send(status, {"error": tag, "message": message})
+    def _send_error(self, status: int, tag: str, message: str, *, close: bool = False) -> None:
+        self._send(status, {"error": tag, "message": message}, close=close)
 
     def send_error(self, code, message=None, explain=None):
         """The stdlib's own errors (a bad request line, too many headers, an
@@ -98,7 +98,11 @@ class _Handler(BaseHTTPRequestHandler):
         text = message or self.responses[code][0]
         if explain:
             text = f"{text}: {explain}"
-        self._send(code, {"error": tag, "message": text}, close=True)
+        if self.request_version == "HTTP/0.9" and len(self.requestline.split()) >= 3:
+            # the stdlib refuses a bad version before it takes it, but a
+            # request line of three words or more is no HTTP/0.9 request
+            self.request_version = self.protocol_version
+        self._send_error(code, tag, text, close=True)
 
     def _dispatch(self, handler) -> None:
         try:
@@ -195,8 +199,7 @@ class _Handler(BaseHTTPRequestHandler):
         # either way the unread rest of the body is unknown, so the connection
         # cannot be reused
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._send_error(413, "payload-too-large", f"request body over {MAX_BODY_BYTES} bytes")
+            self._send_error(413, "payload-too-large", f"request body over {MAX_BODY_BYTES} bytes", close=True)
             return None
         # the deadline covers the body only: idle keep-alive connections keep the default
         deadline = time.monotonic() + BODY_TIMEOUT_S
@@ -212,8 +215,9 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self.connection.settimeout(self.timeout)
         if len(raw) < length:
-            self.close_connection = True
-            self._send_error(400, "malformed-request", f"request body shorter than Content-Length {length}")
+            self._send_error(
+                400, "malformed-request", f"request body shorter than Content-Length {length}", close=True
+            )
             return None
         return bytes(raw)
 
@@ -221,8 +225,7 @@ class _Handler(BaseHTTPRequestHandler):
         length = self.headers.get("Content-Length", "0")
         if not length.isdecimal():
             # the body's end is unknown, so the connection cannot be reused
-            self.close_connection = True
-            self._send_error(400, "malformed-request", "Content-Length must be a non-negative integer")
+            self._send_error(400, "malformed-request", "Content-Length must be a non-negative integer", close=True)
             return
         raw = self._read_body(int(length))
         if raw is None:

@@ -287,7 +287,9 @@ def find(engine: Engine, query: FindQuery) -> list[Gupri]:
 
     Term matching honors the expansion mode: with referential expansion an FDO
     using any term from the query term's referential equivalence class is
-    found, independent of the vocabulary its author chose.
+    found, independent of the vocabulary its author chose. A term query reads
+    the records from the FDO table's term index; a query without a term scans
+    every record.
     """
     if query.term is None and query.statement_type is None and query.category is None:
         raise EmptyQuery("set at least one of term, statement_type, category")
@@ -308,12 +310,9 @@ def find(engine: Engine, query: FindQuery) -> list[Gupri]:
     if query.statement_type is not None:
         statement_type = engine.prefix_map.gupri(query.statement_type)
         wanted_schemas = {s.canonical for s in engine.schemas.schemas_for_statement_type_at(snap, statement_type)}
+    candidates = engine.fdos.records() if wanted_terms is None else engine.fdos.records_mentioning(wanted_terms)
     results = []
-    for record in engine.fdos.records():
-        if wanted_terms is not None:
-            mentioned = {t.canonical for t in record.content_terms()}
-            if not mentioned & wanted_terms:
-                continue
+    for record in candidates:
         if wanted_schemas is not None:
             used = {inst.schema_id.canonical for inst in record.instances()}
             if not used & wanted_schemas:

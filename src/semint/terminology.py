@@ -293,6 +293,15 @@ def _mapping_order(m: EntityMapping) -> tuple:
     )
 
 
+def _mappings_by_end(edges: tuple[EntityMapping, ...]) -> dict[str, list[EntityMapping]]:
+    """The mappings at each canonical end, in canonical order."""
+    by_end: dict[str, list[EntityMapping]] = {}
+    for m in sorted(edges, key=_mapping_order):
+        by_end.setdefault(m.subject.canonical, []).append(m)
+        by_end.setdefault(m.object.canonical, []).append(m)
+    return by_end
+
+
 def _classes(root: Mapping[str, str]) -> dict[str, frozenset[str]]:
     """Members keyed by root, from a node-to-root map."""
     groups: dict[str, set[str]] = {}
@@ -439,9 +448,10 @@ class ClosureSnapshot:
 class TerminologyRegistry:
     """Registry of term records and entity mappings with closure queries.
 
-    Reads run against an immutable :class:`ClosureSnapshot` built lazily and
-    cached with the mapping table's version it was built from; a cached
-    snapshot is served only while that version is current.
+    Reads run against an immutable :class:`ClosureSnapshot`, derived lazily
+    from the mapping table and served only while the table's version is
+    current, as is the index of mappings by end that ``mappings_between``
+    reads.
     """
 
     def __init__(self, prefix_map: PrefixMap | None = None):
@@ -449,7 +459,6 @@ class TerminologyRegistry:
         self._terms: RecordTable[TermRecord] = RecordTable("term", UnknownTerm, ConflictingTermRecord)
         # a mapping id digests every field, so a taken id never conflicts
         self._mappings: RecordTable[EntityMapping] = RecordTable("mapping")
-        self._closure: tuple[int, ClosureSnapshot] | None = None
 
     # -- term registry ------------------------------------------------------
 
@@ -506,26 +515,24 @@ class TerminologyRegistry:
         m = EntityMapping.create(subject, predicate, object_, **fields)
         if m.subject == m.object:
             return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
-        if self._mappings.add(m.id, m):
-            self._closure = None  # the stale snapshot is freed by the write, not by the next read
+        self._mappings.add(m.id, m)
         return m.id
 
     def remove_mapping(self, mapping_id: str) -> bool:
-        if removed := self._mappings.remove(mapping_id):
-            self._closure = None
-        return removed
+        return self._mappings.remove(mapping_id)
 
     def mappings(self) -> list[EntityMapping]:
-        return sorted(self._mappings.rows()[0], key=_mapping_order)
+        return sorted(self._mappings.rows(), key=_mapping_order)
 
     def mappings_between(self, subject: Gupri | None = None, object: Gupri | None = None) -> list[EntityMapping]:
         """Stored mappings with each given term at one end, in canonical order."""
-        found = []
-        for m in self._mappings.rows()[0]:
-            ends = (m.subject.canonical, m.object.canonical)
-            if (subject is None or subject.canonical in ends) and (object is None or object.canonical in ends):
-                found.append(m)
-        return sorted(found, key=_mapping_order)
+        if subject is None and object is None:
+            return self.mappings()
+        by_end = self._mappings.derived(_mappings_by_end)
+        if subject is None or object is None:
+            return list(by_end.get((subject or object).canonical, ()))
+        at_object = {m.id for m in by_end.get(object.canonical, ())}
+        return [m for m in by_end.get(subject.canonical, ()) if m.id in at_object]
 
     # -- TSV interchange ----------------------------------------------------
 
@@ -596,19 +603,15 @@ class TerminologyRegistry:
     def compute_closure(self, min_confidence: float | None = None) -> ClosureSnapshot:
         """Closure snapshot; pure function of the stored edge set.
 
-        The default (unfiltered) snapshot is cached until the next write. A
-        threshold that is not a number in [0, 1] (NaN included) is rejected.
+        The default (unfiltered) snapshot is derived once per version of the
+        mapping table; filtered ones are built on each call. A threshold that
+        is not a number in [0, 1] (NaN included) is rejected.
         """
         if min_confidence is not None:
             if not 0.0 <= min_confidence <= 1.0:
                 raise MalformedContent(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
-            edges, _ = self._mappings.rows()
-            return self._build_snapshot(tuple(m for m in edges if m.confidence >= min_confidence))
-        cached = self._closure
-        if cached is None or cached[0] != self._mappings.version:
-            edges, version = self._mappings.rows()
-            cached = self._closure = (version, self._build_snapshot(edges))
-        return cached[1]
+            return self._build_snapshot(tuple(m for m in self._mappings.rows() if m.confidence >= min_confidence))
+        return self._mappings.derived(self._build_snapshot)
 
     @staticmethod
     def _build_snapshot(edges: tuple[EntityMapping, ...]) -> ClosureSnapshot:

@@ -204,3 +204,68 @@ def oracle_ladder(
         return {k: sorted(v) for k, v in sorted(reached.items())}
 
     return verdicts, {"subclass_reach": rendered(sub), "subproperty_reach": rendered(prop)}
+
+
+def find_scan(
+    records: list,
+    mappings: list[EntityMapping],
+    schemas: list[tuple[str, str]],
+    term: str | None,
+    expand: str,
+    statement_type: str | None,
+    category,
+) -> list[str]:
+    """Canonical ids of the records a ``find`` query matches, in canonical
+    order: every record is tested against classes taken from Floyd-Warshall
+    partitions of ``mappings``.
+
+    Terms are canonical ids; ``expand`` is ``none``, ``ontological`` or
+    ``referential``; ``schemas`` are (schema id, statement type) pairs.
+    """
+    nodes = {e for m in mappings for e in (m.subject.canonical, m.object.canonical)}
+    nodes |= {t for t in (term, statement_type) if t is not None} | {t for _, t in schemas}
+    ontological, referential = oracle_closures(sorted(nodes), mappings)
+
+    def class_of(partition: set[frozenset[str]], node: str) -> frozenset[str]:
+        return next(c for c in partition if node in c)
+
+    wanted_terms = None
+    if term is not None:
+        if expand == "none":
+            wanted_terms = {term}
+        else:
+            wanted_terms = class_of(ontological if expand == "ontological" else referential, term)
+    wanted_schemas = None
+    if statement_type is not None:
+        wanted_schemas = {s for s, t in schemas if t in class_of(referential, statement_type)}
+    found = []
+    for record in records:
+        if isinstance(record.content, Gupri):
+            instances, mentioned = (), {record.content.canonical}
+        else:
+            instances = record.content if isinstance(record.content, tuple) else (record.content,)
+            mentioned = {
+                g.canonical
+                for inst in instances
+                for fill in inst.fills.values()
+                for g in (fill.value, fill.asserted_class)
+                if isinstance(g, Gupri)
+            }
+        if wanted_terms is not None and not mentioned & wanted_terms:
+            continue
+        if wanted_schemas is not None and not {i.schema_id.canonical for i in instances} & wanted_schemas:
+            continue
+        if category is not None and record.category is not category:
+            continue
+        found.append(record.gupri.canonical)
+    return sorted(found)
+
+
+def mappings_between_scan(mappings: list[EntityMapping], subject: str | None, object_: str | None) -> list[str]:
+    """Ids of the ``mappings`` with each given canonical term at one end, in
+    the order given."""
+    return [
+        m.id
+        for m in mappings
+        if all(t is None or t in (m.subject.canonical, m.object.canonical) for t in (subject, object_))
+    ]

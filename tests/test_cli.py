@@ -607,3 +607,43 @@ def test_outputs_identical_across_hash_seeds():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") > 50
+
+
+def test_readme_quick_tour_runs_as_printed(tmp_path):
+    # the shell block under "Quick tour", run verbatim with `python -m
+    # semint.cli` as `semint`; each run of `# ` lines is the output of the
+    # command just above it
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Quick tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    script = ['semint() { "$PYTHON" -m semint.cli "$@"; }', "set -e"]
+    expected: list[list[str]] = []
+    for line, after in zip(tour, tour[1:] + [""]):
+        if line.startswith("# "):
+            expected[-1].append(line[2:])
+        elif after.startswith("# "):
+            expected.append([])
+            script += ["echo '@@ start'", line, "echo '@@ end'"]
+        else:
+            script.append(line)
+    assert expected, "the tour shows no output"
+    done = subprocess.run(
+        ["bash", "-c", "\n".join(script)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHON": sys.executable, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    )
+    shown: list[list[str]] = []
+    inside = False
+    for line in done.stdout.splitlines():
+        if line == "@@ start":
+            inside = True
+            shown.append([])
+        elif line == "@@ end":
+            inside = False
+        elif inside:
+            shown[-1].append(line)
+    assert shown == expected

@@ -86,6 +86,10 @@ TEXT_ONLY_FIELDS = {
     "alignment-source_slot": ("crosswalk_from_doc", ("alignments", 0, "source_slot"), None),
     "alignment-target_slot": ("crosswalk_from_doc", ("alignments", 0, "target_slot"), {"a": 1}),
     "instance-provenance": ("instance_from_doc", ("provenance",), {"a": 1}),
+    "literal-fill-value": ("instance_from_doc", ("fills", "value", "value"), 7),
+    "literal-fill-value-bool": ("instance_from_doc", ("fills", "value", "value"), True),
+    "resource-fill-value": ("instance_from_doc", ("fills", "quality", "value"), {"x": 1}),
+    "param-name": ("operation_from_doc", ("params", 0, "name"), {"x": 1}),
 }
 
 

@@ -294,7 +294,9 @@ def test_post_bad_content_length_400(served, length):
         status = reply.readline().split()[1]
         headers = dict(line.decode().split(":", 1) for line in iter(reply.readline, b"\r\n"))
         body = reply.read(int(headers["Content-Length"]))
+        assert reply.read() == b""  # the server closed the connection
     assert status == b"400"
+    assert headers["Connection"].strip() == "close"
     assert json.loads(body)["error"] == "malformed-request"
 
 
@@ -313,9 +315,10 @@ def test_post_body_over_cap_413(served):
             f"POST /assess HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n\r\n{{}}".encode()
         )
         reply = conn.makefile("rb")
-        status, _, body = raw_reply(reply)
+        status, headers, body = raw_reply(reply)
         assert reply.read() == b""  # the server closed the connection
     assert status == b"413"
+    assert headers["Connection"].strip() == "close"
     assert json.loads(body)["error"] == "payload-too-large"
 
 
@@ -331,9 +334,10 @@ def test_post_short_body_400_after_timeout(served, monkeypatch):
         assert raw_reply(reply)[0] == b"400"
         time.sleep(0.5)
         conn.sendall(post.format(host=host, length=100).encode())
-        status, _, body = raw_reply(reply)
+        status, headers, body = raw_reply(reply)
         assert reply.read() == b""
     assert status == b"400"
+    assert headers["Connection"].strip() == "close"
     assert json.loads(body)["error"] == "malformed-request"
 
 
@@ -589,8 +593,11 @@ def test_keep_alive_replies_are_not_held_back(served):
         ("PUT /terms/pato:weight HTTP/1.1", b"501", "unsupported-method"),
         ("GET /" + "a" * 70_000 + " HTTP/1.1", b"414", "malformed-request"),
         ("GET /terms/pato:weight HTTP/1.1" + "\r\nX: y" * 101, b"431", "malformed-request"),
+        # not HTTP/0.9, though the stdlib refuses the version before it takes it
+        ("GET /terms/pato:weight FOO/1", b"400", "malformed-request"),
+        ("GET /terms/pato:weight now FOO/1", b"400", "malformed-request"),
     ],
-    ids=["PUT", "long-request-line", "too-many-headers"],
+    ids=["PUT", "long-request-line", "too-many-headers", "bad-version", "four-words-bad-version"],
 )
 def test_stdlib_errors_are_tagged_json(served, head, status, tag):
     host, port = served["base"][len("http://") :].split(":")
@@ -619,13 +626,31 @@ def test_head_is_unsupported_and_carries_no_body(served):
 
 
 def test_unsupported_http_version_is_tagged_json(served):
-    # the version is refused before the request takes it, so the stdlib
-    # replies as to HTTP/0.9: the body alone, with no status line or headers
+    # the stdlib refuses the version before the request takes it, yet a
+    # three-word request line is no HTTP/0.9 request: the reply has a status line
     host, port = served["base"][len("http://") :].split(":")
     with socket.create_connection((host, int(port)), timeout=5) as conn:
         conn.sendall(b"GET /terms/pato:weight HTTP/9.9\r\n\r\n")
-        body = conn.makefile("rb").read()
+        reply = conn.makefile("rb")
+        status, headers, body = raw_reply(reply)
+        assert reply.read() == b""
+    assert status == b"505"
+    assert headers["Connection"].strip() == "close"
     assert json.loads(body) == {"error": "malformed-request", "message": "Invalid HTTP version (9.9)"}
+
+
+@pytest.mark.parametrize(
+    "line,field,value",
+    [("GET /terms/pato:weight", "id", "pato:weight"), ("POST /assess", "error", "malformed-request")],
+    ids=["GET", "POST"],
+)
+def test_http09_request_gets_the_bare_body(served, line, field, value):
+    # a two-word request line is HTTP/0.9, whose replies have no status line or headers
+    host, port = served["base"][len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(f"{line}\r\n\r\n".encode())
+        body = json.loads(conn.makefile("rb").read())
+    assert body[field] == value
 
 
 # ---------------------------------------------------------------------------

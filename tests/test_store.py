@@ -6,12 +6,21 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semint import documents
 from semint import (
     ExpandMode,
+    FdoRecord,
     FindQuery,
+    MappingPredicate,
+    SlotFill,
+    SlotKind,
+    SlotSpec,
     StatementCategory,
+    StatementInstance,
+    StatementSchema,
     export_store,
     find,
     init_store,
@@ -20,7 +29,8 @@ from semint import (
 from semint.crosswalks import AlignmentStatus
 from semint.errors import EmptyQuery, IoFailure, ParseFailure
 
-from conftest import build_weight_fixture
+from conftest import add_mapping, build_weight_fixture, make_engine
+from oracles import find_scan, mappings_between_scan
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -366,3 +376,142 @@ def test_find_results_sorted():
     engine = fx.engine
     results = find(engine, FindQuery(category=StatementCategory.ASSERTIONAL))
     assert results == sorted(results)
+
+
+# ---------------------------------------------------------------------------
+# indexed reads against scans
+
+INDEX_TERMS = [f"ex:t{i}" for i in range(6)]
+#: (schema, statement type); the statement types are terms the mappings may join
+INDEX_SCHEMAS = [("ex:s0", "ex:t4"), ("ex:s1", "ex:t5")]
+_index_term = st.sampled_from(INDEX_TERMS)
+_instance = st.tuples(st.sampled_from(INDEX_SCHEMAS), _index_term, st.none() | _index_term)
+index_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("fdo"),
+            st.one_of(_index_term, _instance, st.lists(_instance, min_size=2, max_size=2)),
+            st.sampled_from([None, StatementCategory.ASSERTIONAL, StatementCategory.UNIVERSAL]),
+        ),
+        st.tuples(st.just("add"), _index_term, st.sampled_from(list(MappingPredicate)), _index_term),
+        st.tuples(st.just("remove"), st.integers(0, 20)),
+    ),
+    max_size=10,
+)
+
+
+def _index_engine():
+    engine = make_engine()
+    pm = engine.prefix_map
+    for schema_id, statement_type in INDEX_SCHEMAS:
+        slot = SlotSpec("thing", "THING", SlotKind.RESOURCE, pm.gupri("ex:t0"))
+        engine.schemas.register_schema(StatementSchema(pm.gupri(schema_id), pm.gupri(statement_type), "", (slot,)))
+    return engine
+
+
+@settings(deadline=None, max_examples=100)
+@given(steps=index_steps)
+def test_indexed_reads_match_scans(steps):
+    # the term index behind find and the end index behind mappings_between
+    # are derived once per table version: after every write, each read must
+    # equal a scan of what the tables hold
+    engine = _index_engine()
+    pm = engine.prefix_map
+    records: list[FdoRecord] = []
+    schemas = [(pm.gupri(s).canonical, pm.gupri(t).canonical) for s, t in INDEX_SCHEMAS]
+    filters = [(None, None), (pm.gupri("ex:t4"), StatementCategory.ASSERTIONAL)]
+    queries = [
+        FindQuery(pm.gupri(t), mode, statement_type, category)
+        for t in INDEX_TERMS
+        for mode in ExpandMode
+        for statement_type, category in filters
+    ]
+    queries += [FindQuery(statement_type=pm.gupri("ex:t5")), FindQuery(category=StatementCategory.UNIVERSAL)]
+    ends = [None, *(pm.gupri(t) for t in INDEX_TERMS)]
+
+    def instance(spec) -> StatementInstance:
+        (schema_id, _), value, asserted = spec
+        fill = SlotFill.resource(pm.gupri(value), pm.gupri(asserted) if asserted else None)
+        return StatementInstance(pm.gupri(schema_id), {"thing": fill})
+
+    for step in steps:
+        if step[0] == "fdo":
+            _, content, category = step
+            if isinstance(content, str):
+                content = pm.gupri(content)
+            elif isinstance(content, list):
+                content = tuple(instance(spec) for spec in content)
+            else:
+                content = instance(content)
+            record = FdoRecord(pm.gupri(f"ex:f{len(records)}"), content, category=category)
+            engine.fdos.register_fdo(record)
+            records.append(record)
+        elif step[0] == "add":
+            add_mapping(engine, step[1], step[2], step[3])
+        elif stored := engine.terminology.mappings():
+            assert engine.terminology.remove_mapping(stored[step[1] % len(stored)].id)
+
+        mappings = engine.terminology.mappings()
+        for query in queries:
+            expected = find_scan(
+                records,
+                mappings,
+                schemas,
+                query.term and query.term.canonical,
+                query.expand.value,
+                query.statement_type and query.statement_type.canonical,
+                query.category,
+            )
+            assert [g.canonical for g in find(engine, query)] == expected, (step, query)
+        for subject in ends:
+            for object_ in ends:
+                got = [m.id for m in engine.terminology.mappings_between(subject, object_)]
+                expected = mappings_between_scan(
+                    mappings, subject and subject.canonical, object_ and object_.canonical
+                )
+                assert got == expected, (step, subject, object_)
+
+
+def test_find_sees_every_record_registered_before_it_starts():
+    # readers keep deriving the term index while a writer registers records:
+    # an index derived before a write must not be served after it
+    import sys
+    import threading
+
+    engine = make_engine()
+    pm = engine.prefix_map
+    weight = pm.gupri("pato:weight")
+    query = FindQuery(term=weight)
+    registered = 0
+    stop = threading.Event()
+    errors: list[Exception] = []
+    missed: list[tuple[int, int]] = []
+
+    def reader():
+        try:
+            while not stop.is_set():
+                expected = registered  # every record up to here was registered before this find
+                found = len(find(engine, query))
+                if found < expected:
+                    missed.append((expected, found))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in readers:
+            t.start()
+        for i in range(300):
+            engine.fdos.register_fdo(FdoRecord(pm.gupri(f"ex:f{i}"), weight))
+            registered = i + 1
+            assert len(find(engine, query)) == registered
+    finally:
+        stop.set()
+        for t in readers:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert errors == []
+    assert missed == []
