@@ -26,6 +26,11 @@ MAX_BODY_BYTES = 1 << 20
 #: Seconds a request body may take to arrive in full.
 BODY_TIMEOUT_S = 5.0
 
+#: Seconds a connection may wait on each read or write outside a body: an
+#: idle keep-alive connection, or a request line or header that stops half
+#: sent. When it runs out the connection is closed without a reply.
+IDLE_TIMEOUT_S = 30.0
+
 
 def _float_param(params: dict[str, str], key: str) -> float | None:
     if key not in params:
@@ -55,6 +60,12 @@ class StoreServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+
+    @property
+    def timeout(self) -> float:
+        """The socket timeout the stdlib sets on each connection; on expiry
+        it drops the connection without a reply."""
+        return IDLE_TIMEOUT_S
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -201,7 +212,7 @@ class _Handler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             self._send_error(413, "payload-too-large", f"request body over {MAX_BODY_BYTES} bytes", close=True)
             return None
-        # the deadline covers the body only: idle keep-alive connections keep the default
+        # the deadline covers the body only; the idle timeout applies again after it
         deadline = time.monotonic() + BODY_TIMEOUT_S
         raw = bytearray()
         try:

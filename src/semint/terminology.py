@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import re
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
+from functools import cached_property
 from itertools import chain
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import graph
 from .errors import (
@@ -310,6 +312,41 @@ def _classes(root: Mapping[str, str]) -> dict[str, frozenset[str]]:
     return {r: frozenset(members) for r, members in groups.items()}
 
 
+class _WitnessAdjacency(dict):
+    """The edges out of each node that may witness a verdict, filled in from
+    ``mappings_at`` as a path search first asks for the node.
+
+    ``both`` predicates step either way; ``directed`` ones step from subject
+    to object when ``forward``, else from object to subject. Of parallel
+    edges, the one with the smallest mapping id is kept.
+    """
+
+    def __init__(
+        self,
+        mappings_at: Callable[[str], Iterable[tuple[EntityMapping, bool]]],
+        both: frozenset[MappingPredicate],
+        directed: frozenset[MappingPredicate],
+        forward: bool,
+    ):
+        super().__init__()
+        self._mappings_at, self._both, self._directed, self._forward = mappings_at, both, directed, forward
+
+    def __missing__(self, u: str) -> dict[str, EntityMapping]:
+        out: dict[str, EntityMapping] = {}
+        for m, from_subject in self._mappings_at(u):
+            if m.predicate in self._both or (m.predicate in self._directed and from_subject == self._forward):
+                v = m.object.canonical if from_subject else m.subject.canonical
+                best = out.get(v)
+                if best is None or m.id < best.id:
+                    out[v] = m
+        self[u] = out
+        return out
+
+    def get(self, u: str, default=None) -> dict[str, EntityMapping]:
+        # every node has its out-edges, maybe none, so ``default`` is never due
+        return self[u]
+
+
 @dataclass(frozen=True)
 class ClosureSnapshot:
     """Immutable closure over one mapping multiset; answers every terminology
@@ -320,7 +357,9 @@ class ClosureSnapshot:
     subPropertyOf, and the loose set); each hierarchical question walks them
     from one class, so a build is about linear in the edge count. ``edges``
     are the mappings the closure was built from, so path explanations walk
-    the same edge set the verdicts come from.
+    the same edge set the verdicts come from. They reach those edges through
+    :attr:`node_index`, built on the first explanation against the snapshot
+    rather than with it, so a write's first verdict never waits for it.
     """
 
     ont_root: Mapping[str, str]
@@ -396,36 +435,50 @@ class ClosureSnapshot:
             return self.referential_class(a)
         raise ValueError(f"{level!r} does not form equivalence classes")
 
+    @cached_property
+    def node_index(self) -> tuple[dict[str, int], array]:
+        """The mappings at each canonical node, as chains of slots: slot
+        ``2 * i`` is the subject end of ``edges[i]`` and ``2 * i + 1`` its
+        object end. ``first[node]`` is the node's first slot and
+        ``after[slot]`` the next one, -1 at the end of the chain.
+
+        Built from ``edges`` on first use and kept for the snapshot's life; a
+        filtered snapshot has its own. It holds ints only, so the garbage
+        collector has nothing in it to track or traverse, where a list per
+        node would add an object for each node to every full collection.
+        Two threads that ask at once may both build it; either equal index
+        is kept.
+        """
+        ends = [end.canonical for m in self.edges for end in (m.subject, m.object)]
+        first: dict[str, int] = {}
+        after = array("q", bytes(8 * len(ends)))
+        for slot, node in enumerate(ends):
+            after[slot] = first.get(node, -1)
+            first[node] = slot
+        return first, after
+
+    def mappings_at(self, node: str) -> Iterator[tuple[EntityMapping, bool]]:
+        """Each mapping with ``node`` at an end, and whether it is the subject end."""
+        first, after = self.node_index
+        slot = first.get(node, -1)
+        while slot >= 0:
+            yield self.edges[slot >> 1], not slot & 1
+            slot = after[slot]
+
     def explain_path(self, a: Gupri, b: Gupri) -> list[EntityMapping]:
         """Shortest mapping-edge path witnessing the interop verdict for (a, b),
         over exactly the edges that give that verdict.
 
         Empty for Identical and None verdicts. Ties between equal-length paths
         are broken by the lexicographic canonical order of intermediate nodes,
-        and between parallel edges by the smallest mapping id.
+        and between parallel edges by the smallest mapping id. The search
+        reads :meth:`mappings_at` only at the nodes it reaches, so it costs
+        about the edges there, not every edge of the snapshot.
         """
         verdict, both, directed = self._ladder(a, b)
         if verdict.level in (InteropLevel.IDENTICAL, InteropLevel.NONE):
             return []
-        adjacency: dict[str, dict[str, EntityMapping]] = {}
-
-        def connect(u: str, v: str, m: EntityMapping) -> None:
-            slot = adjacency.setdefault(u, {})
-            best = slot.get(v)
-            if best is None or m.id < best.id:
-                slot[v] = m
-
-        forward = verdict.direction != "narrower"
-        for m in self.edges:
-            s, o = m.subject.canonical, m.object.canonical
-            if m.predicate in both:
-                connect(s, o, m)
-                connect(o, s, m)
-            elif m.predicate in directed:
-                if forward:
-                    connect(s, o, m)
-                else:
-                    connect(o, s, m)
+        adjacency = _WitnessAdjacency(self.mappings_at, both, directed, verdict.direction != "narrower")
         return list(graph.best_path(adjacency, a.canonical, (b.canonical,), lambda v, _: v) or ())
 
     def to_doc(self) -> dict:

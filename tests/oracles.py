@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Container, Iterable
 
-from semint import EntityMapping, Gupri, MappingPredicate
+from semint import EntityMapping, Gupri, MappingPredicate, graph
 
 ONTOLOGICAL_PREDICATES = {MappingPredicate.SAME_AS, MappingPredicate.EXACT_MATCH}
 REFERENTIAL_PREDICATES = ONTOLOGICAL_PREDICATES | {
@@ -269,3 +270,37 @@ def mappings_between_scan(mappings: list[EntityMapping], subject: str | None, ob
         for m in mappings
         if all(t is None or t in (m.subject.canonical, m.object.canonical) for t in (subject, object_))
     ]
+
+
+def explain_path_scan(
+    edges: Iterable[EntityMapping],
+    a: str,
+    b: str,
+    both: Container[MappingPredicate],
+    directed: Container[MappingPredicate],
+    forward: bool,
+) -> list[EntityMapping]:
+    """The explanation path from ``a`` to ``b`` with the adjacency built by
+    scanning every edge: ``both`` predicates either way, ``directed`` ones
+    subject to object when ``forward`` and the reverse otherwise, and the
+    smallest id among parallel edges. The search is the library's own
+    ``graph.best_path``; this oracle checks which edges it is given."""
+    adjacency: dict[str, dict[str, EntityMapping]] = {}
+
+    def connect(u: str, v: str, m: EntityMapping) -> None:
+        slot = adjacency.setdefault(u, {})
+        best = slot.get(v)
+        if best is None or m.id < best.id:
+            slot[v] = m
+
+    for m in edges:
+        s, o = m.subject.canonical, m.object.canonical
+        if m.predicate in both:
+            connect(s, o, m)
+            connect(o, s, m)
+        elif m.predicate in directed:
+            if forward:
+                connect(s, o, m)
+            else:
+                connect(o, s, m)
+    return list(graph.best_path(adjacency, a, (b,), lambda v, _: v) or ())

@@ -374,6 +374,28 @@ def test_post_trickled_body_400_at_deadline(served, monkeypatch):
     assert elapsed < 1.0
 
 
+def test_idle_connections_closed_without_reply_at_deadline(served, monkeypatch):
+    monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.2)
+    host, port = served["base"][len("http://") :].split(":")
+    post = f"POST /assess HTTP/1.1\r\nHost: {host}\r\nContent-Length: 2\r\n\r\n{{}}".encode()
+    with (
+        socket.create_connection((host, int(port)), timeout=5) as silent,
+        socket.create_connection((host, int(port)), timeout=5) as partial,
+        socket.create_connection((host, int(port)), timeout=5) as kept,
+    ):
+        start = time.monotonic()
+        partial.sendall(b"GET /terms/pato:wei")
+        # a request with a body, after which the idle deadline holds again
+        kept.sendall(post)
+        reply = kept.makefile("rb")
+        assert raw_reply(reply)[0] == b"400"
+        assert silent.recv(1) == b""
+        assert partial.recv(1) == b""
+        assert reply.read() == b""
+        elapsed = time.monotonic() - start
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("route", ["/assess", "/transform"])
 def test_post_too_deep_json_400(served, route):
     request = urllib.request.Request(served["base"] + route, data=b"[" * 100_000, method="POST")

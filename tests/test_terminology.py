@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from semint.store import ExpandMode, FindQuery, find
 from semint.terminology import NOOP_MAPPING_ID, TerminologyRegistry
 
 from conftest import add_mapping, make_engine, term
-from oracles import all_shortest_paths, oracle_closures, oracle_ladder, random_mapping_set
+from oracles import all_shortest_paths, explain_path_scan, oracle_closures, oracle_ladder, random_mapping_set
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +563,106 @@ def test_explain_path_edges_alone_give_the_verdict(rng, threshold):
         ends = {a, b} | {m.subject.canonical for m in path} | {m.object.canonical for m in path}
         alone, _ = oracle_ladder(sorted(ends), path)
         assert alone[a, b] == expected, (a, b, path)
+
+
+_PATH_TERMS = [f"ex:p{i}" for i in range(6)]
+_HIERARCHY_PREDICATES = [
+    MappingPredicate.SUB_CLASS_OF,
+    MappingPredicate.SUB_PROPERTY_OF,
+    MappingPredicate.BROAD_MATCH,
+    MappingPredicate.NARROW_MATCH,
+]
+
+
+@st.composite
+def path_mapping_rows(draw):
+    """Mapping rows over six terms: any predicate, narrowMatch included, with
+    up to three copies of a row that differ only in their comment and so in
+    their id, and one hierarchy cycle."""
+    node = st.sampled_from(_PATH_TERMS)
+    rows = draw(
+        st.lists(
+            st.tuples(node, st.sampled_from(list(MappingPredicate)), node, st.integers(1, 3), st.sampled_from([1.0, 0.5])),
+            max_size=18,
+        )
+    )
+    cycle = draw(st.lists(node, min_size=2, max_size=4, unique=True))
+    predicate = draw(st.sampled_from(_HIERARCHY_PREDICATES))
+    rows += [(s, predicate, o, 1, 1.0) for s, o in zip(cycle, cycle[1:] + cycle[:1])]
+    return rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(path_mapping_rows(), st.sampled_from([None, 0.9]))
+def test_explain_path_equals_all_edges_scan(rows, threshold):
+    engine = make_engine()
+    for subject, predicate, object_, copies, confidence in rows:
+        for k in range(copies):
+            add_mapping(engine, subject, predicate, object_, confidence=confidence, comment=f"copy {k}")
+    snap = engine.terminology.compute_closure(threshold)
+    ids = [Gupri(engine.prefix_map.canonicalize(t)) for t in _PATH_TERMS]
+    for a in ids:
+        for b in ids:
+            verdict, both, directed = snap._ladder(a, b)
+            forward = verdict.direction != "narrower"
+            expected = explain_path_scan(snap.edges, a.canonical, b.canonical, both, directed, forward)
+            assert snap.explain_path(a, b) == expected, (a, b, verdict)
+
+
+def test_explain_path_node_index_lives_with_its_snapshot(engine):
+    t = engine.terminology
+    ab = add_mapping(engine, "ex:a", MappingPredicate.SUB_CLASS_OF, "ex:b")
+    bc = add_mapping(engine, "ex:b", MappingPredicate.SUB_CLASS_OF, "ex:c")
+    snap = t.compute_closure()
+    assert "node_index" not in vars(snap)  # not built with the snapshot
+    assert [m.id for m in t.explain_path("ex:a", "ex:c")] == [ab, bc]
+    index = vars(snap)["node_index"]
+    assert [m.id for m in t.explain_path("ex:a", "ex:c")] == [ab, bc]
+    assert t.compute_closure() is snap and vars(snap)["node_index"] is index
+
+    report = t.import_mappings_tsv(
+        "subject_id\tpredicate_id\tobject_id\n"
+        "ex:a\trdfs:subClassOf\tex:c\n"
+        "ex:a\trdfs:subClassOf\tex:d\n"
+        "ex:d\trdfs:subClassOf\tex:c\n"
+    )
+    assert report.accepted == 3
+    direct = t.explain_path("ex:a", "ex:c")
+    assert len(direct) == 1 and direct[0].object.canonical == engine.prefix_map.canonicalize("ex:c")
+    assert t.remove_mapping(direct[0].id)
+    assert [m.id for m in t.explain_path("ex:a", "ex:c")] == [ab, bc]
+    assert t.remove_mapping(ab)
+    via_d = t.explain_path("ex:a", "ex:c")
+    assert len(via_d) == 2 and ab not in {m.id for m in via_d} and direct[0].id not in {m.id for m in via_d}
+    # the first snapshot still explains its own edge set
+    assert [m.id for m in snap.explain_path(*(engine.prefix_map.gupri(x) for x in ("ex:a", "ex:c")))] == [ab, bc]
+
+
+def test_explain_path_concurrent_first_use_matches_serial():
+    engine = make_engine()
+    rng = random.Random(5)
+    nodes, mappings = random_mapping_set(rng, engine.prefix_map, max_terms=60, max_edges=600)
+    for m in mappings:
+        engine.terminology.add_mapping(m)
+    pairs = [(Gupri(rng.choice(nodes)), Gupri(rng.choice(nodes))) for _ in range(200)]
+    serial = [engine.terminology.compute_closure(0.0).explain_path(a, b) for a, b in pairs]
+    snap = engine.terminology.compute_closure()
+    assert "node_index" not in vars(snap)
+    start = threading.Barrier(8, timeout=30)
+
+    def explain_all() -> list[list[EntityMapping]]:
+        start.wait()
+        return [snap.explain_path(a, b) for a, b in pairs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so first uses overlap
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            answers = [f.result(timeout=60) for f in [pool.submit(explain_all) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(answer == serial for answer in answers)
+    assert any(serial)
 
 
 # ---------------------------------------------------------------------------
