@@ -158,7 +158,7 @@ def term_from_doc(data: Any, pm: PrefixMap) -> TermRecord:
     obj = _as_obj(data, "term record")
     referent_kind = decode_enum(ReferentKind, obj.get("referent_kind", "class"), "term record: bad referent_kind")
     return TermRecord(
-        id=pm.gupri(str(_require(obj, "id", "term record"))),
+        id=pm.gupri(_require(obj, "id", "term record")),
         labels=_text_map(obj.get("labels", {}), "term labels"),
         definition=decode_text(obj.get("definition"), "term record: bad definition"),
         recognition_criteria=decode_text(obj.get("recognition_criteria"), "term record: bad recognition_criteria"),
@@ -257,8 +257,8 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
         except MalformedRecord as exc:
             raise MalformedContent(str(exc)) from None
     return StatementSchema(
-        id=pm.gupri(str(_require(obj, "id", "schema document"))),
-        statement_type=pm.gupri(str(_require(obj, "statement_type", "schema document"))),
+        id=pm.gupri(_require(obj, "id", "schema document")),
+        statement_type=pm.gupri(_require(obj, "statement_type", "schema document")),
         label=decode_text(obj.get("label"), "schema document: bad label") or "",
         slots=tuple(slots),
         logical_framework=decode_text(obj.get("logical_framework"), "schema document: bad logical_framework"),
@@ -280,10 +280,8 @@ def fill_from_doc(data: Any, pm: PrefixMap) -> SlotFill:
     value = _typed(_require(obj, "value", "slot fill"), str, "slot fill: bad value")
     try:
         if kind_text == "resource":
-            asserted = obj.get("asserted_class")
-            return SlotFill.resource(
-                pm.gupri(value), pm.gupri(str(asserted)) if asserted else None
-            )
+            asserted = decode_text(obj.get("asserted_class"), "slot fill: bad asserted_class")
+            return SlotFill.resource(pm.gupri(value), pm.gupri(asserted) if asserted else None)
         if kind_text == "literal":
             tag = decode_enum(DatatypeTag, str(_require(obj, "datatype", "slot fill")), "slot fill: bad datatype")
             return SlotFill.literal(value, tag)
@@ -309,7 +307,7 @@ def instance_from_doc(data: Any, pm: PrefixMap) -> StatementInstance:
     fills_obj = _as_obj(_require(obj, "fills", "instance document"), "instance fills")
     fills = {str(slot_id): fill_from_doc(f, pm) for slot_id, f in fills_obj.items()}
     return StatementInstance(
-        schema_id=pm.gupri(str(_require(obj, "schema", "instance document"))),
+        schema_id=pm.gupri(_require(obj, "schema", "instance document")),
         fills=fills,
         provenance=decode_text(obj.get("provenance"), "instance document: bad provenance"),
     )
@@ -375,9 +373,9 @@ def crosswalk_from_doc(data: Any, pm: PrefixMap) -> Crosswalk:
             raise MalformedContent(str(exc)) from None
     provenance = _as_obj(obj.get("provenance", {}), "crosswalk provenance")
     return Crosswalk(
-        id=pm.gupri(str(_require(obj, "id", "crosswalk document"))),
-        source_schema=pm.gupri(str(_require(obj, "source_schema", "crosswalk document"))),
-        target_schema=pm.gupri(str(_require(obj, "target_schema", "crosswalk document"))),
+        id=pm.gupri(_require(obj, "id", "crosswalk document")),
+        source_schema=pm.gupri(_require(obj, "source_schema", "crosswalk document")),
+        target_schema=pm.gupri(_require(obj, "target_schema", "crosswalk document")),
         alignments=tuple(alignments),
         level=level,
         provenance=CrosswalkProvenance(
@@ -446,10 +444,10 @@ def operation_from_doc(data: Any, pm: PrefixMap) -> OperationDescriptor:
         name = _typed(_require(p, "name", "operation param"), str, "operation param: bad name")
         params.append(OperationParam(name=name, datatype=tag))
     return OperationDescriptor(
-        id=pm.gupri(str(_require(obj, "id", "operation document"))),
+        id=pm.gupri(_require(obj, "id", "operation document")),
         label=decode_text(obj.get("label"), "operation document: bad label") or "",
         applicable_schemas=frozenset(
-            pm.gupri(str(s))
+            pm.gupri(s)
             for s in _as_list(_require(obj, "applicable_schemas", "operation document"), "applicable schemas")
         ),
         kind=kind,
@@ -516,7 +514,7 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
     kind = str(_require(content_obj, "kind", "fdo content"))
     content: Gupri | StatementInstance | tuple[StatementInstance, ...]
     if kind == "term_ref":
-        content = pm.gupri(str(_require(content_obj, "term", "fdo content")))
+        content = pm.gupri(_require(content_obj, "term", "fdo content"))
     elif kind == "instance":
         content = instance_from_doc(_require(content_obj, "instance", "fdo content"), pm)
     elif kind == "collection":
@@ -533,11 +531,12 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
     schema_ref: Gupri | tuple[Gupri, ...] | None = None
     raw_ref = obj.get("schema_ref")
     if isinstance(raw_ref, list):
-        schema_ref = tuple(pm.gupri(str(s)) for s in raw_ref)
+        schema_ref = tuple(pm.gupri(s) for s in raw_ref)
     elif raw_ref is not None:
-        schema_ref = pm.gupri(str(raw_ref))
+        schema_ref = pm.gupri(raw_ref)
+    data_identifier = decode_text(obj.get("data_identifier"), "fdo document: bad data_identifier")
     return FdoRecord(
-        gupri=pm.gupri(str(_require(obj, "gupri", "fdo document"))),
+        gupri=pm.gupri(_require(obj, "gupri", "fdo document")),
         content=content,
         schema_ref=schema_ref,
         creator=decode_text(obj.get("creator"), "fdo document: bad creator"),
@@ -548,7 +547,7 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
         certainty=certainty,
         license=decode_text(obj.get("license"), "fdo document: bad license"),
         provenance=_text_map(obj.get("provenance", {}), "fdo provenance"),
-        data_identifier=pm.gupri(str(obj["data_identifier"])) if obj.get("data_identifier") else None,
+        data_identifier=pm.gupri(data_identifier) if data_identifier else None,
     )
 
 

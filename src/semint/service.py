@@ -263,7 +263,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             out = engine.crosswalks.transform_instance(
                 inst,
-                str(body["crosswalk"]),
+                body["crosswalk"],
                 min_confidence=min_confidence,
                 allow_referential=allow_referential,
             )

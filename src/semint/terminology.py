@@ -191,7 +191,12 @@ class EntityMapping:
         author: str | None = None,
         comment: str | None = None,
     ) -> "EntityMapping":
-        """Build a mapping with a deterministic content-derived id."""
+        """Build a mapping with a deterministic content-derived id. An int
+        confidence is kept as its float, the one the exported row reloads."""
+        number = isinstance(confidence, (int, float)) and not isinstance(confidence, bool)
+        if not (number and 0 <= confidence <= 1):
+            raise MalformedRecord(f"confidence {confidence!r} is not a number in [0,1]")
+        confidence = float(confidence)
         digest = hashlib.sha1(
             "\x1f".join(
                 [
@@ -295,15 +300,6 @@ def _mapping_order(m: EntityMapping) -> tuple:
     )
 
 
-def _mappings_by_end(edges: tuple[EntityMapping, ...]) -> dict[str, list[EntityMapping]]:
-    """The mappings at each canonical end, in canonical order."""
-    by_end: dict[str, list[EntityMapping]] = {}
-    for m in sorted(edges, key=_mapping_order):
-        by_end.setdefault(m.subject.canonical, []).append(m)
-        by_end.setdefault(m.object.canonical, []).append(m)
-    return by_end
-
-
 def _classes(root: Mapping[str, str]) -> dict[str, frozenset[str]]:
     """Members keyed by root, from a node-to-root map."""
     groups: dict[str, set[str]] = {}
@@ -358,8 +354,8 @@ class ClosureSnapshot:
     from one class, so a build is about linear in the edge count. ``edges``
     are the mappings the closure was built from, so path explanations walk
     the same edge set the verdicts come from. They reach those edges through
-    :attr:`node_index`, built on the first explanation against the snapshot
-    rather than with it, so a write's first verdict never waits for it.
+    :attr:`node_index`, as ``mappings_between`` does, built on first use
+    rather than with the snapshot, so a write's first verdict never waits.
     """
 
     ont_root: Mapping[str, str]
@@ -443,11 +439,12 @@ class ClosureSnapshot:
         ``after[slot]`` the next one, -1 at the end of the chain.
 
         Built from ``edges`` on first use and kept for the snapshot's life; a
-        filtered snapshot has its own. It holds ints only, so the garbage
-        collector has nothing in it to track or traverse, where a list per
-        node would add an object for each node to every full collection.
-        Two threads that ask at once may both build it; either equal index
-        is kept.
+        filtered snapshot has its own. It is the one index of mappings by
+        node, which ``explain_path`` and ``mappings_between`` read. It holds
+        ints only, so the garbage collector has nothing in it to track or
+        traverse, where a list per node would add an object for each node to
+        every full collection. Two threads that ask at once may both build
+        it; either equal index is kept.
         """
         ends = [end.canonical for m in self.edges for end in (m.subject, m.object)]
         first: dict[str, int] = {}
@@ -458,7 +455,7 @@ class ClosureSnapshot:
         return first, after
 
     def mappings_at(self, node: str) -> Iterator[tuple[EntityMapping, bool]]:
-        """Each mapping with ``node`` at an end, and whether it is the subject end."""
+        """Each mapping at ``node``, latest edge first, and whether ``node`` is its subject."""
         first, after = self.node_index
         slot = first.get(node, -1)
         while slot >= 0:
@@ -503,8 +500,8 @@ class TerminologyRegistry:
 
     Reads run against an immutable :class:`ClosureSnapshot`, derived lazily
     from the mapping table and served only while the table's version is
-    current, as is the index of mappings by end that ``mappings_between``
-    reads.
+    current. The snapshot is the one value the mapping table derives:
+    ``mappings_between`` reads the mappings at a term from it too.
     """
 
     def __init__(self, prefix_map: PrefixMap | None = None):
@@ -578,14 +575,15 @@ class TerminologyRegistry:
         return sorted(self._mappings.rows(), key=_mapping_order)
 
     def mappings_between(self, subject: Gupri | None = None, object: Gupri | None = None) -> list[EntityMapping]:
-        """Stored mappings with each given term at one end, in canonical order."""
+        """Stored mappings with each given term at one end, in canonical order
+        and ties in table order, as :meth:`mappings` lists them. They are read
+        from the closure snapshot, which yields them latest edge first."""
         if subject is None and object is None:
             return self.mappings()
-        by_end = self._mappings.derived(_mappings_by_end)
-        if subject is None or object is None:
-            return list(by_end.get((subject or object).canonical, ()))
-        at_object = {m.id for m in by_end.get(object.canonical, ())}
-        return [m for m in by_end.get(subject.canonical, ()) if m.id in at_object]
+        at = self.compute_closure().mappings_at((subject or object).canonical)
+        other = (object or subject).canonical
+        found = [m for m, _ in at if other in (m.subject.canonical, m.object.canonical)]
+        return sorted(reversed(found), key=_mapping_order)
 
     # -- TSV interchange ----------------------------------------------------
 

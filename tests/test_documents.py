@@ -89,6 +89,8 @@ TEXT_ONLY_FIELDS = {
     "literal-fill-value": ("instance_from_doc", ("fills", "value", "value"), 7),
     "literal-fill-value-bool": ("instance_from_doc", ("fills", "value", "value"), True),
     "resource-fill-value": ("instance_from_doc", ("fills", "quality", "value"), {"x": 1}),
+    "resource-fill-asserted_class": ("instance_from_doc", ("fills", "quality", "asserted_class"), False),
+    "fdo-data_identifier": ("fdo_from_doc", ("data_identifier",), 0),
     "param-name": ("operation_from_doc", ("params", 0, "name"), {"x": 1}),
 }
 
@@ -106,3 +108,12 @@ def test_instance_provenance_is_text_or_none():
     assert documents.instance_from_doc(_replaced(doc, ("provenance",), None), PM).provenance is None
     missing = {key: value for key, value in doc.items() if key != "provenance"}
     assert documents.instance_from_doc(missing, PM).provenance is None
+
+
+def test_empty_identifier_fields_are_absent():
+    fill = {"kind": "resource", "value": "ex:a"}
+    record = VALID["fdo_from_doc"][0]
+    assert documents.fdo_from_doc(record, PM).data_identifier is not None
+    for absent in ("", None):
+        assert documents.fill_from_doc({**fill, "asserted_class": absent}, PM).asserted_class is None
+        assert documents.fdo_from_doc({**record, "data_identifier": absent}, PM).data_identifier is None

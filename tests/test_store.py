@@ -92,6 +92,24 @@ def test_export_import_export_byte_stable(tmp_path):
     assert tree_bytes(first) == tree_bytes(second)
 
 
+def test_int_confidence_keeps_its_id_through_the_store(tmp_path):
+    # confidence=1 is stored as 1.0: the id is that of the same TSV row, and
+    # export -> load -> export is byte-identical from the first export
+    engine = make_engine()
+    mapping_id = add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:b", confidence=1)
+    from_row = make_engine()
+    from_row.terminology.import_mappings_tsv(
+        "subject_id\tpredicate_id\tobject_id\tconfidence\nex:a\towl:sameAs\tex:b\t1\n"
+    )
+    assert [m.id for m in from_row.terminology.mappings()] == [mapping_id]
+    first, second = tmp_path / "first", tmp_path / "second"
+    export_store(engine, first)
+    reloaded = load_store(first)
+    assert [m.id for m in reloaded.terminology.mappings()] == [mapping_id]
+    export_store(reloaded, second)
+    assert tree_bytes(first) == tree_bytes(second)
+
+
 @pytest.mark.parametrize("fail_at", [1, 2])
 def test_failed_export_keeps_every_record(tmp_path, monkeypatch, fail_at):
     # an export that fails partway must not lose what the store held
@@ -412,9 +430,9 @@ def _index_engine():
 @settings(deadline=None, max_examples=100)
 @given(steps=index_steps)
 def test_indexed_reads_match_scans(steps):
-    # the term index behind find and the end index behind mappings_between
-    # are derived once per table version: after every write, each read must
-    # equal a scan of what the tables hold
+    # the term index behind find and the closure snapshot behind
+    # mappings_between are derived once per table version: after every
+    # write, each read must equal a scan of what the tables hold, in order
     engine = _index_engine()
     pm = engine.prefix_map
     records: list[FdoRecord] = []

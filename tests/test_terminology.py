@@ -155,9 +155,11 @@ def test_unknown_predicate_curie():
 
 
 def test_confidence_range_enforced(engine):
-    pm = engine.prefix_map
-    with pytest.raises(MalformedRecord):
-        EntityMapping.create(pm.gupri("ex:a"), MappingPredicate.SAME_AS, pm.gupri("ex:b"), confidence=1.5)
+    # a bool or a non-number is rejected too: no exported row could reload it
+    a, b = engine.prefix_map.gupri("ex:a"), engine.prefix_map.gupri("ex:b")
+    for confidence in (1.5, -0.5, 2, 10**400, float("nan"), True, False, "0.5", None):
+        with pytest.raises(MalformedRecord):
+            EntityMapping.create(a, MappingPredicate.SAME_AS, b, confidence=confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +640,21 @@ def test_explain_path_node_index_lives_with_its_snapshot(engine):
     assert [m.id for m in snap.explain_path(*(engine.prefix_map.gupri(x) for x in ("ex:a", "ex:c")))] == [ab, bc]
 
 
+@pytest.mark.parametrize("confidences", [(0.0, -0.0), (-0.0, 0.0)])
+def test_mappings_between_keeps_table_order_for_ties(engine, confidences):
+    # 0.0 and -0.0 sort equal but give two mappings: both lists keep table order
+    pm, t = engine.prefix_map, engine.terminology
+    add_mapping(engine, "ex:a", MappingPredicate.CLOSE_MATCH, "ex:c")
+    for confidence in confidences:
+        add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:b", confidence=confidence)
+    stored = [m.id for m in t.mappings()]
+    a, b = pm.gupri("ex:a"), pm.gupri("ex:b")
+    for subject, object_ in [(a, None), (None, b), (a, b), (b, a), (a, a)]:
+        found = [m.id for m in t.mappings_between(subject, object_)]
+        assert found == [i for i in stored if i in found], (subject, object_)
+    assert len(t.mappings_between(a)) == 3 and len(t.mappings_between(a, b)) == 2
+
+
 def test_explain_path_concurrent_first_use_matches_serial():
     engine = make_engine()
     rng = random.Random(5)
@@ -894,8 +911,12 @@ def test_filtered_call_builds_closure_once(weight, monkeypatch, call):
                 statement_type=fx.engine.schemas.schema(fx.obi_schema).statement_type,
             ),
         ),
+        lambda fx: fx.engine.terminology.mappings_between(fx.engine.prefix_map.gupri("unit:mass-unit")),
+        lambda fx: fx.engine.terminology.mappings_between(
+            fx.engine.prefix_map.gupri("pato:weight"), fx.engine.prefix_map.gupri("ncit:weight")
+        ),
     ],
-    ids=["assess_record", "find"],
+    ids=["assess_record", "find", "mappings_between-one-end", "mappings_between-both-ends"],
 )
 def test_call_reads_closure_once(weight, monkeypatch, call):
     calls: list[float | None] = []
