@@ -1,7 +1,9 @@
 """Command-line surface over a plain-text store.
 
 Exit codes: 0 success, 1 domain or validation failure, 2 usage error,
-3 parse or IO failure.
+3 parse or IO failure. A store file that cannot be parsed fails every command
+that reads it; a file under ``fdos/`` is read only by the commands that read
+FAIR records (``assess``, ``find``, ``import``, ``export``) and by ``serve``.
 """
 
 from __future__ import annotations
@@ -129,7 +131,9 @@ def _run(args: argparse.Namespace) -> int:
         _emit({"initialized": str(layout.root)})
         return 0
 
-    engine = store.load_store(root)
+    # serve reads every section before it binds, so no handler thread reads
+    # fdos/; any other command reads it only if it reads a FAIR record
+    engine = store.load_store(root) if args.command == "serve" else store.open_store(root)
     pm = engine.prefix_map
 
     if args.command == "import":

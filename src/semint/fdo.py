@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .crosswalks import CrosswalkRegistry
 from .errors import ConflictingFdo, MalformedContent, UnknownFdo
@@ -156,6 +156,11 @@ class FdoRegistry:
         return self.terminology.prefix_map
 
     # -- registry -----------------------------------------------------------------
+
+    def defer(self, fill: Callable[[], None]) -> None:
+        """Leave the records to ``fill``, which registers them; the first
+        access to the records runs it (:meth:`RecordTable.defer`)."""
+        self._records.defer(fill)
 
     def register_fdo(self, record: FdoRecord) -> Gupri:
         record = self._canonicalized(record)

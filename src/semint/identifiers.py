@@ -61,6 +61,9 @@ class PrefixMap:
 
     def __init__(self, bindings: Mapping[str, str] | None = None):
         self._bindings: dict[str, str] = {}
+        # the bindings in the order compress tries them: longest expansion
+        # first, ties by prefix name, so the first match is the one it uses
+        self._match_order: list[tuple[str, str]] = []
         if bindings:
             for prefix, iri in bindings.items():
                 self.register(prefix, iri)
@@ -71,6 +74,7 @@ class PrefixMap:
         if not is_absolute_iri(iri):
             raise InvalidGupri(f"prefix {prefix!r} must expand to an absolute IRI, got {iri!r}")
         self._bindings[prefix] = iri
+        self._match_order = sorted(self._bindings.items(), key=lambda b: (-len(b[1]), b[0]))
 
     def bindings(self) -> list[tuple[str, str]]:
         return sorted(self._bindings.items())
@@ -108,16 +112,10 @@ class PrefixMap:
 
         Deterministic: longest expansion wins, ties broken by prefix name.
         """
-        best: tuple[int, str] | None = None
-        for prefix, expansion in self.bindings():
-            if iri.startswith(expansion) and len(iri) > len(expansion):
-                key = (len(expansion), prefix)
-                if best is None or key[0] > best[0]:
-                    best = (len(expansion), prefix)
-        if best is None:
-            return iri
-        _, prefix = best
-        return f"{prefix}:{iri[len(self._bindings[prefix]):]}"
+        for prefix, expansion in self._match_order:
+            if len(iri) > len(expansion) and iri.startswith(expansion):
+                return f"{prefix}:{iri[len(expansion):]}"
+        return iri
 
     def gupris(self, values: Iterable[str]) -> list[Gupri]:
         return [self.gupri(v) for v in values]

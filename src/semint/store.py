@@ -8,6 +8,10 @@ Layout under the store root:
 * ``schemas/``, ``crosswalks/``, ``operations/``, ``fdos/``
                     one JSON document per file
 
+``load_store`` reads every section into an engine. ``open_store`` reads
+every section but ``fdos/``, which the first access to the engine's FAIR
+records reads, so a caller that never reads a record never pays for them.
+
 Exports are canonical: records sorted by canonical identifier, documents
 emitted with fixed key order, so export-import-export is byte-stable.
 """
@@ -29,7 +33,7 @@ from .fdo import StatementCategory
 from .identifiers import Gupri, PrefixMap
 from .terminology import InteropLevel, TerminologyRegistry
 
-__all__ = ["StoreLayout", "init_store", "load_store", "export_store", "FindQuery", "ExpandMode", "find", "find_document"]
+__all__ = ["StoreLayout", "init_store", "open_store", "load_store", "export_store", "FindQuery", "ExpandMode", "find", "find_document"]
 
 _MAPPING_COLUMNS = TerminologyRegistry.REQUIRED_COLUMNS + TerminologyRegistry.OPTIONAL_COLUMNS
 
@@ -96,12 +100,18 @@ def _read_text(path: Path) -> str:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def load_store(path: str | Path) -> Engine:
-    """Parse every store file into a fresh engine.
+def open_store(path: str | Path) -> Engine:
+    """Parse the store into a fresh engine, leaving the FAIR records unread.
 
-    Errors carry file and line context. Crosswalk documents are loaded with
-    structural checks only; semantic re-validation is the job of
+    Prefixes, terms, mappings, schemas, crosswalks and operations are read
+    now; errors carry file and line context. Crosswalk documents are loaded
+    with structural checks only; semantic re-validation is the job of
     ``crosswalk check``, so a store whose mapping set changed still loads.
+    The ``fdos/`` section is read by the first access to the engine's FAIR
+    records (a record, a listing, ``find``, an assessment by id, a
+    registration or an export), once, and raises its :class:`ParseFailure`
+    there, again at every later access. So an engine that never reads a
+    record never reads ``fdos/``.
     """
     layout = StoreLayout(Path(path))
     if not layout.root.is_dir():
@@ -142,14 +152,29 @@ def load_store(path: str | Path) -> Engine:
         (layout.schemas_dir, documents.schema_from_doc, engine.schemas.register_schema),
         (layout.crosswalks_dir, documents.crosswalk_from_doc, engine.crosswalks._insert_trusted),
         (layout.operations_dir, documents.operation_from_doc, engine.operations.register_operation),
-        (layout.fdos_dir, documents.fdo_from_doc, engine.fdos.register_fdo),
     ):
-        for file, doc in _documents_in(directory):
-            try:
-                register(parse(doc, prefix_map))
-            except SemintError as exc:
-                raise ParseFailure(file, 1, str(exc)) from None
+        _register_documents(directory, parse, register, prefix_map)
+    engine.fdos.defer(
+        lambda: _register_documents(layout.fdos_dir, documents.fdo_from_doc, engine.fdos.register_fdo, prefix_map)
+    )
     return engine
+
+
+def load_store(path: str | Path) -> Engine:
+    """Parse every store file into a fresh engine: :func:`open_store`, then
+    the ``fdos/`` section at once, so the sections are read in the same order
+    and fail with the same errors as by one eager reader."""
+    engine = open_store(path)
+    engine.fdos.records()  # the first access runs the deferred fdos/ read
+    return engine
+
+
+def _register_documents(directory: Path, parse, register, prefix_map: PrefixMap) -> None:
+    for file, doc in _documents_in(directory):
+        try:
+            register(parse(doc, prefix_map))
+        except SemintError as exc:
+            raise ParseFailure(file, 1, str(exc)) from None
 
 
 def _documents_in(directory: Path):
@@ -205,10 +230,14 @@ def export_store(engine: Engine, path: str | Path) -> StoreLayout:
     Every file whose content changes is replaced whole, and documents of
     records the engine no longer holds are deleted only after every write
     succeeded, so an export that fails partway leaves each record of the
-    store loadable. Each directory is listed once, before any write.
+    store loadable. Each directory is listed once, before any write, and
+    after the FAIR records are read: an engine from :func:`open_store` reads
+    ``fdos/`` there, so it never rewrites or deletes a record file it has not
+    read, and a failed read writes nothing.
     """
     layout = StoreLayout(Path(path))
     pm = engine.prefix_map
+    fdo_records = engine.fdos.records()
     try:
         layout.root.mkdir(parents=True, exist_ok=True)
         for d in layout.document_dirs():
@@ -255,7 +284,7 @@ def export_store(engine: Engine, path: str | Path) -> StoreLayout:
             write_document(layout.crosswalks_dir, documents.crosswalk_to_doc(cw, pm), "id", cw.id.canonical)
         for op in engine.operations.operations():
             write_document(layout.operations_dir, documents.operation_to_doc(op, pm), "id", op.id.canonical)
-        for record in engine.fdos.records():
+        for record in fdo_records:
             write_document(layout.fdos_dir, documents.fdo_to_doc(record, pm), "gupri", record.gupri.canonical)
         for stale in sorted(listed_documents - written):
             stale.unlink()

@@ -304,3 +304,16 @@ def explain_path_scan(
             else:
                 connect(o, s, m)
     return list(graph.best_path(adjacency, a, (b,), lambda v, _: v) or ())
+
+
+def compress_scan(bindings: Iterable[tuple[str, str]], iri: str) -> str:
+    """CURIE form of ``iri``: every binding scanned in prefix-name order, the
+    first of the longest expansions that leave a non-empty local part wins."""
+    best: tuple[str, str] | None = None
+    for prefix, expansion in sorted(bindings):
+        if iri.startswith(expansion) and len(iri) > len(expansion):
+            if best is None or len(expansion) > len(best[1]):
+                best = (prefix, expansion)
+    if best is None:
+        return iri
+    return f"{best[0]}:{iri[len(best[1]):]}"

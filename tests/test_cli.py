@@ -7,6 +7,7 @@ import sys
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from semint.errors import MalformedContent, ParseFailure
 from semint.service import make_server
 
 from conftest import build_weight_fixture
-from test_store import populated_fixture
+from test_store import populated_fixture, tree_bytes
 
 
 @pytest.fixture
@@ -331,6 +332,95 @@ def test_import_mappings_table1_direction(tmp_path, capsys):
     assert code == 0
     stored = (fresh / "mappings.tsv").read_text()
     assert "ex:child\trdfs:subClassOf\tex:parent" in stored
+
+
+def _commands(store_dir: Path, tmp_path: Path) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Each command once, with its input files under ``tmp_path``: those
+    that read no FAIR record, and those that read every record file."""
+    from semint.documents import crosswalk_to_doc, fdo_to_doc
+
+    fx = populated_fixture()
+    pm = fx.engine.prefix_map
+    instance = tmp_path / "instance.json"
+    instance.write_text(render(instance_to_doc(fx.instance, pm)))
+    mappings = tmp_path / "new-mappings.tsv"
+    mappings.write_text(
+        "subject_id\tpredicate_id\tobject_id\tmapping_justification\n"
+        "ex:apple\tskos:closeMatch\tex:pear\tmanual-curation\n"
+    )
+    crosswalk = tmp_path / "new-crosswalk.json"
+    doc = crosswalk_to_doc(fx.engine.crosswalks.crosswalk(fx.crosswalk_id), pm)
+    crosswalk.write_text(render({**doc, "id": "ex:weight-crosswalk-copy"}))
+    fdo = tmp_path / "new-fdo.json"
+    fdo.write_text(render(fdo_to_doc(replace(fx.golden, gupri=pm.gupri("ex:fdo-new")), pm)))
+    no_records = {
+        "interop": ["interop", "pato:weight", "ncit:weight"],
+        "validate": ["validate", str(instance)],
+        "transform": ["transform", str(instance), "ex:weight-crosswalk"],
+        "ops": ["ops", "applicable", "obi:weight-schema", "--reachable"],
+        "plan": ["plan", "obi:weight-schema", "oboe:weight-schema"],
+        "crosswalk-check": ["crosswalk", "check", "ex:weight-crosswalk"],
+        "closure": ["closure"],
+    }
+    records = {
+        "assess": ["assess", "ex:fdo-apple-weight"],
+        "find": ["find", "--term", "pato:weight"],
+        "export": ["export"],
+        "import-mappings": ["import", "mappings", str(mappings)],
+        "import-fdo": ["import", "fdo", str(fdo)],
+        "import-crosswalk": ["import", "crosswalk", str(crosswalk)],
+    }
+    return no_records, records
+
+
+def test_corrupt_fdo_file_fails_only_record_commands(store_dir, tmp_path, capsys):
+    # the CLI reads fdos/ only when a command reads a FAIR record
+    no_records, records = _commands(store_dir, tmp_path)
+    clean = {name: run(capsys, "--store", str(store_dir), *argv)[:2] for name, argv in no_records.items()}
+    assert all(code in (0, 1) and out for code, out in clean.values())
+    assert clean["crosswalk-check"][0] == 0
+    broken = sorted((store_dir / "fdos").glob("*.json"))[-1]
+    broken.write_text("{]")
+    for name, argv in no_records.items():
+        code, out, err = run(capsys, "--store", str(store_dir), *argv)
+        assert (code, out) == clean[name], (name, err)
+    before = tree_bytes(store_dir)
+    for name, argv in records.items():
+        code, out, err = run(capsys, "--store", str(store_dir), *argv)
+        assert (code, out) == (3, ""), name
+        error = json.loads(err)
+        assert error["error"] == "parse-failure", name
+        assert error["message"].startswith(f"fdos/{broken.name}:1: "), name
+        # the failed read comes before any write
+        assert tree_bytes(store_dir) == before, name
+
+
+def test_imports_keep_every_record_file(store_dir, tmp_path, capsys):
+    _, records = _commands(store_dir, tmp_path)
+    fdos = {p.name: p.read_bytes() for p in (store_dir / "fdos").glob("*.json")}
+    assert len(fdos) == 2
+    for name in ("import-mappings", "import-crosswalk"):
+        code, _, err = run(capsys, "--store", str(store_dir), *records[name])
+        assert code == 0, err
+        assert {p.name: p.read_bytes() for p in (store_dir / "fdos").glob("*.json")} == fdos, name
+
+
+def test_only_record_commands_parse_record_files(store_dir, tmp_path, capsys, monkeypatch):
+    # every command but the ones that read FAIR records leaves fdos/ unparsed
+    parsed = []
+    parse = documents.fdo_from_doc
+    monkeypatch.setattr(documents, "fdo_from_doc", lambda doc, pm: parsed.append(doc) or parse(doc, pm))
+    no_records, records = _commands(store_dir, tmp_path)
+    for name, argv in no_records.items():
+        code, _, err = run(capsys, "--store", str(store_dir), *argv)
+        assert code in (0, 1), err
+        assert parsed == [], name
+    for name, argv in records.items():
+        files = len(list((store_dir / "fdos").glob("*.json")))
+        parsed.clear()
+        code, _, err = run(capsys, "--store", str(store_dir), *argv)
+        assert code == 0, err
+        assert len(parsed) == files + (name == "import-fdo"), name
 
 
 UNREADABLE_JSON = {

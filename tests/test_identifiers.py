@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semint import Gupri, PrefixMap
 from semint.errors import InvalidGupri
+
+from oracles import compress_scan
 
 
 @pytest.fixture
@@ -88,6 +92,25 @@ def test_compress_leaves_unknown_iri_alone(pm):
 def test_compress_needs_nonempty_local_part(pm):
     # an IRI equal to a binding itself stays uncompressed
     assert pm.compress("http://example.org/pato/") == "http://example.org/pato/"
+
+
+# expansions and IRIs over a two-letter path alphabet, so expansions nest,
+# tie in length and equal the IRIs compressed
+_BASE = "http://example.org/"
+_paths = st.text(alphabet="ab/", max_size=5)
+_bindings = st.lists(st.tuples(st.sampled_from(["a", "b", "ab", "b_1", "z"]), _paths), max_size=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(bindings=_bindings, paths=st.lists(_paths, max_size=6), suffixes=st.lists(_paths, max_size=4))
+def test_compress_matches_sorted_scan(bindings, paths, suffixes):
+    pm = PrefixMap()
+    for prefix, path in bindings:  # a prefix bound again takes its new expansion
+        pm.register(prefix, _BASE + path)
+    expansions = [iri for _, iri in pm.bindings()]
+    iris = [_BASE + p for p in paths] + expansions + [e + s for e in expansions for s in suffixes]
+    for iri in iris:
+        assert pm.compress(iri) == compress_scan(pm.bindings(), iri), iri
 
 
 def test_bad_prefix_registration():

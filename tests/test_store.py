@@ -28,6 +28,7 @@ from semint import (
 )
 from semint.crosswalks import AlignmentStatus
 from semint.errors import EmptyQuery, IoFailure, ParseFailure
+from semint.store import open_store
 
 from conftest import add_mapping, build_weight_fixture, make_engine
 from oracles import find_scan, mappings_between_scan
@@ -266,6 +267,90 @@ def test_wrong_json_shape_parse_failure(tmp_path):
         load_store(tmp_path / "store")
     assert excinfo.value.file.startswith("fdos/")
     assert "expected an array" in excinfo.value.reason
+
+
+def test_failed_record_read_raises_again_and_serves_nothing(tmp_path):
+    fx = populated_fixture()
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    first, last = sorted((root / "fdos").glob("*.json"))
+    last.write_text("{]")
+    engine = open_store(root)
+    assert engine.terminology.interop_level("pato:weight", "ncit:weight").actionable
+    reads = {
+        "records": engine.fdos.records,
+        # the record of the file read before the failing one
+        "record": lambda: engine.fdos.record("ex:fdo-apple-weight"),
+        "find": lambda: find(engine, FindQuery(term=engine.prefix_map.gupri("pato:weight"))),
+        "register": lambda: engine.fdos.register_fdo(replace(fx.golden, gupri=engine.prefix_map.gupri("ex:f"))),
+        "export": lambda: export_store(engine, tmp_path / "copy"),
+    }
+    for name, read in [*reads.items(), *reads.items()]:
+        with pytest.raises(ParseFailure) as excinfo:
+            read()
+        assert (excinfo.value.file, excinfo.value.line) == (f"fdos/{last.name}", 1), name
+    assert not (tmp_path / "copy").exists()
+
+
+def test_first_record_accesses_from_many_threads_read_fdos_once(tmp_path, monkeypatch):
+    # eight threads make the first access at once: each sees every record,
+    # and the record files are parsed once
+    import sys
+    import threading
+
+    fx = populated_fixture()
+    pm = fx.engine.prefix_map
+    weight = pm.gupri("pato:weight")
+    for i in range(200):
+        fx.engine.fdos.register_fdo(FdoRecord(pm.gupri(f"ex:f{i:03d}"), weight))
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    query = FindQuery(term=weight, expand=ExpandMode.REFERENTIAL)
+    expected = (
+        len(fx.engine.fdos.records()),
+        find(fx.engine, query),
+        fx.engine.fdos.assess_fdo("ex:fdo-apple-weight"),
+    )
+    parsed = []
+    parse = documents.fdo_from_doc
+    monkeypatch.setattr(documents, "fdo_from_doc", lambda doc, pm: parsed.append(doc) or parse(doc, pm))
+    engine = open_store(root)
+    assert parsed == []
+    first_access = (
+        lambda: len(engine.fdos.records()),
+        lambda: find(engine, query),
+        lambda: engine.fdos.assess_fdo("ex:fdo-apple-weight"),
+        lambda: engine.fdos.record("ex:f199"),
+    )
+    barrier = threading.Barrier(8)
+    seen: list[tuple] = []
+    errors: list[Exception] = []
+
+    def reader(i: int) -> None:
+        try:
+            barrier.wait(timeout=10)
+            first = first_access[i % 4]()
+            after = (len(engine.fdos.records()), find(engine, query), engine.fdos.assess_fdo("ex:fdo-apple-weight"))
+            seen.append(after)
+            if i % 4 != 3:
+                assert first == after[i % 4]
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert seen == [expected] * 8
+    assert len(parsed) == expected[0] == 202
 
 
 def test_two_crosswalk_files_one_id_conflict(tmp_path):
