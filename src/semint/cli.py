@@ -113,11 +113,15 @@ def _emit(doc) -> None:
     sys.stdout.write(documents.render(doc))
 
 
-def _read_json_file(path: str):
+def _read_file(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return store.read_text(path, path)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json_file(path: str):
+    text = _read_file(path)
     try:
         return documents.load_json(text)
     except ValueError as exc:
@@ -199,12 +203,8 @@ def _run(args: argparse.Namespace) -> int:
 def _run_import(args: argparse.Namespace, engine, root: str) -> int:
     pm = engine.prefix_map
     if args.kind == "terms":
-        try:
-            text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoFailure(f"cannot read {args.file}: {exc}") from exc
         count = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_read_file(args.file).splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -217,11 +217,7 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
         _emit({"imported_terms": count})
         return 0
     if args.kind == "mappings":
-        try:
-            data = Path(args.file).read_bytes()
-        except OSError as exc:
-            raise IoFailure(f"cannot read {args.file}: {exc}") from exc
-        report = engine.terminology.import_mappings_tsv(data, table1_direction=args.table1_direction)
+        report = engine.terminology.import_mappings_tsv(_read_file(args.file), table1_direction=args.table1_direction)
         store.export_store(engine, root)
         _emit(documents.import_report_to_doc(report))
         return 0

@@ -192,16 +192,6 @@ class CrosswalkRegistry:
     def crosswalks(self) -> list[Crosswalk]:
         return self._crosswalks.sorted()
 
-    def _canonicalized(self, cw: Crosswalk) -> Crosswalk:
-        pm = self.prefix_map
-        return replace(
-            cw,
-            id=pm.gupri(cw.id),
-            source_schema=pm.gupri(cw.source_schema),
-            target_schema=pm.gupri(cw.target_schema),
-            alignments=tuple(cw.alignments),
-        )
-
     # -- checking and classification -------------------------------------------
 
     def check_crosswalk(self, cw: Crosswalk | str | Gupri, min_confidence: float | None = None) -> CrosswalkReport:
@@ -315,7 +305,6 @@ class CrosswalkRegistry:
 
     def register_crosswalk(self, cw: Crosswalk) -> Gupri:
         """Store a crosswalk after a full check; the level is computed here."""
-        cw = self._canonicalized(cw)
         stored = replace(cw, level=self._checked_level(self.terminology.compute_closure(), cw))
         self._crosswalks.add(stored.id.canonical, stored, self._content_equal)
         return stored.id
@@ -326,7 +315,6 @@ class CrosswalkRegistry:
         Loading must not fail just because the mapping set no longer supports a
         previously registered crosswalk; ``check`` exists to diagnose that.
         """
-        cw = self._canonicalized(cw)
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
         self._validate_alignment_shape(cw, source, target)
@@ -405,9 +393,7 @@ class CrosswalkRegistry:
         return self._level(cw, report)
 
     def _resolve(self, cw: Crosswalk | str | Gupri) -> Crosswalk:
-        if isinstance(cw, Crosswalk):
-            return self._canonicalized(cw)
-        return self.crosswalk(cw)
+        return cw if isinstance(cw, Crosswalk) else self.crosswalk(cw)
 
     # -- transformation ------------------------------------------------------------
 

@@ -502,7 +502,7 @@ def fdo_to_doc(record: FdoRecord, pm: PrefixMap) -> dict:
         doc["certainty"] = record.certainty.value
     if record.license is not None:
         doc["license"] = record.license
-    doc["provenance"] = dict(record.provenance)
+    doc["provenance"] = dict(sorted(record.provenance.items()))
     if record.data_identifier is not None:
         doc["data_identifier"] = _compact(record.data_identifier, pm)
     return doc

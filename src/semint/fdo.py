@@ -12,7 +12,7 @@ not-applicable. The score is the passed fraction of applicable checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
@@ -163,26 +163,10 @@ class FdoRegistry:
         self._records.defer(fill)
 
     def register_fdo(self, record: FdoRecord) -> Gupri:
-        record = self._canonicalized(record)
         if isinstance(record.content, tuple) and not record.content:
             raise MalformedContent(f"record {record.gupri} wraps an empty collection")
         self._records.add(record.gupri.canonical, record)
         return record.gupri
-
-    def _canonicalized(self, record: FdoRecord) -> FdoRecord:
-        pm = self.prefix_map
-        schema_ref = record.schema_ref
-        if isinstance(schema_ref, tuple):
-            schema_ref = tuple(pm.gupri(s) for s in schema_ref)
-        elif schema_ref is not None:
-            schema_ref = pm.gupri(schema_ref)
-        return replace(
-            record,
-            gupri=pm.gupri(record.gupri),
-            data_identifier=pm.gupri(record.data_identifier) if record.data_identifier else None,
-            schema_ref=schema_ref,
-            provenance=dict(sorted(record.provenance.items())),
-        )
 
     def record(self, gupri: str | Gupri) -> FdoRecord:
         return self._records.get(self.prefix_map.gupri(gupri).canonical)
@@ -204,7 +188,6 @@ class FdoRegistry:
 
     def assess_record(self, record: FdoRecord) -> AssessmentReport:
         """Evaluate the checklist; deterministic given the registries."""
-        record = self._canonicalized(record)
         snap = self.terminology.compute_closure()
         terms = record.content_terms()
         checks = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InvalidGupri
 
@@ -116,6 +116,3 @@ class PrefixMap:
             if len(iri) > len(expansion) and iri.startswith(expansion):
                 return f"{prefix}:{iri[len(expansion):]}"
         return iri
-
-    def gupris(self, values: Iterable[str]) -> list[Gupri]:
-        return [self.gupri(v) for v in values]

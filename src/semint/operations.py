@@ -33,6 +33,7 @@ from .schemas import (
     SlotKind,
     StatementInstance,
     canonical_decimal,
+    literal_parses,
 )
 
 __all__ = [
@@ -138,7 +139,6 @@ class OperationsRegistry:
     # -- registry ---------------------------------------------------------------
 
     def register_operation(self, d: OperationDescriptor) -> Gupri:
-        d = self._canonicalized(d)
         if not d.applicable_schemas:
             raise MalformedDescriptor(f"operation {d.id} lists no applicable schemas")
         for sid in sorted(d.applicable_schemas):
@@ -149,17 +149,6 @@ class OperationsRegistry:
             )
         self._operations.add(d.id.canonical, d)
         return d.id
-
-    def _canonicalized(self, d: OperationDescriptor) -> OperationDescriptor:
-        pm = self.prefix_map
-        return OperationDescriptor(
-            id=pm.gupri(d.id),
-            label=d.label,
-            applicable_schemas=frozenset(pm.gupri(s) for s in d.applicable_schemas),
-            kind=d.kind,
-            params=tuple(d.params),
-            tool=d.tool,
-        )
 
     def operation(self, id: str | Gupri) -> OperationDescriptor:
         return self._operations.get(self.prefix_map.gupri(id).canonical)
@@ -269,6 +258,7 @@ class OperationsRegistry:
             value_fill is None
             or value_fill.kind is not SlotKind.LITERAL
             or value_fill.datatype is not DatatypeTag.DECIMAL
+            or not literal_parses(value_fill.value, DatatypeTag.DECIMAL)  # type: ignore[arg-type]
         ):
             raise NonDecimalValue(f"slot {value_slot!r} does not hold a decimal literal")
         if unit_fill is None or unit_fill.kind is not SlotKind.RESOURCE:
@@ -276,10 +266,7 @@ class OperationsRegistry:
         target = self.prefix_map.gupri(target_unit)
         source_exp = self._unit_exponent(unit_fill.value)  # type: ignore[arg-type]
         target_exp = self._unit_exponent(target)
-        try:
-            scaled = Decimal(value_fill.value).scaleb(source_exp - target_exp)  # type: ignore[arg-type]
-        except Exception as exc:
-            raise NonDecimalValue(f"cannot scale {value_fill.value!r}: {exc}") from exc
+        scaled = Decimal(value_fill.value).scaleb(source_exp - target_exp)  # type: ignore[arg-type]
         new_value = canonical_decimal(format(scaled, "f"))
         fills = dict(inst.fills)
         fills[value_slot] = SlotFill.literal(new_value, DatatypeTag.DECIMAL)

@@ -56,8 +56,9 @@ class SlotKind(Enum):
     LITERAL = "literal"
 
 
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
-_INTEGER_RE = re.compile(r"^[+-]?\d+$")
+# ASCII digits only, matched whole: \d takes any Unicode digit and $ a final newline
+_DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 # datetime.fromisoformat's grammar on Python 3.10, which later versions widen,
 # with the date and time separated as ISO 8601 and RFC 3339 allow, where 3.10
 # takes any character: YYYY-MM-DD[(T| )HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]]
@@ -70,7 +71,7 @@ _DATETIME_RE = re.compile(
 
 def canonical_decimal(text: str) -> str:
     """Trimmed canonical form of a decimal string; exact, no float rounding."""
-    if not _DECIMAL_RE.match(text):
+    if not _DECIMAL_RE.fullmatch(text):
         raise ValueError(f"not a decimal: {text!r}")
     sign = "-" if text[0] == "-" else ""
     digits = text.lstrip("+-")
@@ -91,9 +92,9 @@ def literal_parses(value: str, tag: DatatypeTag) -> bool:
     if tag is DatatypeTag.STRING:
         return True
     if tag is DatatypeTag.DECIMAL:
-        return bool(_DECIMAL_RE.match(value))
+        return bool(_DECIMAL_RE.fullmatch(value))
     if tag is DatatypeTag.INTEGER:
-        return bool(_INTEGER_RE.match(value))
+        return bool(_INTEGER_RE.fullmatch(value))
     if tag is DatatypeTag.BOOLEAN:
         return value in ("true", "false")
     if tag is DatatypeTag.DATETIME:
@@ -229,7 +230,6 @@ class SchemaRegistry:
         return self.terminology.prefix_map
 
     def register_schema(self, schema: StatementSchema) -> Gupri:
-        schema = self._canonicalized(schema)
         seen: set[str] = set()
         for slot in schema.slots:
             if slot.slot_id in seen:
@@ -239,26 +239,6 @@ class SchemaRegistry:
             raise NoRequiredSlot(f"schema {schema.id} declares no required slot")
         self._schemas.add(schema.id.canonical, schema)
         return schema.id
-
-    def _canonicalized(self, schema: StatementSchema) -> StatementSchema:
-        pm = self.prefix_map
-        slots = tuple(
-            SlotSpec(
-                slot_id=s.slot_id,
-                role=s.role,
-                kind=s.kind,
-                constraint=pm.gupri(s.constraint) if isinstance(s.constraint, Gupri) else s.constraint,
-                required=s.required,
-            )
-            for s in schema.slots
-        )
-        return StatementSchema(
-            id=pm.gupri(schema.id),
-            statement_type=pm.gupri(schema.statement_type),
-            label=schema.label,
-            slots=slots,
-            logical_framework=schema.logical_framework,
-        )
 
     def schema(self, id: str | Gupri) -> StatementSchema:
         return self._schemas.get(self.prefix_map.gupri(id).canonical)

@@ -91,9 +91,22 @@ def init_store(path: str | Path) -> StoreLayout:
     return layout
 
 
-def _read_text(path: Path) -> str:
+def read_text(path: str | Path, name: str) -> str:
+    """A file from outside the process as UTF-8 text. A file that cannot be
+    read raises :class:`OSError`; bytes that are not UTF-8 raise
+    :class:`ParseFailure` naming ``name`` and the line of the first bad byte."""
+    with open(path, "rb") as file:
+        data = file.read()
     try:
-        return path.read_text(encoding="utf-8")
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseFailure(name, line, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def _read_store_file(path: Path, name: str) -> str:
+    try:
+        return read_text(path, name)
     except FileNotFoundError:
         raise IoFailure(f"missing store file {path}") from None
     except OSError as exc:
@@ -117,7 +130,7 @@ def open_store(path: str | Path) -> Engine:
     if not layout.root.is_dir():
         raise IoFailure(f"no store at {layout.root}")
     prefix_map = PrefixMap()
-    for lineno, line in enumerate(_read_text(layout.prefixes_path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_store_file(layout.prefixes_path, "prefixes").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -130,7 +143,7 @@ def open_store(path: str | Path) -> Engine:
     engine = Engine.empty(prefix_map)
 
     if layout.terms_path.exists():
-        for lineno, line in enumerate(_read_text(layout.terms_path).splitlines(), start=1):
+        for lineno, line in enumerate(_read_store_file(layout.terms_path, "terms").splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -140,8 +153,9 @@ def open_store(path: str | Path) -> Engine:
                 raise ParseFailure("terms", lineno, str(exc)) from None
 
     if layout.mappings_path.exists():
+        text = _read_store_file(layout.mappings_path, "mappings.tsv")
         try:
-            report = engine.terminology.import_mappings_tsv(_read_text(layout.mappings_path))
+            report = engine.terminology.import_mappings_tsv(text)
         except SemintError as exc:
             raise ParseFailure("mappings.tsv", 1, str(exc)) from None
         if report.rejected:
@@ -181,12 +195,13 @@ def _documents_in(directory: Path):
     if not directory.is_dir():
         return
     for file in sorted(directory.glob("*.json")):
+        name = str(file.relative_to(directory.parent))
         try:
-            yield str(file.relative_to(directory.parent)), documents.load_json(file.read_text(encoding="utf-8"))
+            yield name, documents.load_json(read_text(file, name))
         except OSError as exc:
             raise IoFailure(f"cannot read {file}: {exc}") from exc
         except ValueError as exc:
-            raise ParseFailure(str(file.relative_to(directory.parent)), 1, str(exc)) from None
+            raise ParseFailure(name, 1, str(exc)) from None
 
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -325,20 +340,18 @@ def find(engine: Engine, query: FindQuery) -> list[Gupri]:
     snap = engine.terminology.compute_closure()
     wanted_terms: frozenset[str] | None = None
     if query.term is not None:
-        term = engine.prefix_map.gupri(query.term)
         if query.expand is ExpandMode.NONE:
-            wanted_terms = frozenset({term.canonical})
+            wanted_terms = frozenset({query.term.canonical})
         else:
             level = (
                 InteropLevel.ONTOLOGICAL
                 if query.expand is ExpandMode.ONTOLOGICAL
                 else InteropLevel.REFERENTIAL
             )
-            wanted_terms = snap.equivalence_class(term, level)
+            wanted_terms = snap.equivalence_class(query.term, level)
     wanted_schemas: set[str] | None = None
     if query.statement_type is not None:
-        statement_type = engine.prefix_map.gupri(query.statement_type)
-        wanted_schemas = {s.canonical for s in engine.schemas.schemas_for_statement_type_at(snap, statement_type)}
+        wanted_schemas = {s.canonical for s in engine.schemas.schemas_for_statement_type_at(snap, query.statement_type)}
     candidates = engine.fdos.records() if wanted_terms is None else engine.fdos.records_mentioning(wanted_terms)
     results = []
     for record in candidates:

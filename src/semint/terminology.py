@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import re
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import chain
@@ -513,9 +513,8 @@ class TerminologyRegistry:
     # -- term registry ------------------------------------------------------
 
     def register_term(self, record: TermRecord) -> Gupri:
-        gid = self.prefix_map.gupri(record.id)
-        self._terms.add(gid.canonical, replace(record, id=gid))
-        return gid
+        self._terms.add(record.id.canonical, record)
+        return record.id
 
     def term(self, id: str | Gupri) -> TermRecord:
         return self._terms.get(self.prefix_map.gupri(id).canonical)

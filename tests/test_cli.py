@@ -440,6 +440,45 @@ def test_unreadable_json_file_parse_failure(store_dir, tmp_path, capsys, text):
         assert json.loads(err)["error"] == "parse-failure"
 
 
+NON_UTF8_INPUT_COMMANDS = {
+    "validate": ["validate", "{file}"],
+    "transform": ["transform", "{file}", "ex:weight-crosswalk"],
+    "crosswalk-check": ["crosswalk", "check", "{file}"],
+    "crosswalk-compose": ["crosswalk", "compose", "{file}", "ex:weight-crosswalk"],
+    **{f"import-{kind}": ["import", kind, "{file}"] for kind in ("terms", "mappings", "schema", "crosswalk", "operation", "fdo")},
+}
+
+
+@pytest.mark.parametrize("argv", NON_UTF8_INPUT_COMMANDS.values(), ids=NON_UTF8_INPUT_COMMANDS)
+def test_non_utf8_input_file_parse_failure(store_dir, tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b'{\n"\xff": 1}\n')
+    before = tree_bytes(store_dir)
+    code, out, err = run(capsys, "--store", str(store_dir), *(a.format(file=path) for a in argv))
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "parse-failure"
+    assert error["message"].startswith(f"{path}:2: not UTF-8")
+    assert tree_bytes(store_dir) == before
+
+
+@pytest.mark.parametrize("name", ["prefixes", "terms", "mappings.tsv"])
+def test_non_utf8_store_file_fails_every_command(store_dir, tmp_path, capsys, name):
+    no_records, records = _commands(store_dir, tmp_path)
+    file = store_dir / name
+    data = file.read_bytes()
+    file.write_bytes(data + b"\xff\n")
+    line = data.count(b"\n") + 1
+    before = tree_bytes(store_dir)
+    for command, argv in {**no_records, **records}.items():
+        code, out, err = run(capsys, "--store", str(store_dir), *argv)
+        assert (code, out) == (3, ""), command
+        error = json.loads(err)
+        assert error["error"] == "parse-failure", command
+        assert error["message"].startswith(f"{name}:{line}: not UTF-8"), command
+        assert tree_bytes(store_dir) == before, command
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     root = tmp_path / "broken"
     run(capsys, "--store", str(root), "init")

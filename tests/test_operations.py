@@ -403,6 +403,20 @@ def test_convert_non_decimal_value(weight):
         )
 
 
+@pytest.mark.parametrize("value", ["1e3", "5_000", " 7", "NaN", "Infinity"])
+def test_convert_refuses_text_outside_the_decimal_grammar(weight, value):
+    # Decimal() reads each of these; the decimal literal grammar reads none
+    fills = dict(weight.instance.fills)
+    fills["value"] = SlotFill.literal(value, DatatypeTag.DECIMAL)
+    with pytest.raises(NonDecimalValue):
+        weight.engine.operations.convert_unit(
+            StatementInstance(schema_id=weight.obi_schema, fills=fills),
+            "value",
+            "unit",
+            "unit:kilogram",
+        )
+
+
 def test_convert_validates_output(weight):
     out = weight.engine.operations.convert_unit(weight.instance, "value", "unit", "unit:kilogram")
     assert weight.engine.schemas.validate_instance(out).valid

@@ -59,6 +59,12 @@ def test_canonical_decimal_rejects_nonsense():
         canonical_decimal("twelve")
 
 
+@pytest.mark.parametrize("text", ["1.50\n", "٣.٥", "12\n"])
+def test_canonical_decimal_matches_the_whole_text_in_ascii_digits(text):
+    with pytest.raises(ValueError):
+        canonical_decimal(text)
+
+
 @pytest.mark.parametrize(
     "value,tag,ok",
     [
@@ -81,6 +87,13 @@ def test_canonical_decimal_rejects_nonsense():
         ("2024-01-01+00:00", DatatypeTag.DATETIME, False),
         ("2024-01-01x10:00", DatatypeTag.DATETIME, False),
         ("anything", DatatypeTag.STRING, True),
+        # ASCII digits only, and the whole text: no final newline
+        ("12\n", DatatypeTag.INTEGER, False),
+        ("١٢", DatatypeTag.INTEGER, False),
+        ("1.5\n", DatatypeTag.DECIMAL, False),
+        ("٣.٥", DatatypeTag.DECIMAL, False),
+        ("1.50\n", DatatypeTag.DECIMAL, False),
+        ("-.5", DatatypeTag.DECIMAL, True),
     ],
 )
 def test_literal_parses(value, tag, ok):

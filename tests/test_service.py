@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from semint import export_store, load_store
 from semint.cli import main
+from semint import documents
 from semint.documents import instance_to_doc, render
 from semint import service
 from semint.service import make_server
@@ -150,6 +151,41 @@ def test_get_fdo_and_assessment(served):
 def test_get_fdo_unknown_404(served):
     status, body = http_get(served["base"], "/fdos/" + quote("ex:fdo-ghost", safe=""))
     assert status == 404
+
+
+def test_fdo_provenance_keys_render_sorted(tmp_path):
+    # one record registered through the API, one read from a store file,
+    # each with its provenance keys out of order
+    fx = build_weight_fixture(register_golden=False)
+    pm = fx.engine.prefix_map
+    provenance = {"b": "second", "a": "first"}
+    fx.engine.fdos.register_fdo(replace(fx.golden, gupri=pm.gupri("ex:fdo-api"), provenance=provenance))
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    from_file = documents.fdo_to_doc(replace(fx.golden, gupri=pm.gupri("ex:fdo-file")), pm)
+    (root / "fdos" / "by-hand.json").write_text(render({**from_file, "provenance": provenance}))
+
+    def provenance_keys(store: Path) -> dict[str, list[str]]:
+        docs = [json.loads(p.read_text()) for p in (store / "fdos").glob("*.json")]
+        return {doc["gupri"]: list(doc["provenance"]) for doc in docs}
+
+    assert provenance_keys(root) == {"ex:fdo-api": ["a", "b"], "ex:fdo-file": ["b", "a"]}
+    engine = load_store(root)
+    exported = tmp_path / "exported"
+    export_store(engine, exported)
+    assert provenance_keys(exported) == {"ex:fdo-api": ["a", "b"], "ex:fdo-file": ["a", "b"]}
+    server = make_server(engine, "127.0.0.1:0")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        for gupri in ("ex:fdo-api", "ex:fdo-file"):
+            status, body = http_get(f"http://{host}:{port}", "/fdos/" + quote(gupri, safe=""))
+            assert status == 200
+            assert list(json.loads(body)["provenance"]) == ["a", "b"], gupri
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_get_find(served):
