@@ -194,12 +194,12 @@ class CrosswalkRegistry:
 
     # -- checking and classification -------------------------------------------
 
-    def check_crosswalk(self, cw: Crosswalk | str | Gupri, min_confidence: float | None = None) -> CrosswalkReport:
+    def check_crosswalk(
+        self, cw: Crosswalk | str | Gupri, min_confidence: float | None = None, *, snap: ClosureSnapshot | None = None
+    ) -> CrosswalkReport:
         """Grade every alignment and report required-slot coverage."""
         cw = self._resolve(cw)
-        return self._check(self.terminology.compute_closure(min_confidence), cw)
-
-    def _check(self, snap: ClosureSnapshot, cw: Crosswalk) -> CrosswalkReport:
+        snap = self.terminology.call_snapshot(snap, min_confidence)
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
         self._validate_alignment_shape(cw, source, target)
@@ -270,7 +270,7 @@ class CrosswalkRegistry:
     def classify_crosswalk(self, cw: Crosswalk | str | Gupri, min_confidence: float | None = None) -> CrosswalkLevel:
         """Ontological iff all slots of both schemas are covered at ontological grade."""
         cw = self._resolve(cw)
-        return self._level(cw, self._check(self.terminology.compute_closure(min_confidence), cw))
+        return self._level(cw, self.check_crosswalk(cw, min_confidence))
 
     def _level(self, cw: Crosswalk, report: CrosswalkReport) -> CrosswalkLevel:
         """Classification of a crosswalk from its check report."""
@@ -354,7 +354,7 @@ class CrosswalkRegistry:
         return replace(composed, level=level)
 
     def _level_of(self, snap: ClosureSnapshot, cw: Crosswalk) -> CrosswalkLevel:
-        return cw.level if cw.level is not None else self._level(cw, self._check(snap, cw))
+        return cw.level if cw.level is not None else self._level(cw, self.check_crosswalk(cw, snap=snap))
 
     def invert_crosswalk(self, cw: Crosswalk | str | Gupri, id: Gupri | None = None) -> Crosswalk:
         """Swap source and target; alignments are reversed.
@@ -382,7 +382,7 @@ class CrosswalkRegistry:
     ) -> CrosswalkLevel:
         """Level of a crosswalk that must pass its check, from one check; an
         uncovered required target slot raises ``uncovered``, noting ``context``."""
-        report = self._check(snap, cw)
+        report = self.check_crosswalk(cw, snap=snap)
         for c in report.checks:
             if c.status in (AlignmentStatus.ROLE_MISMATCH, AlignmentStatus.INCOMPATIBLE):
                 raise IncompatibleAlignment(self._report_problem(report))
@@ -418,7 +418,7 @@ class CrosswalkRegistry:
         cw = self._resolve(cw)
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
-        report = self.schemas.validate_instance_at(snap, inst)
+        report = self.schemas.validate_instance(inst, snap=snap)
         if not report.valid:
             first = report.violations[0]
             raise SourceInvalid(
@@ -454,7 +454,7 @@ class CrosswalkRegistry:
                     slot_id,
                 )
         out = StatementInstance(schema_id=target.id, fills=out_fills, provenance=inst.provenance)
-        post = self.schemas.validate_instance_at(snap, out)
+        post = self.schemas.validate_instance(out, snap=snap)
         if not post.valid:
             first = post.violations[0]
             raise TargetInvalid(

@@ -46,6 +46,24 @@ class MalformedContent(SemintError):
     http_status = 400
 
 
+class NotUtf8(MalformedContent):
+    """Bytes from outside the process that are not UTF-8 text."""
+
+    def __init__(self, line: int, reason: str):
+        super().__init__(f"line {line}: {reason}")
+        self.line, self.reason = line, reason
+
+
+def decode_utf8(data: bytes) -> str:
+    """``data`` as UTF-8 text; bytes that are not UTF-8 raise :class:`NotUtf8`
+    naming the line and byte of the first bad one."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise NotUtf8(line, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 class MalformedDescriptor(SemintError):
     tag = "malformed-descriptor"
     http_status = 400

@@ -255,7 +255,7 @@ class FdoRegistry:
             if not self.terminology.has_term(t):
                 failing.append(str(t))
                 continue
-            audit = {c.check_id: c.status for c in self.terminology.audit_term_fairness_at(snap, t).checks}
+            audit = {c.check_id: c.status for c in self.terminology.audit_term_fairness(t, snap=snap).checks}
             if audit["has_multilingual_labels"] != "pass" or audit["has_synonyms"] != "pass":
                 failing.append(str(t))
         if failing:
@@ -271,7 +271,7 @@ class FdoRegistry:
         for inst in instances:
             if not self.schemas.has_schema(inst.schema_id):
                 return CheckStatus.FAIL, f"schema {inst.schema_id} not registered"
-            report = self.schemas.validate_instance_at(snap, inst)
+            report = self.schemas.validate_instance(inst, snap=snap)
             if not report.valid:
                 first = report.violations[0]
                 return CheckStatus.FAIL, f"instance invalid: {first.code} on {first.slot_id}"
@@ -289,7 +289,7 @@ class FdoRegistry:
             roots.add(snap.referential_root(schema.statement_type))
         groups = {
             snap.referential_root(g.statement_type): g
-            for g in self.schemas.detect_schema_duplicates_at(snap, self.crosswalks)
+            for g in self.schemas.detect_schema_duplicates(self.crosswalks, snap=snap)
         }
         relevant = [groups[r] for r in sorted(roots) if r in groups]
         if not relevant:

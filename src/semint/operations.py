@@ -266,7 +266,9 @@ class OperationsRegistry:
         target = self.prefix_map.gupri(target_unit)
         source_exp = self._unit_exponent(unit_fill.value)  # type: ignore[arg-type]
         target_exp = self._unit_exponent(target)
-        scaled = Decimal(value_fill.value).scaleb(source_exp - target_exp)  # type: ignore[arg-type]
+        # moving the exponent rounds nothing, where scaleb rounds to the context's 28 digits
+        sign, digits, exponent = Decimal(value_fill.value).as_tuple()  # type: ignore[arg-type]
+        scaled = Decimal((sign, digits, exponent + source_exp - target_exp))  # type: ignore[operator]
         new_value = canonical_decimal(format(scaled, "f"))
         fills = dict(inst.fills)
         fills[value_slot] = SlotFill.literal(new_value, DatatypeTag.DECIMAL)

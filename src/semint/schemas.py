@@ -289,14 +289,10 @@ class SchemaRegistry:
         *,
         strict: bool = False,
         min_confidence: float | None = None,
+        snap: ClosureSnapshot | None = None,
     ) -> ValidationReport:
         """Check a token model against its type model; never raises on content."""
-        return self.validate_instance_at(self.terminology.compute_closure(min_confidence), inst, strict=strict)
-
-    def validate_instance_at(
-        self, snap: ClosureSnapshot, inst: StatementInstance, *, strict: bool = False
-    ) -> ValidationReport:
-        """:meth:`validate_instance` against a given closure snapshot."""
+        snap = self.terminology.call_snapshot(snap, min_confidence)
         schema = self.schema(inst.schema_id)
         violations: list[Violation] = []
         for slot in schema.slots:
@@ -353,26 +349,21 @@ class SchemaRegistry:
 
     # -- statement-type queries -------------------------------------------------
 
-    def schemas_for_statement_type(self, p: str | Gupri, min_confidence: float | None = None) -> list[Gupri]:
+    def schemas_for_statement_type(
+        self, p: str | Gupri, min_confidence: float | None = None, *, snap: ClosureSnapshot | None = None
+    ) -> list[Gupri]:
         """Schemas whose statement type is referentially equivalent to ``p``."""
         gp = self.prefix_map.gupri(p)
-        return self.schemas_for_statement_type_at(self.terminology.compute_closure(min_confidence), gp)
-
-    def schemas_for_statement_type_at(self, snap: ClosureSnapshot, p: Gupri) -> list[Gupri]:
-        """:meth:`schemas_for_statement_type` against a given closure snapshot."""
-        wanted = snap.referential_class(p)
+        wanted = self.terminology.call_snapshot(snap, min_confidence).referential_class(gp)
         return [s.id for s in self.schemas() if s.statement_type.canonical in wanted]
 
-    def detect_schema_duplicates(self, crosswalks) -> list[DuplicateGroup]:
+    def detect_schema_duplicates(self, crosswalks, *, snap: ClosureSnapshot | None = None) -> list[DuplicateGroup]:
         """Groups of schemas modeling the same statement type.
 
         A group is crosswalk-covered when every schema pair in it is connected
         in the crosswalk registry, composition allowed.
         """
-        return self.detect_schema_duplicates_at(self.terminology.compute_closure(), crosswalks)
-
-    def detect_schema_duplicates_at(self, snap: ClosureSnapshot, crosswalks) -> list[DuplicateGroup]:
-        """:meth:`detect_schema_duplicates` against a given closure snapshot."""
+        snap = self.terminology.call_snapshot(snap)
         groups: dict[str, list[StatementSchema]] = {}
         for schema in self.schemas():
             groups.setdefault(snap.referential_root(schema.statement_type), []).append(schema)

@@ -28,7 +28,7 @@ from typing import Mapping
 
 from . import documents
 from .engine import Engine
-from .errors import EmptyQuery, IoFailure, ParseFailure, SemintError
+from .errors import EmptyQuery, IoFailure, NotUtf8, ParseFailure, SemintError, decode_utf8
 from .fdo import StatementCategory
 from .identifiers import Gupri, PrefixMap
 from .terminology import InteropLevel, TerminologyRegistry
@@ -98,10 +98,9 @@ def read_text(path: str | Path, name: str) -> str:
     with open(path, "rb") as file:
         data = file.read()
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseFailure(name, line, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+        return decode_utf8(data)
+    except NotUtf8 as exc:
+        raise ParseFailure(name, exc.line, exc.reason) from None
 
 
 def _read_store_file(path: Path, name: str) -> str:
@@ -351,7 +350,7 @@ def find(engine: Engine, query: FindQuery) -> list[Gupri]:
             wanted_terms = snap.equivalence_class(query.term, level)
     wanted_schemas: set[str] | None = None
     if query.statement_type is not None:
-        wanted_schemas = {s.canonical for s in engine.schemas.schemas_for_statement_type_at(snap, query.statement_type)}
+        wanted_schemas = {s.canonical for s in engine.schemas.schemas_for_statement_type(query.statement_type, snap=snap)}
     candidates = engine.fdos.records() if wanted_terms is None else engine.fdos.records_mentioning(wanted_terms)
     results = []
     for record in candidates:

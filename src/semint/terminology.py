@@ -36,6 +36,7 @@ from .errors import (
     MissingRequiredColumn,
     UnknownPredicate,
     UnknownTerm,
+    decode_utf8,
 )
 from .identifiers import Gupri, PrefixMap
 from .records import RecordTable
@@ -595,12 +596,11 @@ class TerminologyRegistry:
         Lines starting with ``#`` are metadata comments. Rows that fail to
         parse are reported with their line number; the rest are ingested.
         With ``table1_direction`` the subject of subClassOf/subPropertyOf rows
-        is read as the parent and the edge is flipped on storage.
+        is read as the parent and the edge is flipped on storage. ``bytes``
+        that are not UTF-8 raise :class:`MalformedContent` naming the line
+        and byte of the first bad one.
         """
-        if isinstance(data, bytes):
-            text = data.decode("utf-8")
-        else:
-            text = data
+        text = decode_utf8(data) if isinstance(data, bytes) else data
         header: list[str] | None = None
         accepted = 0
         rejected: list[RejectedRow] = []
@@ -663,6 +663,15 @@ class TerminologyRegistry:
             return self._build_snapshot(tuple(m for m in self._mappings.rows() if m.confidence >= min_confidence))
         return self._mappings.derived(self._build_snapshot)
 
+    def call_snapshot(self, snap: ClosureSnapshot | None, min_confidence: float | None = None) -> ClosureSnapshot:
+        """The one snapshot a public call reads: ``snap`` when its caller holds
+        the call's snapshot, which fixes the threshold too, else :meth:`compute_closure`."""
+        if snap is None:
+            return self.compute_closure(min_confidence)
+        if min_confidence is not None:
+            raise TypeError("give snap or min_confidence, not both")
+        return snap
+
     @staticmethod
     def _build_snapshot(edges: tuple[EntityMapping, ...]) -> ClosureSnapshot:
         # a predicate set test runs Enum.__hash__ in Python, so each edge is
@@ -716,12 +725,9 @@ class TerminologyRegistry:
 
     # -- audits ---------------------------------------------------------------
 
-    def audit_term_fairness(self, id: str | Gupri) -> TermAudit:
+    def audit_term_fairness(self, id: str | Gupri, *, snap: ClosureSnapshot | None = None) -> TermAudit:
         """Per-criterion vocabulary-quality audit of a registered term."""
-        return self.audit_term_fairness_at(self.compute_closure(), id)
-
-    def audit_term_fairness_at(self, snap: ClosureSnapshot, id: str | Gupri) -> TermAudit:
-        """:meth:`audit_term_fairness` against a given closure snapshot."""
+        snap = self.call_snapshot(snap)
         record = self.term(id)
         checks = []
         checks.append(

@@ -374,6 +374,17 @@ def test_convert_gram_to_milligram(weight):
     assert out.fills["value"].value == "212450"
 
 
+def test_convert_is_exact_beyond_28_digits(weight):
+    engine = weight.engine
+    fills = dict(weight.instance.fills)
+    fills["value"] = SlotFill.literal("1234567890123456789012345678.91", DatatypeTag.DECIMAL)
+    long = StatementInstance(schema_id=weight.obi_schema, fills=fills)
+    there = engine.operations.convert_unit(long, "value", "unit", "unit:kilogram")
+    assert there.fills["value"].value == "1234567890123456789012345.67891"
+    back = engine.operations.convert_unit(there, "value", "unit", "unit:gram")
+    assert back.fills["value"].value == "1234567890123456789012345678.91"
+
+
 def test_convert_unknown_unit(weight):
     engine = weight.engine
     pm = engine.prefix_map

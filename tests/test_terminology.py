@@ -15,12 +15,15 @@ from semint import (
     Gupri,
     InteropLevel,
     MappingPredicate,
+    SchemaRegistry,
     SlotAlignment,
     TermRecord,
+    identity_crosswalk,
 )
 from semint.errors import (
     ConflictingTermRecord,
     InvalidGupri,
+    MalformedContent,
     MalformedRecord,
     MissingRequiredColumn,
     UnknownPredicate,
@@ -183,6 +186,15 @@ def test_import_tsv_missing_required_column(engine):
     data = "subject_id\tobject_id\nex:a\tex:b\n"
     with pytest.raises(MissingRequiredColumn):
         engine.terminology.import_mappings_tsv(data)
+
+
+def test_import_tsv_bytes_not_utf8_is_tagged(engine):
+    data = b"subject_id\tpredicate_id\tobject_id\n\xff\n"
+    with pytest.raises(MalformedContent) as err:
+        engine.terminology.import_mappings_tsv(data)
+    assert err.value.tag == "malformed-content"
+    assert str(err.value) == "line 2: not UTF-8: invalid start byte at byte 34"
+    assert engine.terminology.mappings() == []
 
 
 def test_import_tsv_malformed_row_reported_others_ingested(engine):
@@ -915,8 +927,34 @@ def test_filtered_call_builds_closure_once(weight, monkeypatch, call):
         lambda fx: fx.engine.terminology.mappings_between(
             fx.engine.prefix_map.gupri("pato:weight"), fx.engine.prefix_map.gupri("ncit:weight")
         ),
+        lambda fx: fx.engine.schemas.validate_instance(fx.instance),
+        lambda fx: fx.engine.schemas.schemas_for_statement_type("obi:weight-assay"),
+        lambda fx: fx.engine.schemas.detect_schema_duplicates(fx.engine.crosswalks),
+        lambda fx: fx.engine.terminology.audit_term_fairness("pato:weight"),
+        lambda fx: fx.engine.crosswalks.check_crosswalk(fx.crosswalk_id),
+        lambda fx: fx.engine.crosswalks.register_crosswalk(identity_crosswalk(fx.engine.schemas.schema(fx.obi_schema))),
+        # the identity crosswalk has no level yet, so composing checks it too
+        lambda fx: fx.engine.crosswalks.compose_crosswalks(
+            fx.crosswalk_id, identity_crosswalk(fx.engine.schemas.schema(fx.oboe_schema))
+        ),
+        lambda fx: fx.engine.crosswalks.invert_crosswalk(fx.crosswalk_id),
+        lambda fx: fx.engine.crosswalks.transform_instance(fx.instance, fx.crosswalk_id),
     ],
-    ids=["assess_record", "find", "mappings_between-one-end", "mappings_between-both-ends"],
+    ids=[
+        "assess_record",
+        "find",
+        "mappings_between-one-end",
+        "mappings_between-both-ends",
+        "validate_instance",
+        "schemas_for_statement_type",
+        "detect_schema_duplicates",
+        "audit_term_fairness",
+        "check_crosswalk",
+        "register_crosswalk",
+        "compose_crosswalks",
+        "invert_crosswalk",
+        "transform_instance",
+    ],
 )
 def test_call_reads_closure_once(weight, monkeypatch, call):
     calls: list[float | None] = []
@@ -929,3 +967,41 @@ def test_call_reads_closure_once(weight, monkeypatch, call):
     monkeypatch.setattr(TerminologyRegistry, "compute_closure", counted)
     assert call(weight)
     assert calls == [None]
+
+
+def test_inner_calls_go_through_public_methods(weight, monkeypatch):
+    # wrapped on their classes, as a tracer wraps them, these names see every
+    # validation, duplicate check and audit, also inside another public call
+    names = (
+        (SchemaRegistry, "validate_instance"),
+        (SchemaRegistry, "detect_schema_duplicates"),
+        (TerminologyRegistry, "audit_term_fairness"),
+    )
+    calls: dict[str, int] = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in names:
+        monkeypatch.setattr(owner, name, counted(name, owner.__dict__[name]))
+    weight.engine.fdos.assess_record(weight.golden)
+    assert set(calls) == {name for _, name in names}
+    calls.clear()
+    weight.engine.crosswalks.transform_instance(weight.instance, weight.crosswalk_id)
+    assert calls == {"validate_instance": 2}
+
+
+def test_snapshot_and_threshold_together_is_a_caller_error(weight):
+    engine = weight.engine
+    snap = engine.terminology.compute_closure()
+    assert engine.schemas.validate_instance(weight.instance, snap=snap).valid
+    with pytest.raises(TypeError):
+        engine.schemas.validate_instance(weight.instance, min_confidence=0.5, snap=snap)
+    with pytest.raises(TypeError):
+        engine.schemas.schemas_for_statement_type("obi:weight-assay", 0.5, snap=snap)
+    with pytest.raises(TypeError):
+        engine.crosswalks.check_crosswalk(weight.crosswalk_id, 0.5, snap=snap)
