@@ -20,6 +20,8 @@ _IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://\S+$")
 _URN_RE = re.compile(r"^urn:[A-Za-z0-9][A-Za-z0-9\-]{0,31}:\S+$", re.IGNORECASE)
 _CURIE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.\-]*):(\S+)$")
 _PREFIX_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
+# matches exactly the characters for which str.isspace() is true
+_SPACE_RE = re.compile(r"\s")
 
 
 def is_absolute_iri(value: str) -> bool:
@@ -89,7 +91,7 @@ class PrefixMap:
         value = value.strip()
         if not value:
             raise InvalidGupri("empty identifier")
-        if any(c.isspace() for c in value):
+        if _SPACE_RE.search(value):
             raise InvalidGupri(f"identifier contains whitespace: {value!r}")
         if is_absolute_iri(value):
             return value

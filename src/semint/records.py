@@ -5,8 +5,10 @@ once, registering it again with the same content changes nothing, and with
 different content raises the registry's conflict error. Writes and listings
 hold the table's one lock; single-key reads need none. Every write starts a
 new version of the table, and a value derived from the records of one version
-is served only while that version is current. A table's first records can be
-left to a fill that the first access runs.
+is served only while that version is current. A value that can be updated is
+kept past the writes after it, together with those writes, so the next value
+is derived from it and the changes since rather than from every record. A
+table's first records can be left to a fill that the first access runs.
 """
 
 from __future__ import annotations
@@ -32,10 +34,16 @@ class RecordTable(Generic[R]):
         self.unknown = unknown
         self.conflict = conflict
         self._rows: dict[str, R] = {}
+        self._version = 0
         # what was derived from the current version, keyed by the function
-        # that derived it; a write replaces the dict, so the values derived
-        # from the old version are freed by the write, not by the next read
+        # that derived it; a write replaces the dict, so a value derived from
+        # the old version is never served after the write
         self._derived: dict[Callable, Any] = {}
+        # the last value derived with an update, as (derive, version, value),
+        # and the writes since that version, oldest first, as (key, record,
+        # added); nothing is logged while there is no such value
+        self._base: tuple[Callable, int, Any] | None = None
+        self._log: list[tuple[str, R, bool]] = []
         self._lock = threading.Lock()
         # the deferred fill, until it has added every record; a failed fill is
         # replaced by one that raises its error again
@@ -67,7 +75,9 @@ class RecordTable(Generic[R]):
             try:
                 fill()
             except Exception as exc:
-                self._rows, self._derived = {}, {}
+                with self._lock:
+                    self._rows = {}
+                    self._wrote()
                 self._pending = functools.partial(_reraise, exc)
                 raise
             finally:
@@ -83,7 +93,7 @@ class RecordTable(Generic[R]):
             existing = self._rows.get(key)
             if existing is None:
                 self._rows[key] = record
-                self._derived = {}
+                self._wrote((key, record, True))
                 return True
         if not same(existing, record):
             raise self.conflict(f"{self.noun} {key} already registered with different content")
@@ -99,10 +109,26 @@ class RecordTable(Generic[R]):
     def remove(self, key: str) -> bool:
         self._settle()
         with self._lock:
-            if self._rows.pop(key, None) is None:
+            record = self._rows.pop(key, None)
+            if record is None:
                 return False
-            self._derived = {}
+            self._wrote((key, record, False))
             return True
+
+    def _wrote(self, change: tuple[str, R, bool] | None = None) -> None:
+        """Start a new version after a write, under the lock. The write goes
+        into the log while there is a base, unless the log would then hold
+        more writes than the table holds records; then the base and its log
+        are dropped, and the next value is derived from the records again.
+        ``None`` stands for a write that replaced every record."""
+        self._version += 1
+        self._derived = {}
+        if self._base is None:
+            return
+        if change is None or len(self._log) >= len(self._rows):
+            self._base, self._log = None, []
+        else:
+            self._log.append(change)
 
     def __contains__(self, key: str) -> bool:
         self._settle()
@@ -120,14 +146,28 @@ class RecordTable(Generic[R]):
         with self._lock:
             return tuple(self._rows.values())
 
-    def derived(self, derive: Callable[[tuple[R, ...]], T]) -> T:
+    def derived(
+        self,
+        derive: Callable[[tuple[R, ...]], T],
+        update: Callable[[T, tuple[R, ...], tuple[R, ...], tuple[R, ...]], T] | None = None,
+    ) -> T:
         """``derive`` applied to the records, computed once per version.
 
-        The records and the dict their value goes into are taken together, so
-        a value derived from the records before a write lands in the dict the
-        write dropped: it is returned to its own caller, a read that began
-        before the write, and never served after it. Two readers that miss at
-        once may both derive; both return the value stored first.
+        With ``update``, the value is ``update(previous, rows, removed,
+        added)`` when the table holds a previous value of ``derive`` and the
+        writes since it: ``removed`` are the records that it was derived from
+        and that are gone, ``added`` the records that are new since. It must
+        equal ``derive(rows)`` and leave ``previous`` unchanged. Without a
+        previous value it is ``derive(rows)``, and that value becomes the
+        base of the next update.
+
+        The records, the base, its log and the dict their value goes into are
+        taken together, so a value derived from the records before a write
+        lands in the dict the write dropped: it is returned to its own caller,
+        a read that began before the write, and never served after it. It
+        becomes the base only if every write since its version is logged. Two
+        readers that miss at once may both derive; both return the value
+        stored first.
         """
         self._settle()
         values = self._derived
@@ -136,8 +176,44 @@ class RecordTable(Generic[R]):
         except KeyError:
             pass
         with self._lock:
-            rows, values = tuple(self._rows.values()), self._derived
-        return values.setdefault(derive, derive(rows))
+            rows, values, version = tuple(self._rows.values()), self._derived, self._version
+            base = self._base if update is not None and self._base is not None and self._base[0] == derive else None
+            log = list(self._log) if base is not None else None
+        if base is None:
+            value = derive(rows)
+        else:
+            value = update(base[2], rows, *_net(log))
+        if update is not None:
+            with self._lock:
+                self._rebase(derive, version, value)
+        return values.setdefault(derive, value)
+
+    def _rebase(self, derive: Callable, version: int, value: Any) -> None:
+        """Keep ``value``, derived at ``version``, as the base if it is newer
+        than the base and every write since ``version`` is in the log."""
+        if self._base is None:
+            if version == self._version:
+                self._base, self._log = (derive, version, value), []
+        elif self._base[1] < version:
+            self._log = self._log[version - self._base[1] :]
+            self._base = (derive, version, value)
+
+
+def _net(log: list[tuple[str, R, bool]]) -> tuple[tuple[R, ...], tuple[R, ...]]:
+    """The records that ``log``'s writes removed and added, net of each other:
+    a record added and then removed is in neither, and one removed and then
+    added again unchanged is in neither."""
+    removed: dict[str, R] = {}
+    added: dict[str, R] = {}
+    for key, record, is_added in log:
+        if not is_added:
+            if added.pop(key, None) is None:
+                removed[key] = record
+        elif key in removed and removed[key] == record:
+            del removed[key]
+        else:
+            added[key] = record
+    return tuple(removed.values()), tuple(added.values())
 
 
 def _reraise(error: Exception) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -158,6 +159,13 @@ _SUBCLASS = frozenset({MappingPredicate.SUB_CLASS_OF})
 _SUBPROPERTY = frozenset({MappingPredicate.SUB_PROPERTY_OF})
 _LOOSE = _HIERARCHICAL | {MappingPredicate.BROAD_MATCH}
 _NO_EDGES: frozenset[MappingPredicate] = frozenset()
+_RELATIONS = (_SUBCLASS, _SUBPROPERTY, _LOOSE)
+#: the relations a row of each hierarchy predicate is lifted into
+_LIFTED_INTO = {
+    p: tuple(relation for relation in _RELATIONS if p in relation) for p in MappingPredicate if p in _LOOSE
+}
+#: the predicates whose edges are not lifted: the equivalence and associative ones
+_UNLIFTED = tuple(p for p in MappingPredicate if p not in _LOOSE)
 
 #: Sentinel returned when a self-mapping is accepted without being stored.
 NOOP_MAPPING_ID = "m-noop"
@@ -194,8 +202,7 @@ class EntityMapping:
     ) -> "EntityMapping":
         """Build a mapping with a deterministic content-derived id. An int
         confidence is kept as its float, the one the exported row reloads."""
-        number = isinstance(confidence, (int, float)) and not isinstance(confidence, bool)
-        if not (number and 0 <= confidence <= 1):
+        if not _is_unit_number(confidence):
             raise MalformedRecord(f"confidence {confidence!r} is not a number in [0,1]")
         confidence = float(confidence)
         digest = hashlib.sha1(
@@ -221,6 +228,11 @@ class EntityMapping:
             author=author,
             comment=comment,
         )
+
+
+def _is_unit_number(value: object) -> bool:
+    """True for an int or a float in [0, 1]; a bool, NaN and anything else are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 class InteropLevel(IntEnum):
@@ -301,6 +313,154 @@ def _mapping_order(m: EntityMapping) -> tuple:
     )
 
 
+#: the lifted hierarchy: per relation, the classes above each class with the
+#: number of edges lifted onto each pair
+_Hierarchy = dict[frozenset[MappingPredicate], dict[str, dict[str, int]]]
+#: the (subject, object) ends of mappings, by predicate
+_Ends = Mapping[MappingPredicate, Iterable[tuple[str, str]]]
+#: the ends of the equivalence and associative mappings, by predicate, with
+#: the number of mappings between each pair of ends
+_Unlifted = dict[MappingPredicate, Counter[tuple[str, str]]]
+
+
+def _ends(edges: Iterable[EntityMapping]) -> dict[MappingPredicate, list[tuple[str, str]]]:
+    # a predicate set test runs Enum.__hash__ in Python, so each edge is
+    # looked up once and each relation then reads its predicates' ends
+    ends: dict[MappingPredicate, list[tuple[str, str]]] = {p: [] for p in MappingPredicate}
+    for m in edges:
+        ends[m.predicate].append((m.subject.canonical, m.object.canonical))
+    return ends
+
+
+def _roots(ends: _Ends, predicates: frozenset[MappingPredicate]) -> dict[str, str]:
+    """Each end of the edges of ``predicates`` mapped to the root of its class."""
+    return graph.components(chain.from_iterable(ends[p] for p in predicates))
+
+
+def _lift(hierarchy: _Hierarchy, ends: _Ends, root: Mapping[str, str], step: int) -> None:
+    """Add ``step`` to the count of each hierarchy edge of ``ends``, lifted
+    onto the classes of ``root``, in every relation it belongs to. An edge
+    whose ends share a class is not lifted."""
+    get = root.get
+    for predicate, relations in _LIFTED_INTO.items():
+        adjacencies = [hierarchy[relation] for relation in relations]
+        for s, o in ends[predicate]:
+            s, o = get(s, s), get(o, o)
+            if s != o:
+                for adjacency in adjacencies:
+                    targets = adjacency.get(s)
+                    if targets is None:
+                        adjacency[s] = {o: step}
+                    else:
+                        targets[o] = targets.get(o, 0) + step
+
+
+def _merged(adjacency: Mapping[str, dict[str, int]], steps: Mapping[str, dict[str, int]]) -> dict[str, dict[str, int]]:
+    """``adjacency`` with ``steps`` added to its counts, as a new dict; each
+    class's targets are copied before they change, so ``adjacency`` and the
+    snapshots that share its dicts stay as they are. A count that reaches 0
+    is dropped, and so is a class left with no targets."""
+    merged = dict(adjacency)
+    for s, counts in steps.items():
+        targets = merged.get(s)
+        if targets is None:
+            # nothing was lifted from s before, so every step here adds
+            merged[s] = counts
+            continue
+        targets = dict(targets)
+        for o, step in counts.items():
+            count = targets.get(o, 0) + step
+            if count:
+                targets[o] = count
+            else:
+                targets.pop(o, None)
+        if targets:
+            merged[s] = targets
+        else:
+            del merged[s]
+    return merged
+
+
+def _recounted(
+    counts: Counter[tuple[str, str]], gone: list[tuple[str, str]], new: list[tuple[str, str]]
+) -> Counter[tuple[str, str]]:
+    """A copy of ``counts`` less ``gone`` and plus ``new``, without the pairs
+    left at 0."""
+    counts = counts.copy()
+    counts.update(new)
+    counts.subtract(gone)
+    for pair in gone:
+        if counts.get(pair) == 0:
+            del counts[pair]
+    return counts
+
+
+def _snapshot(
+    edges: tuple[EntityMapping, ...], ends: _Ends, ref_root: dict[str, str], hierarchy: _Hierarchy
+) -> ClosureSnapshot:
+    """The snapshot of ``edges``, given their referential classes and lifted
+    hierarchy; ``ends`` holds at least the ends of their equivalence and
+    associative edges."""
+    ont_root = _roots(ends, _ONTOLOGICAL_GRADE)
+    associative = map(frozenset, chain.from_iterable(ends[p] for p in _ASSOCIATIVE))
+    return ClosureSnapshot(
+        ont_root=ont_root,
+        ont_members=_classes(ont_root),
+        ref_root=ref_root,
+        ref_members=_classes(ref_root),
+        hierarchy=hierarchy,
+        associative_pairs=frozenset(associative),
+        edges=edges,
+    )
+
+
+def _kept_at(previous: ClosureSnapshot, nodes: set[str], gone: set[str]) -> _Ends:
+    """The ends of the edges of ``previous`` with an end in ``nodes`` and an
+    id not in ``gone``."""
+    return _ends(
+        m for m in previous.edges if (m.subject.canonical in nodes or m.object.canonical in nodes) and m.id not in gone
+    )
+
+
+def _updated_snapshot(
+    previous: ClosureSnapshot,
+    edges: tuple[EntityMapping, ...],
+    removed: tuple[EntityMapping, ...],
+    added: tuple[EntityMapping, ...],
+) -> ClosureSnapshot:
+    """The snapshot of ``edges``, derived from ``previous``, the snapshot of
+    ``edges`` less ``added`` plus ``removed``; equal to a build from ``edges``
+    and leaving ``previous`` unchanged.
+
+    The classes and the associative pairs come from the equivalence and
+    associative edges, a small share of the table, so they are recomputed.
+    The lifted hierarchy is updated: a removed edge is taken away under the
+    old classes, an added one added under the new, and an edge kept from
+    ``previous`` with an end that changed class moves from its old lift to
+    its new one.
+    """
+    gone, new = _ends(removed), _ends(added)
+    unlifted = {
+        p: _recounted(counts, gone[p], new[p]) if gone[p] or new[p] else counts
+        for p, counts in previous.unlifted.items()
+    }
+    ref_root = _roots(unlifted, _REFERENTIAL_GRADE)
+    old_root = previous.ref_root
+    moved = {n for n in old_root.keys() | ref_root.keys() if old_root.get(n, n) != ref_root.get(n, n)}
+    steps: _Hierarchy = {relation: {} for relation in _RELATIONS}
+    _lift(steps, gone, old_root, -1)
+    if moved:
+        kept = _kept_at(previous, moved, {m.id for m in removed})
+        _lift(steps, kept, old_root, -1)
+        _lift(steps, kept, ref_root, 1)
+    _lift(steps, new, ref_root, 1)
+    hierarchy = {relation: _merged(previous.hierarchy[relation], steps[relation]) for relation in _RELATIONS}
+    snapshot = _snapshot(edges, unlifted, ref_root, hierarchy)
+    # handed over, so the next derivation need not find them in the edges
+    vars(snapshot)["unlifted"] = unlifted
+    return snapshot
+
+
 def _classes(root: Mapping[str, str]) -> dict[str, frozenset[str]]:
     """Members keyed by root, from a node-to-root map."""
     groups: dict[str, set[str]] = {}
@@ -352,7 +512,10 @@ class ClosureSnapshot:
     Equivalence classes are connected components. Hierarchy edges are lifted
     to referential classes, one adjacency per hierarchy relation (subClassOf,
     subPropertyOf, and the loose set); each hierarchical question walks them
-    from one class, so a build is about linear in the edge count. ``edges``
+    from one class, so a build is about linear in the edge count. An
+    adjacency maps a class to the classes above it, each with the number of
+    edges lifted onto that pair, so the next snapshot can take an edge away
+    by decrementing its count; a class with no edge above it is absent. ``edges``
     are the mappings the closure was built from, so path explanations walk
     the same edge set the verdicts come from. They reach those edges through
     :attr:`node_index`, as ``mappings_between`` does, built on first use
@@ -363,7 +526,7 @@ class ClosureSnapshot:
     ont_members: Mapping[str, frozenset[str]]
     ref_root: Mapping[str, str]
     ref_members: Mapping[str, frozenset[str]]
-    hierarchy: Mapping[frozenset[MappingPredicate], Mapping[str, set[str]]]
+    hierarchy: Mapping[frozenset[MappingPredicate], Mapping[str, Mapping[str, int]]]
     associative_pairs: frozenset[frozenset[str]]
     edges: tuple[EntityMapping, ...]
 
@@ -431,6 +594,16 @@ class ClosureSnapshot:
         if level is InteropLevel.REFERENTIAL:
             return self.referential_class(a)
         raise ValueError(f"{level!r} does not form equivalence classes")
+
+    @cached_property
+    def unlifted(self) -> _Unlifted:
+        """The ends of the equivalence and associative ``edges``, counted by
+        predicate: what the snapshot derived from this one recomputes the
+        classes from. Found in ``edges`` when a derivation first asks, so a
+        build that is never a base does not pay for it; a derived snapshot is
+        handed its own by the derivation."""
+        ends = _ends(self.edges)
+        return {p: Counter(ends[p]) for p in _UNLIFTED}
 
     @cached_property
     def node_index(self) -> tuple[dict[str, int], array]:
@@ -654,14 +827,17 @@ class TerminologyRegistry:
         """Closure snapshot; pure function of the stored edge set.
 
         The default (unfiltered) snapshot is derived once per version of the
-        mapping table; filtered ones are built on each call. A threshold that
-        is not a number in [0, 1] (NaN included) is rejected.
+        mapping table, from the previous one and the rows added and removed
+        since, and from every row only when there is no previous one or more
+        writes than rows lie between them; filtered ones are built on each
+        call. A threshold that is not a number in [0, 1] (a bool, NaN and a
+        string included) is rejected.
         """
         if min_confidence is not None:
-            if not 0.0 <= min_confidence <= 1.0:
+            if not _is_unit_number(min_confidence):
                 raise MalformedContent(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
             return self._build_snapshot(tuple(m for m in self._mappings.rows() if m.confidence >= min_confidence))
-        return self._mappings.derived(self._build_snapshot)
+        return self._mappings.derived(self._build_snapshot, _updated_snapshot)
 
     def call_snapshot(self, snap: ClosureSnapshot | None, min_confidence: float | None = None) -> ClosureSnapshot:
         """The one snapshot a public call reads: ``snap`` when its caller holds
@@ -674,35 +850,12 @@ class TerminologyRegistry:
 
     @staticmethod
     def _build_snapshot(edges: tuple[EntityMapping, ...]) -> ClosureSnapshot:
-        # a predicate set test runs Enum.__hash__ in Python, so each edge is
-        # looked up once and each relation then reads its predicates' ends
-        by_predicate: dict[MappingPredicate, list[tuple[str, str]]] = {p: [] for p in MappingPredicate}
-        for m in edges:
-            by_predicate[m.predicate].append((m.subject.canonical, m.object.canonical))
-
-        def ends(predicates: frozenset[MappingPredicate]) -> Iterator[tuple[str, str]]:
-            return chain.from_iterable(by_predicate[p] for p in predicates)
-
-        ont_root = graph.components(ends(_ONTOLOGICAL_GRADE))
-        ref_root = graph.components(ends(_REFERENTIAL_GRADE))
-        hierarchy: dict[frozenset[MappingPredicate], dict[str, set[str]]] = {}
-        for relation in (_SUBCLASS, _SUBPROPERTY, _LOOSE):
-            adjacency = hierarchy[relation] = {}
-            for s, o in ends(relation):
-                s, o = ref_root.get(s, s), ref_root.get(o, o)
-                if s != o:
-                    adjacency.setdefault(s, set()).add(o)
-        associative = frozenset(frozenset(pair) for pair in ends(_ASSOCIATIVE))
-
-        return ClosureSnapshot(
-            ont_root=ont_root,
-            ont_members=_classes(ont_root),
-            ref_root=ref_root,
-            ref_members=_classes(ref_root),
-            hierarchy=hierarchy,
-            associative_pairs=associative,
-            edges=edges,
-        )
+        """The snapshot of ``edges``, built from every edge."""
+        ends = _ends(edges)
+        ref_root = _roots(ends, _REFERENTIAL_GRADE)
+        hierarchy: _Hierarchy = {relation: {} for relation in _RELATIONS}
+        _lift(hierarchy, ends, ref_root, 1)
+        return _snapshot(edges, ends, ref_root, hierarchy)
 
     # -- interoperability queries -------------------------------------------
 

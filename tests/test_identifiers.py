@@ -68,6 +68,16 @@ def test_whitespace_inside_rejected(pm):
         pm.canonicalize("pato:two words")
 
 
+def test_every_whitespace_character_inside_rejected(pm):
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) == 29
+    for space in spaces:
+        for value in (f"pato:two{space}words", f"http://example.org/a{space}b"):
+            with pytest.raises(InvalidGupri) as err:
+                pm.canonicalize(value)
+            assert err.value.tag == "invalid-gupri"
+
+
 def test_compress_roundtrip(pm):
     canonical = pm.canonicalize("pato:weight")
     assert pm.compress(canonical) == "pato:weight"

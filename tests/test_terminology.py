@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semint import (
@@ -398,20 +399,26 @@ def test_no_stale_snapshot_published_during_writes(engine):
     assert engine.terminology.interop_level("ex:r0", "ex:r300").level is InteropLevel.ONTOLOGICAL
 
 
-def test_mapping_write_frees_cached_snapshot(engine):
-    # a stale snapshot must not stay alive until the next read: at 16k edges
-    # it is most of the process's memory
+def test_mapping_table_keeps_one_base_snapshot(engine):
+    # the last snapshot is the base the next one is derived from: a write
+    # keeps it, the next derivation frees it, and a write that would make the
+    # log longer than the table frees it at once
     import weakref
 
     add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:b")
     snapshot = weakref.ref(engine.terminology.compute_closure())
     mapping_id = add_mapping(engine, "ex:b", MappingPredicate.SAME_AS, "ex:c")
+    assert snapshot() is not None
+    engine.terminology.compute_closure()
     assert snapshot() is None
     snapshot = weakref.ref(engine.terminology.compute_closure())
     add_mapping(engine, "ex:b", MappingPredicate.SAME_AS, "ex:c")  # already stored
     assert snapshot() is engine.terminology.compute_closure()
-    assert engine.terminology.remove_mapping(mapping_id)
+    assert engine.terminology.remove_mapping(mapping_id)  # one write, one row
+    assert snapshot() is not None
+    assert engine.terminology.remove_mapping(engine.terminology.mappings()[0].id)  # two writes, no row
     assert snapshot() is None
+    assert engine.terminology.compute_closure().edges == ()
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +477,17 @@ def test_hierarchy_lifts_over_referential_classes(engine):
     add_mapping(engine, "ex:fruit", MappingPredicate.EQUIVALENT_CLASS, "ex:frucht")
     verdict = engine.terminology.interop_level("ex:apple", "ex:frucht")
     assert (verdict.level, verdict.direction) == (InteropLevel.HIERARCHICAL, "broader")
+
+
+@pytest.mark.parametrize("threshold", [True, False, "0.5", float("nan"), 1.5, -0.1, [0.5]])
+def test_min_confidence_must_be_a_number_in_unit_interval(engine, threshold):
+    # the rule EntityMapping.create applies to a confidence
+    add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:b")
+    with pytest.raises(MalformedContent) as err:
+        engine.terminology.compute_closure(threshold)
+    assert err.value.tag == "malformed-content"
+    with pytest.raises(MalformedContent):
+        engine.terminology.interop_level("ex:a", "ex:b", threshold)
 
 
 def test_min_confidence_filters_edges(engine):
@@ -870,6 +888,133 @@ def test_verdict_ladder_matches_oracle(rng, threshold):
         assert (verdict.level.label, verdict.direction, verdict.actionable) == expected, (a, b)
     doc = engine.terminology.compute_closure(threshold).to_doc()
     assert {key: doc[key] for key in reach} == reach
+
+
+# ---------------------------------------------------------------------------
+# each snapshot derived from the last one
+
+
+_STEP_TERMS = [f"ex:t{i}" for i in range(6)]
+
+
+@st.composite
+def write_batches(draw):
+    """Batches of rows to add and of rows added earlier to remove."""
+    node = st.sampled_from(_STEP_TERMS)
+    row = st.tuples(node, st.sampled_from(list(MappingPredicate)), node, st.integers(0, 1))
+    batches, seen = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        added = draw(st.lists(row, max_size=6))
+        seen += added
+        removed = draw(st.lists(st.sampled_from(seen), max_size=5)) if seen else []
+        batches.append((added, removed))
+    return batches
+
+
+SUB, SAME, CLOSE = MappingPredicate.SUB_CLASS_OF, MappingPredicate.SAME_AS, MappingPredicate.CLOSE_MATCH
+
+
+def _assert_fresh(snap):
+    fresh = TerminologyRegistry._build_snapshot(snap.edges)
+    for f in dataclasses.fields(snap):
+        assert getattr(snap, f.name) == getattr(fresh, f.name), f.name
+    assert snap.unlifted == fresh.unlifted
+
+
+@settings(deadline=None, max_examples=120)
+@given(write_batches())
+@example(
+    [
+        # parallel rows that lift to one pair, and a hierarchy cycle
+        ([("ex:t0", SUB, "ex:t1", 0), ("ex:t2", SUB, "ex:t1", 0), ("ex:t0", SAME, "ex:t2", 0),
+          ("ex:t3", SUB, "ex:t4", 0), ("ex:t4", SUB, "ex:t3", 0)], []),
+        # the subClassOf row's ends merge into one class, and parallel associative rows
+        ([("ex:t0", SAME, "ex:t1", 0), ("ex:t3", CLOSE, "ex:t5", 0), ("ex:t3", CLOSE, "ex:t5", 1)], []),
+        # ... and split again; the classes split, and one associative row goes
+        ([], [("ex:t0", SAME, "ex:t1", 0), ("ex:t0", SAME, "ex:t2", 0), ("ex:t3", CLOSE, "ex:t5", 0)]),
+        # a removed row comes back, and a new one is removed at once
+        ([("ex:t0", SAME, "ex:t2", 0), ("ex:t4", SUB, "ex:t5", 0)], [("ex:t4", SUB, "ex:t5", 0)]),
+    ]
+)
+def test_derived_snapshot_equals_fresh_build(batches):
+    engine = make_engine()
+    t = engine.terminology
+    nodes = [engine.prefix_map.canonicalize(x) for x in _STEP_TERMS]
+    ids = [Gupri(n) for n in nodes]
+    snapshots = [t.compute_closure()]
+    stored: dict[tuple, str] = {}  # a row's id, which its content fixes
+    for added, removed in batches:
+        for row in added:
+            stored[row] = add_mapping(engine, row[0], row[1], row[2], comment=f"copy {row[3]}")
+        for row in removed:
+            t.remove_mapping(stored[row])
+        snap = t.compute_closure()
+        assert snap.edges == t._mappings.rows()
+        _assert_fresh(snap)
+        verdicts, reach = oracle_ladder(nodes, list(snap.edges))
+        for a in ids:
+            for b in ids:
+                got = snap.interop_level(a, b)
+                assert (got.level.label, got.direction, got.actionable) == verdicts[a.canonical, b.canonical]
+        doc = snap.to_doc()
+        assert {key: doc[key] for key in reach} == reach
+        # the snapshot it was derived from is unchanged
+        _assert_fresh(snapshots[-1])
+        snapshots.append(snap)
+    for snap in snapshots:
+        _assert_fresh(snap)
+
+
+def test_snapshots_derived_during_writes_equal_fresh_builds(engine):
+    # writers add and remove rows while readers derive: each snapshot a reader
+    # gets is the closure of its own edges, whichever base it came from
+    t = engine.terminology
+    stop = threading.Event()
+    errors: list[Exception] = []
+    seen: list = []
+
+    def writer(k: int):
+        try:
+            rng = random.Random(k)
+            kept: list[str] = []
+            for i in range(150):
+                a, b = rng.sample(_STEP_TERMS, 2)
+                kept.append(add_mapping(engine, a, rng.choice([SAME, SUB, CLOSE]), b, comment=f"w{k}-{i}"))
+                if rng.random() < 0.5:
+                    t.remove_mapping(kept.pop(rng.randrange(len(kept))))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    def reader():
+        try:
+            while not stop.is_set():
+                snap = t.compute_closure()
+                if not seen or seen[-1] is not snap:
+                    seen.append(snap)
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    writers = [threading.Thread(target=writer, args=(k,)) for k in range(2)]
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(seen) > 10
+    for snap in seen:
+        _assert_fresh(snap)
+    final = t.compute_closure()
+    assert final.edges == t._mappings.rows()
+    _assert_fresh(final)
 
 
 # ---------------------------------------------------------------------------
