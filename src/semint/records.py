@@ -155,11 +155,11 @@ class RecordTable(Generic[R]):
 
         With ``update``, the value is ``update(previous, rows, removed,
         added)`` when the table holds a previous value of ``derive`` and the
-        writes since it: ``removed`` are the records that it was derived from
-        and that are gone, ``added`` the records that are new since. It must
-        equal ``derive(rows)`` and leave ``previous`` unchanged. Without a
-        previous value it is ``derive(rows)``, and that value becomes the
-        base of the next update.
+        writes since it: ``rows`` are the records that it was derived from
+        less ``removed``, in their order, followed by ``added``, so a record
+        removed and added again is in both. It must equal ``derive(rows)``
+        and leave ``previous`` unchanged. Without a previous value it is
+        ``derive(rows)``, and that value becomes the base of the next update.
 
         The records, the base, its log and the dict their value goes into are
         taken together, so a value derived from the records before a write
@@ -201,18 +201,17 @@ class RecordTable(Generic[R]):
 
 def _net(log: list[tuple[str, R, bool]]) -> tuple[tuple[R, ...], tuple[R, ...]]:
     """The records that ``log``'s writes removed and added, net of each other:
-    a record added and then removed is in neither, and one removed and then
-    added again unchanged is in neither."""
+    a record added and then removed is in neither. One removed and added
+    again is in both, as the table moved it to its end, so the records after
+    the writes are those before less the removed ones, in their order, then
+    the added ones, in the order they were last added."""
     removed: dict[str, R] = {}
     added: dict[str, R] = {}
     for key, record, is_added in log:
-        if not is_added:
-            if added.pop(key, None) is None:
-                removed[key] = record
-        elif key in removed and removed[key] == record:
-            del removed[key]
-        else:
+        if is_added:
             added[key] = record
+        elif added.pop(key, None) is None:
+            removed[key] = record
     return tuple(removed.values()), tuple(added.values())
 
 

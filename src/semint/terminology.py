@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -114,6 +113,10 @@ class MappingPredicate(Enum):
     RELATED_MATCH = "skos:relatedMatch"
     BROAD_MATCH = "skos:broadMatch"
     NARROW_MATCH = "skos:narrowMatch"
+
+    # equality is identity, so the identity hash agrees with it; Enum's own
+    # hashes the member's name in Python on every dict and set lookup
+    __hash__ = object.__hash__
 
     @classmethod
     def from_curie(cls, curie: str) -> "MappingPredicate":
@@ -321,11 +324,13 @@ _Ends = Mapping[MappingPredicate, Iterable[tuple[str, str]]]
 #: the ends of the equivalence and associative mappings, by predicate, with
 #: the number of mappings between each pair of ends
 _Unlifted = dict[MappingPredicate, Counter[tuple[str, str]]]
+#: the mappings at each canonical node, in table order
+_NodeIndex = Mapping[str, tuple[EntityMapping, ...]]
 
 
 def _ends(edges: Iterable[EntityMapping]) -> dict[MappingPredicate, list[tuple[str, str]]]:
-    # a predicate set test runs Enum.__hash__ in Python, so each edge is
-    # looked up once and each relation then reads its predicates' ends
+    # each edge is looked up once, and each relation then reads its
+    # predicates' ends
     ends: dict[MappingPredicate, list[tuple[str, str]]] = {p: [] for p in MappingPredicate}
     for m in edges:
         ends[m.predicate].append((m.subject.canonical, m.object.canonical))
@@ -395,31 +400,87 @@ def _recounted(
     return counts
 
 
-def _snapshot(
-    edges: tuple[EntityMapping, ...], ends: _Ends, ref_root: dict[str, str], hierarchy: _Hierarchy
-) -> ClosureSnapshot:
-    """The snapshot of ``edges``, given their referential classes and lifted
-    hierarchy; ``ends`` holds at least the ends of their equivalence and
-    associative edges."""
-    ont_root = _roots(ends, _ONTOLOGICAL_GRADE)
-    associative = map(frozenset, chain.from_iterable(ends[p] for p in _ASSOCIATIVE))
-    return ClosureSnapshot(
-        ont_root=ont_root,
-        ont_members=_classes(ont_root),
-        ref_root=ref_root,
-        ref_members=_classes(ref_root),
-        hierarchy=hierarchy,
-        associative_pairs=frozenset(associative),
-        edges=edges,
-    )
+def _moved(old_root: Mapping[str, str], new_root: Mapping[str, str]) -> set[str]:
+    """The nodes whose root differs between two node-to-root maps; a node in
+    only one of them has moved too, into a class or out of every class."""
+    return {n for n, _ in old_root.items() ^ new_root.items()}
 
 
-def _kept_at(previous: ClosureSnapshot, nodes: set[str], gone: set[str]) -> _Ends:
-    """The ends of the edges of ``previous`` with an end in ``nodes`` and an
-    id not in ``gone``."""
-    return _ends(
-        m for m in previous.edges if (m.subject.canonical in nodes or m.object.canonical in nodes) and m.id not in gone
-    )
+def _regrouped(
+    members: Mapping[str, frozenset[str]], old_root: Mapping[str, str], new_root: Mapping[str, str], moved: set[str]
+) -> dict[str, frozenset[str]]:
+    """The classes of ``new_root``, from ``members``, those of ``old_root``:
+    a class that a node of ``moved`` left or entered is rebuilt, and every
+    other class is ``members``' own frozenset."""
+    entered: dict[str, set[str]] = {}
+    for n in moved:
+        r = new_root.get(n)
+        if r is not None:
+            entered.setdefault(r, set()).add(n)
+    regrouped = dict(members)
+    for r in entered.keys() | {old_root[n] for n in moved if n in old_root}:
+        # a member that did not move kept its root
+        group = entered.get(r, set()).union(n for n in members.get(r, ()) if n not in moved)
+        if group:
+            regrouped[r] = frozenset(group)
+        else:
+            del regrouped[r]
+    return regrouped
+
+
+def _repaired(
+    pairs: frozenset[frozenset[str]], unlifted: _Unlifted, gone: _Ends, new: _Ends
+) -> frozenset[frozenset[str]]:
+    """``pairs`` with each pair of an associative mapping in ``gone`` or
+    ``new`` tested again against the counts in ``unlifted``; every other pair
+    is ``pairs``' own frozenset."""
+    ends = {end for p in _ASSOCIATIVE for end in chain(gone[p], new[p])}
+    if not ends:
+        return pairs
+    counts = [unlifted[p] for p in _ASSOCIATIVE]
+    present, absent = set(), set()
+    for s, o in ends:
+        stored = any((s, o) in c or (o, s) in c for c in counts)
+        (present if stored else absent).add(frozenset((s, o)))
+    return pairs.difference(absent).union(present)
+
+
+def _indexed(edges: Iterable[EntityMapping]) -> dict[str, list[EntityMapping]]:
+    """The mappings of ``edges`` at each of their ends, in the order given."""
+    at: dict[str, list[EntityMapping]] = {}
+    for m in edges:
+        for node in (m.subject.canonical, m.object.canonical):
+            ms = at.get(node)
+            if ms is None:
+                at[node] = [m]
+            else:
+                ms.append(m)
+    return at
+
+
+def _reindexed(
+    index: _NodeIndex, removed: tuple[EntityMapping, ...], gone: set[str], added: tuple[EntityMapping, ...]
+) -> _NodeIndex:
+    """``index`` less ``removed``, whose ids are ``gone``, and with ``added``
+    appended at their ends, as a new dict that shares the tuples of every
+    other node. The table keeps its rows in order and appends a new one,
+    so each node's tuple stays in table order."""
+    reindexed = dict(index)
+    for node in {end.canonical for m in removed for end in (m.subject, m.object)}:
+        kept = tuple(m for m in reindexed[node] if m.id not in gone)
+        if kept:
+            reindexed[node] = kept
+        else:
+            del reindexed[node]
+    for node, ms in _indexed(added).items():
+        reindexed[node] = reindexed.get(node, ()) + tuple(ms)
+    return reindexed
+
+
+def _kept_at(index: _NodeIndex, nodes: set[str], gone: set[str]) -> _Ends:
+    """The ends of the mappings of ``index`` at ``nodes`` whose id is not in
+    ``gone``, each mapping once."""
+    return _ends({m.id: m for n in nodes for m in index.get(n, ()) if m.id not in gone}.values())
 
 
 def _updated_snapshot(
@@ -428,36 +489,50 @@ def _updated_snapshot(
     removed: tuple[EntityMapping, ...],
     added: tuple[EntityMapping, ...],
 ) -> ClosureSnapshot:
-    """The snapshot of ``edges``, derived from ``previous``, the snapshot of
-    ``edges`` less ``added`` plus ``removed``; equal to a build from ``edges``
-    and leaving ``previous`` unchanged.
+    """The snapshot of ``edges``, derived from ``previous``, whose edges less
+    ``removed``, in their order, followed by ``added`` are ``edges``; equal
+    to a build from ``edges`` and leaving ``previous`` unchanged.
 
-    The classes and the associative pairs come from the equivalence and
-    associative edges, a small share of the table, so they are recomputed.
-    The lifted hierarchy is updated: a removed edge is taken away under the
-    old classes, an added one added under the new, and an edge kept from
-    ``previous`` with an end that changed class moves from its old lift to
-    its new one.
+    The class roots come from the equivalence edges, a small share of the
+    table, so they are recomputed; a class that no node left or entered, and
+    an associative pair no write touched, is ``previous``'s own object. The
+    node index and the lifted hierarchy are updated: a removed edge is taken
+    away under the old classes, an added one added under the new, and an
+    edge kept from ``previous`` with an end that changed class, read from
+    ``previous``'s node index at that end, moves from its old lift to its new
+    one.
     """
     gone, new = _ends(removed), _ends(added)
+    gone_ids = {m.id for m in removed}
     unlifted = {
         p: _recounted(counts, gone[p], new[p]) if gone[p] or new[p] else counts
         for p, counts in previous.unlifted.items()
     }
+    ont_root = _roots(unlifted, _ONTOLOGICAL_GRADE)
     ref_root = _roots(unlifted, _REFERENTIAL_GRADE)
     old_root = previous.ref_root
-    moved = {n for n in old_root.keys() | ref_root.keys() if old_root.get(n, n) != ref_root.get(n, n)}
+    moved = _moved(old_root, ref_root)
+    # built here from the edges if ``previous`` is a build never explained
+    index = previous.node_index
     steps: _Hierarchy = {relation: {} for relation in _RELATIONS}
     _lift(steps, gone, old_root, -1)
     if moved:
-        kept = _kept_at(previous, moved, {m.id for m in removed})
+        kept = _kept_at(index, moved, gone_ids)
         _lift(steps, kept, old_root, -1)
         _lift(steps, kept, ref_root, 1)
     _lift(steps, new, ref_root, 1)
-    hierarchy = {relation: _merged(previous.hierarchy[relation], steps[relation]) for relation in _RELATIONS}
-    snapshot = _snapshot(edges, unlifted, ref_root, hierarchy)
-    # handed over, so the next derivation need not find them in the edges
-    vars(snapshot)["unlifted"] = unlifted
+    snapshot = ClosureSnapshot(
+        ont_root=ont_root,
+        ont_members=_regrouped(previous.ont_members, previous.ont_root, ont_root, _moved(previous.ont_root, ont_root)),
+        ref_root=ref_root,
+        ref_members=_regrouped(previous.ref_members, old_root, ref_root, moved),
+        hierarchy={relation: _merged(previous.hierarchy[relation], steps[relation]) for relation in _RELATIONS},
+        associative_pairs=_repaired(previous.associative_pairs, unlifted, gone, new),
+        edges=edges,
+    )
+    # handed over, so the next derivation and the first explanation need not
+    # find them in the edges
+    vars(snapshot).update(unlifted=unlifted, node_index=_reindexed(index, removed, gone_ids, added))
     return snapshot
 
 
@@ -516,10 +591,12 @@ class ClosureSnapshot:
     adjacency maps a class to the classes above it, each with the number of
     edges lifted onto that pair, so the next snapshot can take an edge away
     by decrementing its count; a class with no edge above it is absent. ``edges``
-    are the mappings the closure was built from, so path explanations walk
-    the same edge set the verdicts come from. They reach those edges through
-    :attr:`node_index`, as ``mappings_between`` does, built on first use
-    rather than with the snapshot, so a write's first verdict never waits.
+    are the mappings the closure was built from, in table order, so path
+    explanations walk the same edge set the verdicts come from. They reach
+    those edges through :attr:`node_index`, as ``mappings_between`` does: a
+    derived snapshot is handed it, and a full or filtered build makes it on
+    first use rather than with the snapshot, so a fresh build's first verdict
+    never waits.
     """
 
     ont_root: Mapping[str, str]
@@ -606,35 +683,28 @@ class ClosureSnapshot:
         return {p: Counter(ends[p]) for p in _UNLIFTED}
 
     @cached_property
-    def node_index(self) -> tuple[dict[str, int], array]:
-        """The mappings at each canonical node, as chains of slots: slot
-        ``2 * i`` is the subject end of ``edges[i]`` and ``2 * i + 1`` its
-        object end. ``first[node]`` is the node's first slot and
-        ``after[slot]`` the next one, -1 at the end of the chain.
+    def node_index(self) -> _NodeIndex:
+        """The mappings at each canonical node, as a tuple in the order of
+        ``edges``.
 
-        Built from ``edges`` on first use and kept for the snapshot's life; a
-        filtered snapshot has its own. It is the one index of mappings by
-        node, which ``explain_path`` and ``mappings_between`` read. It holds
-        ints only, so the garbage collector has nothing in it to track or
-        traverse, where a list per node would add an object for each node to
-        every full collection. Two threads that ask at once may both build
-        it; either equal index is kept.
+        It is the one index of mappings by node, which ``explain_path`` and
+        ``mappings_between`` read, and which the snapshot derived from this
+        one reads kept edges from. It holds the mappings themselves, since
+        positions in ``edges`` shift with every removal. A snapshot derived
+        from the last one is handed its index, patched from the last one's
+        at the nodes the write touched, and shares the tuple of every other
+        node, so a derivation gives the garbage collector new tuples to track
+        only at those nodes. A full or filtered build gets its own from
+        ``edges`` on first use, so its first verdict never waits for it. Two
+        threads that ask at once may both build it; either equal index is
+        kept.
         """
-        ends = [end.canonical for m in self.edges for end in (m.subject, m.object)]
-        first: dict[str, int] = {}
-        after = array("q", bytes(8 * len(ends)))
-        for slot, node in enumerate(ends):
-            after[slot] = first.get(node, -1)
-            first[node] = slot
-        return first, after
+        return {node: tuple(ms) for node, ms in _indexed(self.edges).items()}
 
     def mappings_at(self, node: str) -> Iterator[tuple[EntityMapping, bool]]:
         """Each mapping at ``node``, latest edge first, and whether ``node`` is its subject."""
-        first, after = self.node_index
-        slot = first.get(node, -1)
-        while slot >= 0:
-            yield self.edges[slot >> 1], not slot & 1
-            slot = after[slot]
+        for m in reversed(self.node_index.get(node, ())):
+            yield m, m.subject.canonical == node
 
     def explain_path(self, a: Gupri, b: Gupri) -> list[EntityMapping]:
         """Shortest mapping-edge path witnessing the interop verdict for (a, b),
@@ -750,13 +820,12 @@ class TerminologyRegistry:
     def mappings_between(self, subject: Gupri | None = None, object: Gupri | None = None) -> list[EntityMapping]:
         """Stored mappings with each given term at one end, in canonical order
         and ties in table order, as :meth:`mappings` lists them. They are read
-        from the closure snapshot, which yields them latest edge first."""
+        from the closure snapshot's node index, which holds them in table order."""
         if subject is None and object is None:
             return self.mappings()
-        at = self.compute_closure().mappings_at((subject or object).canonical)
+        at = self.compute_closure().node_index.get((subject or object).canonical, ())
         other = (object or subject).canonical
-        found = [m for m, _ in at if other in (m.subject.canonical, m.object.canonical)]
-        return sorted(reversed(found), key=_mapping_order)
+        return sorted((m for m in at if other in (m.subject.canonical, m.object.canonical)), key=_mapping_order)
 
     # -- TSV interchange ----------------------------------------------------
 
@@ -852,10 +921,19 @@ class TerminologyRegistry:
     def _build_snapshot(edges: tuple[EntityMapping, ...]) -> ClosureSnapshot:
         """The snapshot of ``edges``, built from every edge."""
         ends = _ends(edges)
+        ont_root = _roots(ends, _ONTOLOGICAL_GRADE)
         ref_root = _roots(ends, _REFERENTIAL_GRADE)
         hierarchy: _Hierarchy = {relation: {} for relation in _RELATIONS}
         _lift(hierarchy, ends, ref_root, 1)
-        return _snapshot(edges, ends, ref_root, hierarchy)
+        return ClosureSnapshot(
+            ont_root=ont_root,
+            ont_members=_classes(ont_root),
+            ref_root=ref_root,
+            ref_members=_classes(ref_root),
+            hierarchy=hierarchy,
+            associative_pairs=frozenset(map(frozenset, chain.from_iterable(ends[p] for p in _ASSOCIATIVE))),
+            edges=edges,
+        )
 
     # -- interoperability queries -------------------------------------------
 

@@ -37,13 +37,15 @@ def test_derived_value_is_updated_from_the_last_one():
     assert summed.read(table) == 109
     assert summed.updates == [((1,), (100,))] and len(summed.builds) == 1
 
-    # a record added and removed again, or removed and added again, nets out
+    # a record added and removed again nets out; one removed and added again
+    # is a removal and an addition, as the table moved it to its end
     table.add("k8", 50)
     assert table.remove("k8")
     assert table.remove("k1")
     table.add("k1", 2)
     assert summed.read(table) == 109
-    assert summed.updates[-1] == ((), ())
+    assert summed.updates[-1] == ((2,), (2,))
+    assert table.rows() == (3, 4, 100, 2)
 
     # a key removed and added with other content is a removal and an addition
     assert table.remove("k1")

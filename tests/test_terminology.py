@@ -899,15 +899,17 @@ _STEP_TERMS = [f"ex:t{i}" for i in range(6)]
 
 @st.composite
 def write_batches(draw):
-    """Batches of rows to add and of rows added earlier to remove."""
+    """Batches of rows to add, of rows added earlier to remove, and of those
+    removed rows to add again. A row's last field is its confidence."""
     node = st.sampled_from(_STEP_TERMS)
-    row = st.tuples(node, st.sampled_from(list(MappingPredicate)), node, st.integers(0, 1))
+    row = st.tuples(node, st.sampled_from(list(MappingPredicate)), node, st.sampled_from([1.0, 0.0, -0.0]))
     batches, seen = [], []
     for _ in range(draw(st.integers(1, 6))):
         added = draw(st.lists(row, max_size=6))
         seen += added
         removed = draw(st.lists(st.sampled_from(seen), max_size=5)) if seen else []
-        batches.append((added, removed))
+        restored = draw(st.lists(st.sampled_from(removed), max_size=2)) if removed else []
+        batches.append((added, removed, restored))
     return batches
 
 
@@ -919,6 +921,11 @@ def _assert_fresh(snap):
     for f in dataclasses.fields(snap):
         assert getattr(snap, f.name) == getattr(fresh, f.name), f.name
     assert snap.unlifted == fresh.unlifted
+    # by id: two mappings that differ only in a confidence of 0.0 and -0.0
+    # compare equal
+    for node in {end.canonical for m in snap.edges for end in (m.subject, m.object)}:
+        got = [(m.id, from_subject) for m, from_subject in snap.mappings_at(node)]
+        assert got == [(m.id, from_subject) for m, from_subject in fresh.mappings_at(node)], node
 
 
 @settings(deadline=None, max_examples=120)
@@ -926,14 +933,22 @@ def _assert_fresh(snap):
 @example(
     [
         # parallel rows that lift to one pair, and a hierarchy cycle
-        ([("ex:t0", SUB, "ex:t1", 0), ("ex:t2", SUB, "ex:t1", 0), ("ex:t0", SAME, "ex:t2", 0),
-          ("ex:t3", SUB, "ex:t4", 0), ("ex:t4", SUB, "ex:t3", 0)], []),
+        ([("ex:t0", SUB, "ex:t1", 1.0), ("ex:t2", SUB, "ex:t1", 1.0), ("ex:t0", SAME, "ex:t2", 1.0),
+          ("ex:t3", SUB, "ex:t4", 1.0), ("ex:t4", SUB, "ex:t3", 1.0)], [], []),
         # the subClassOf row's ends merge into one class, and parallel associative rows
-        ([("ex:t0", SAME, "ex:t1", 0), ("ex:t3", CLOSE, "ex:t5", 0), ("ex:t3", CLOSE, "ex:t5", 1)], []),
+        ([("ex:t0", SAME, "ex:t1", 1.0), ("ex:t3", CLOSE, "ex:t5", 1.0), ("ex:t3", CLOSE, "ex:t5", 0.0)], [], []),
         # ... and split again; the classes split, and one associative row goes
-        ([], [("ex:t0", SAME, "ex:t1", 0), ("ex:t0", SAME, "ex:t2", 0), ("ex:t3", CLOSE, "ex:t5", 0)]),
+        ([], [("ex:t0", SAME, "ex:t1", 1.0), ("ex:t0", SAME, "ex:t2", 1.0), ("ex:t3", CLOSE, "ex:t5", 1.0)], []),
         # a removed row comes back, and a new one is removed at once
-        ([("ex:t0", SAME, "ex:t2", 0), ("ex:t4", SUB, "ex:t5", 0)], [("ex:t4", SUB, "ex:t5", 0)]),
+        ([("ex:t0", SAME, "ex:t2", 1.0), ("ex:t4", SUB, "ex:t5", 1.0)], [("ex:t4", SUB, "ex:t5", 1.0)], []),
+    ]
+)
+@example(
+    [
+        # two rows that sort equal, as 0.0 == -0.0, so table order breaks their tie
+        ([("ex:t0", SAME, "ex:t1", 0.0), ("ex:t0", SAME, "ex:t1", -0.0)], [], []),
+        # the first one, removed and added again unchanged, moves to the table's end
+        ([], [("ex:t0", SAME, "ex:t1", 0.0)], [("ex:t0", SAME, "ex:t1", 0.0)]),
     ]
 )
 def test_derived_snapshot_equals_fresh_build(batches):
@@ -942,12 +957,18 @@ def test_derived_snapshot_equals_fresh_build(batches):
     nodes = [engine.prefix_map.canonicalize(x) for x in _STEP_TERMS]
     ids = [Gupri(n) for n in nodes]
     snapshots = [t.compute_closure()]
-    stored: dict[tuple, str] = {}  # a row's id, which its content fixes
-    for added, removed in batches:
+    stored: dict[str, str] = {}  # a row's id, which its content fixes, by the row's repr
+
+    def add(row):
+        stored[repr(row)] = add_mapping(engine, row[0], row[1], row[2], confidence=row[3])
+
+    for added, removed, restored in batches:
         for row in added:
-            stored[row] = add_mapping(engine, row[0], row[1], row[2], comment=f"copy {row[3]}")
+            add(row)
         for row in removed:
-            t.remove_mapping(stored[row])
+            t.remove_mapping(stored[repr(row)])
+        for row in restored:
+            add(row)
         snap = t.compute_closure()
         assert snap.edges == t._mappings.rows()
         _assert_fresh(snap)
@@ -963,6 +984,45 @@ def test_derived_snapshot_equals_fresh_build(batches):
         snapshots.append(snap)
     for snap in snapshots:
         _assert_fresh(snap)
+
+
+def test_derivation_shares_what_the_write_left_alone(engine):
+    t, pm = engine.terminology, engine.prefix_map
+    c = pm.canonicalize
+    ab = add_mapping(engine, "ex:a", SAME, "ex:b")
+    cd = add_mapping(engine, "ex:c", SAME, "ex:d")
+    add_mapping(engine, "ex:e", CLOSE, "ex:f")
+    ac = add_mapping(engine, "ex:a", SUB, "ex:c")
+    base = t.compute_closure()  # a full build
+    bg = add_mapping(engine, "ex:b", SAME, "ex:g")  # g enters the class of a and b
+    add_mapping(engine, "ex:h", CLOSE, "ex:i")
+    snap = t.compute_closure()  # derived from base
+    assert "node_index" in vars(snap)
+
+    def class_of(s, x):
+        return s.ref_members[s.referential_root(pm.gupri(x))], s.ont_members[s.ontological_root(pm.gupri(x))]
+
+    # the class no moved node entered or left is shared, the one g entered is new
+    assert all(new is old for new, old in zip(class_of(snap, "ex:c"), class_of(base, "ex:c")))
+    assert class_of(snap, "ex:a")[0] == {c("ex:a"), c("ex:b"), c("ex:g")}
+    assert class_of(base, "ex:a")[0] == {c("ex:a"), c("ex:b")}
+    ef = frozenset({c("ex:e"), c("ex:f")})
+    (kept,) = [pair for pair in snap.associative_pairs if pair == ef]
+    assert any(pair is kept for pair in base.associative_pairs)
+    assert frozenset({c("ex:h"), c("ex:i")}) in snap.associative_pairs
+    # the index is shared at the nodes the write did not touch
+    assert snap.node_index[c("ex:e")] is base.node_index[c("ex:e")]
+
+    # later writes leave both snapshots explaining their own edges
+    assert t.remove_mapping(ac)
+    gd = add_mapping(engine, "ex:g", SUB, "ex:d")
+    later = t.compute_closure()
+    a, d = pm.gupri("ex:a"), pm.gupri("ex:d")
+    assert [m.id for m in base.explain_path(a, d)] == [ac, cd]
+    assert [m.id for m in snap.explain_path(a, d)] == [ac, cd]
+    assert [m.id for m in later.explain_path(a, d)] == [ab, bg, gd]
+    for s in (base, snap, later):
+        _assert_fresh(s)
 
 
 def test_snapshots_derived_during_writes_equal_fresh_builds(engine):
