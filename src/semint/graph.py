@@ -3,14 +3,17 @@
 Each service answers a reachability question over its own graph: mapping
 edges for equivalence classes and hierarchy, crosswalks for schema
 connectivity, crosswalk paths for reachable operations. The walks live here
-once; callers supply the edges and, for paths, their tie-break rule.
+once; callers supply the edges and, for paths, their tie-break rule, and for
+a walk toward a goal maybe the levels that prune it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Any, Callable, Container, Hashable, Iterable, Mapping, TypeVar
 
-__all__ = ["best_path", "components", "reach"]
+__all__ = ["best_path", "components", "levels", "reach"]
 
 N = TypeVar("N", bound=Hashable)
 E = TypeVar("E")
@@ -41,23 +44,62 @@ def components(edges: Iterable[tuple[N, N]]) -> dict[N, N]:
     return {x: find(x) for x in parent}
 
 
-def reach(adjacency: Mapping[N, Iterable[N]], start: N, goal: N | None = None) -> set[N]:
+def reach(
+    adjacency: Mapping[N, Iterable[N]], start: N, goal: N | None = None, levels: Mapping[N, int] | None = None
+) -> set[N]:
     """Nodes reachable in one or more steps from ``start``.
 
     With ``goal`` the walk stops once it reaches the goal, so the result holds
     the goal exactly when it is reachable, and maybe not every other node.
+    With ``goal`` and ``levels``, which must never fall along an edge (see
+    :func:`levels`), the walk also never steps onto a node whose level is
+    above the goal's, and does not start when ``start`` is above it.
     """
     seen: set[N] = set()
+    top = None
+    if levels is not None and goal is not None:
+        # a node with no level has no edge, so nothing reaches it
+        top = levels.get(goal, -1)
+        if levels.get(start, top) > top:
+            return seen
     stack = list(adjacency.get(start, ()))
     while stack:
         node = stack.pop()
-        if node in seen:
+        if node in seen or (top is not None and levels[node] > top):
             continue
         seen.add(node)
         if node == goal:
             break
         stack.extend(adjacency.get(node, ()))
     return seen
+
+
+def levels(adjacency: Mapping[N, Iterable[N]]) -> dict[N, int]:
+    """A level for every node of ``adjacency`` that never falls along an edge,
+    and rises along every edge whose lower end lies on no cycle and above none.
+
+    Kahn's order, one layer at a time: a node's level is the layer in which
+    its last edge in is taken away, which is the longest path up to it from
+    a node with no edge in. The nodes no layer reaches are the cycles and
+    everything above them; no edge leaves that set, so all of it gets one
+    level, one above every layer.
+    """
+    indegree = Counter(chain.from_iterable(adjacency.values()))
+    layer = [u for u in adjacency if u not in indegree]
+    level: dict[N, int] = {}
+    k = 0
+    while layer:
+        level.update(dict.fromkeys(layer, k))
+        above = []
+        for u in layer:
+            for v in adjacency.get(u, ()):
+                indegree[v] -= 1
+                if not indegree[v]:
+                    above.append(v)
+        layer = above
+        k += 1
+    level.update(dict.fromkeys([v for v, count in indegree.items() if count], k))
+    return level
 
 
 def best_path(

@@ -483,6 +483,55 @@ def _kept_at(index: _NodeIndex, nodes: set[str], gone: set[str]) -> _Ends:
     return _ends({m.id: m for n in nodes for m in index.get(n, ()) if m.id not in gone}.values())
 
 
+def _releveled(
+    levels: Mapping[str, int],
+    adjacency: Mapping[str, Mapping[str, int]],
+    old_root: Mapping[str, str],
+    new_root: Mapping[str, str],
+    members: Mapping[str, frozenset[str]],
+    moved: set[str],
+    gone: _Ends,
+    new: _Ends,
+) -> dict[str, int]:
+    """``levels``, those of the last snapshot, repaired for ``adjacency``, the
+    loose hierarchy of the snapshot derived from it. ``members`` are its
+    classes, which were those of ``old_root`` before the nodes of ``moved``
+    changed root, and ``gone`` and ``new`` are the removed and added edges.
+
+    A class that a moved node entered or left takes the largest level among
+    its members' old classes, so no edge into it falls. Then levels are
+    raised forward, each class one above the class below it, from those
+    classes, from the subject of each added loose edge, and from the object
+    of each removed one, whose removal may have broken the last cycle below
+    classes that share the cycle's level. A raising that ends leaves every
+    level valid. Around a cycle it never ends, and a repair that takes more
+    raises than ``adjacency`` has keys costs more than a fresh build, so
+    after that many the levels are built anew. A class that left the
+    hierarchy keeps its level, which no edge reads.
+    """
+    get = new_root.get
+    touched = {get(n, n) for n in chain(moved, (old_root[n] for n in moved if n in old_root))}
+    releveled = dict(levels)
+    for r in touched:
+        releveled[r] = max(levels.get(old_root.get(m, m), 0) for m in members.get(r, (r,)))
+    budget = len(adjacency)
+    stack = list(touched)
+    for p in _LOOSE:
+        stack += [get(s, s) for s, _ in new[p]]
+        stack += [get(o, o) for _, o in gone[p]]
+    while stack:
+        u = stack.pop()
+        up = releveled.setdefault(u, 0) + 1
+        for v in adjacency.get(u, ()):
+            if releveled.get(v, -1) < up:
+                budget -= 1
+                if budget < 0:
+                    return graph.levels(adjacency)
+                releveled[v] = up
+                stack.append(v)
+    return releveled
+
+
 def _updated_snapshot(
     previous: ClosureSnapshot,
     edges: tuple[EntityMapping, ...],
@@ -521,18 +570,25 @@ def _updated_snapshot(
         _lift(steps, kept, old_root, -1)
         _lift(steps, kept, ref_root, 1)
     _lift(steps, new, ref_root, 1)
+    ref_members = _regrouped(previous.ref_members, old_root, ref_root, moved)
+    hierarchy = {relation: _merged(previous.hierarchy[relation], steps[relation]) for relation in _RELATIONS}
     snapshot = ClosureSnapshot(
         ont_root=ont_root,
         ont_members=_regrouped(previous.ont_members, previous.ont_root, ont_root, _moved(previous.ont_root, ont_root)),
         ref_root=ref_root,
-        ref_members=_regrouped(previous.ref_members, old_root, ref_root, moved),
-        hierarchy={relation: _merged(previous.hierarchy[relation], steps[relation]) for relation in _RELATIONS},
+        ref_members=ref_members,
+        hierarchy=hierarchy,
         associative_pairs=_repaired(previous.associative_pairs, unlifted, gone, new),
         edges=edges,
     )
-    # handed over, so the next derivation and the first explanation need not
-    # find them in the edges
-    vars(snapshot).update(unlifted=unlifted, node_index=_reindexed(index, removed, gone_ids, added))
+    # handed over, so the next derivation, the first explanation and the
+    # first hierarchical walk need not find them in the edges
+    vars(snapshot).update(
+        unlifted=unlifted,
+        node_index=_reindexed(index, removed, gone_ids, added),
+        # built here from the hierarchy if ``previous`` was never walked
+        levels=_releveled(previous.levels, hierarchy[_LOOSE], old_root, ref_root, ref_members, moved, gone, new),
+    )
     return snapshot
 
 
@@ -596,7 +652,10 @@ class ClosureSnapshot:
     those edges through :attr:`node_index`, as ``mappings_between`` does: a
     derived snapshot is handed it, and a full or filtered build makes it on
     first use rather than with the snapshot, so a fresh build's first verdict
-    never waits.
+    never waits. Hierarchical walks are pruned by :attr:`levels`, which a
+    derived snapshot is handed too, and a full or filtered build makes on its
+    first hierarchical walk. Neither is a field, so two snapshots of one edge
+    set compare equal whatever either has made.
     """
 
     ont_root: Mapping[str, str]
@@ -622,7 +681,7 @@ class ClosureSnapshot:
     def _above(self, relation: frozenset[MappingPredicate], a: Gupri, b: Gupri) -> bool:
         """True when b's referential class is above a's over ``relation``."""
         goal = self.referential_root(b)
-        return goal in graph.reach(self.hierarchy[relation], self.referential_root(a), goal)
+        return goal in graph.reach(self.hierarchy[relation], self.referential_root(a), goal, self.levels)
 
     def subclass_reachable(self, a: Gupri, b: Gupri) -> bool:
         """True when a's referential class reaches b's via subClassOf edges."""
@@ -637,8 +696,10 @@ class ClosureSnapshot:
 
         A loose walk decides whether any hierarchy rung applies in a
         direction, and the strict walks run only in a direction it reached,
-        as each strict relation is a subset of the loose one; an unrelated
-        pair costs two walks.
+        as each strict relation is a subset of the loose one. Every walk is
+        pruned by :attr:`levels`, so it never steps onto a class above the
+        goal's level, and a direction whose start is above its goal is not
+        walked at all.
         """
         if a == b:
             return InteropVerdict(InteropLevel.IDENTICAL, actionable=True), _NO_EDGES, _NO_EDGES
@@ -681,6 +742,22 @@ class ClosureSnapshot:
         handed its own by the derivation."""
         ends = _ends(self.edges)
         return {p: Counter(ends[p]) for p in _UNLIFTED}
+
+    @cached_property
+    def levels(self) -> dict[str, int]:
+        """A level per lifted referential class over the loose hierarchy,
+        which every strict one is a subset of: it never falls along an edge,
+        and rises along every edge whose lower class lies on no cycle and
+        above none. A walk toward a goal never steps onto a class above the
+        goal's level.
+
+        A full or filtered build makes them on its first hierarchical walk,
+        with :func:`graph.levels`; a snapshot derived from the last one is
+        handed them, repaired from the last one's at the classes the write
+        touched. Two threads that ask at once may both build them; either
+        is kept.
+        """
+        return graph.levels(self.hierarchy[_LOOSE])
 
     @cached_property
     def node_index(self) -> _NodeIndex:

@@ -56,6 +56,22 @@ def directed_reachability(nodes: list[str], edges: list[tuple[str, str]]) -> set
     return {(nodes[i], nodes[j]) for i in range(n) for j in range(n) if reach[i][j]}
 
 
+def level_rule_breaks(adjacency: dict, levels: dict) -> list[tuple]:
+    """The edges of ``adjacency`` whose levels break the rule: a level never
+    falls along an edge, and rises along one whose subject lies on no cycle
+    and above none, by the transitive closure of the edges."""
+    edges = [(u, v) for u, targets in adjacency.items() for v in targets]
+    nodes = sorted({n for edge in edges for n in edge})
+    reach = directed_reachability(nodes, edges)
+    on_cycles = {c for c in nodes if (c, c) in reach}
+    cyclic = on_cycles | {u for c in on_cycles for u in nodes if (c, u) in reach}
+    return [
+        (u, v)
+        for u, v in edges
+        if u not in levels or v not in levels or levels[u] > levels[v] or (levels[u] == levels[v] and u not in cyclic)
+    ]
+
+
 def all_shortest_paths(
     adjacency: dict[str, set[str]], start: str, goal: str
 ) -> list[list[str]]:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from semint import graph
 
-from oracles import all_shortest_paths, directed_reachability, equivalence_partition
+from oracles import all_shortest_paths, directed_reachability, equivalence_partition, level_rule_breaks
 
 NODES = list(range(8))
 edge_lists = st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)), max_size=24)
@@ -108,3 +108,42 @@ def test_best_path_reaches_nearest_goal_within_max_hops(edges, labels, start, go
                 candidates.append((len(keys), keys))
     expected = min(candidates)[1] if candidates else None
     assert graph.best_path(adjacency, start, goals, lambda _, label: label, max_hops) == expected
+
+
+def test_levels_rise_along_every_edge_of_a_dag():
+    adjacency = {0: {1, 2}, 1: {3}, 2: {3}, 3: {4}, 5: {4}}
+    levels = graph.levels(adjacency)
+    assert set(levels) == {0, 1, 2, 3, 4, 5}
+    assert all(levels[u] < levels[v] for u, targets in adjacency.items() for v in targets)
+    # each node's level is its longest path up from a node with no edge in
+    assert levels == {0: 0, 1: 1, 2: 1, 3: 2, 4: 3, 5: 0}
+
+
+def test_levels_give_a_cycle_and_its_tail_one_level_above_the_rest():
+    # 0 -> 1 -> 2 -> 3 -> 1 is a cycle with 1 and 3 below it; 3 -> 4 -> 5 is its tail
+    adjacency = {0: {1}, 1: {2}, 2: {3}, 3: {1, 4}, 4: {5}, 6: {7}}
+    levels = graph.levels(adjacency)
+    top = levels[1]
+    assert {levels[n] for n in (1, 2, 3, 4, 5)} == {top}
+    assert all(levels[n] < top for n in (0, 6, 7))
+    assert level_rule_breaks(adjacency, levels) == []
+
+
+def test_levels_of_no_edges_are_empty():
+    assert graph.levels({}) == {}
+
+
+@settings(deadline=None)
+@given(edge_lists)
+def test_levels_keep_the_rule_and_pruned_walks_find_every_goal(edges):
+    adjacency: dict[int, set[int]] = {}
+    for u, v in edges:
+        adjacency.setdefault(u, set()).add(v)
+    levels = graph.levels(adjacency)
+    assert set(levels) == {n for edge in edges for n in edge}
+    assert level_rule_breaks(adjacency, levels) == []
+    for start in NODES:
+        for goal in NODES:
+            pruned = graph.reach(adjacency, start, goal, levels)
+            assert (goal in pruned) == (goal in graph.reach(adjacency, start, goal)), (start, goal)
+            assert all(levels[n] <= levels[goal] for n in pruned)

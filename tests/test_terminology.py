@@ -19,6 +19,7 @@ from semint import (
     SchemaRegistry,
     SlotAlignment,
     TermRecord,
+    graph,
     identity_crosswalk,
 )
 from semint.errors import (
@@ -31,10 +32,17 @@ from semint.errors import (
     UnknownTerm,
 )
 from semint.store import ExpandMode, FindQuery, find
-from semint.terminology import NOOP_MAPPING_ID, TerminologyRegistry
+from semint.terminology import _LOOSE, _SUBCLASS, _SUBPROPERTY, NOOP_MAPPING_ID, TerminologyRegistry
 
 from conftest import add_mapping, make_engine, term
-from oracles import all_shortest_paths, explain_path_scan, oracle_closures, oracle_ladder, random_mapping_set
+from oracles import (
+    all_shortest_paths,
+    explain_path_scan,
+    level_rule_breaks,
+    oracle_closures,
+    oracle_ladder,
+    random_mapping_set,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +649,25 @@ def test_explain_path_equals_all_edges_scan(rows, threshold):
             assert snap.explain_path(a, b) == expected, (a, b, verdict)
 
 
+@settings(deadline=None, max_examples=150)
+@given(path_mapping_rows(), st.sampled_from([None, 0.9]))
+def test_pruned_walks_answer_as_unpruned_ones(rows, threshold):
+    # the rows always hold a hierarchy cycle, whose classes share one level
+    engine = make_engine()
+    for subject, predicate, object_, copies, confidence in rows:
+        for k in range(copies):
+            add_mapping(engine, subject, predicate, object_, confidence=confidence, comment=f"copy {k}")
+    snap = engine.terminology.compute_closure(threshold)
+    ids = [Gupri(engine.prefix_map.canonicalize(t)) for t in _PATH_TERMS]
+    for relation in (_LOOSE, _SUBCLASS, _SUBPROPERTY):
+        for a in ids:
+            for b in ids:
+                goal = snap.referential_root(b)
+                unpruned = goal in graph.reach(snap.hierarchy[relation], snap.referential_root(a), goal)
+                assert snap._above(relation, a, b) == unpruned, (relation, a, b)
+    assert level_rule_breaks(snap.hierarchy[_LOOSE], snap.levels) == []
+
+
 def test_explain_path_node_index_lives_with_its_snapshot(engine):
     t = engine.terminology
     ab = add_mapping(engine, "ex:a", MappingPredicate.SUB_CLASS_OF, "ex:b")
@@ -710,6 +737,67 @@ def test_explain_path_concurrent_first_use_matches_serial():
         sys.setswitchinterval(interval)
     assert all(answer == serial for answer in answers)
     assert any(serial)
+
+
+def test_levels_live_with_their_snapshot(engine):
+    t = engine.terminology
+    add_mapping(engine, "ex:a", MappingPredicate.SUB_CLASS_OF, "ex:b")
+    add_mapping(engine, "ex:b", MappingPredicate.SUB_CLASS_OF, "ex:c", confidence=0.5)
+    add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:d")
+    a, c, d = (engine.prefix_map.gupri(x) for x in ("ex:a", "ex:c", "ex:d"))
+    base, filtered = t.compute_closure(), t.compute_closure(0.0)
+    for snap in (base, filtered):
+        assert "levels" not in vars(snap)  # not built with the snapshot
+        # a verdict within one class walks no hierarchy
+        assert snap.interop_level(a, d).level is InteropLevel.ONTOLOGICAL
+        assert "levels" not in vars(snap)
+        assert snap.interop_level(a, c).direction == "broader"
+        assert "levels" in vars(snap)
+    levels = vars(base)["levels"]
+    assert t.compute_closure() is base and t.interop_level("ex:c", "ex:a").direction == "narrower"
+    assert vars(base)["levels"] is levels
+
+    add_mapping(engine, "ex:c", MappingPredicate.SUB_CLASS_OF, "ex:e")
+    derived = t.compute_closure()  # derived from the walked base
+    assert "levels" in vars(derived)
+    assert level_rule_breaks(derived.hierarchy[_LOOSE], vars(derived)["levels"]) == []
+    assert t.interop_level("ex:d", "ex:e").direction == "broader"
+    # the base keeps its own levels
+    assert vars(base)["levels"] is levels and level_rule_breaks(base.hierarchy[_LOOSE], levels) == []
+
+
+def test_walks_concurrent_first_use_matches_serial():
+    # a hierarchy that mostly climbs, with a few edges back down that close
+    # cycles, a few classes and many unrelated pairs
+    engine = make_engine()
+    rng = random.Random(7)
+    terms = [f"ex:t{i}" for i in range(80)]
+    predicates = [SUB] * 4 + [MappingPredicate.SUB_PROPERTY_OF, MappingPredicate.BROAD_MATCH] * 2 + [SAME]
+    for _ in range(120):
+        lower, upper = sorted(rng.sample(terms, 2), key=terms.index)
+        if rng.random() < 0.03:
+            lower, upper = upper, lower
+        add_mapping(engine, lower, rng.choice(predicates), upper)
+    nodes = [engine.prefix_map.canonicalize(x) for x in terms]
+    pairs = [(Gupri(rng.choice(nodes)), Gupri(rng.choice(nodes))) for _ in range(300)]
+    serial = [engine.terminology.compute_closure(0.0).interop_level(a, b) for a, b in pairs]
+    snap = engine.terminology.compute_closure()
+    assert "levels" not in vars(snap)
+    start = threading.Barrier(8, timeout=30)
+
+    def walk_all() -> list:
+        start.wait()
+        return [snap.interop_level(a, b) for a, b in pairs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so first uses overlap
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            answers = [f.result(timeout=60) for f in [pool.submit(walk_all) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(answer == serial for answer in answers)
+    assert any(v.level is InteropLevel.HIERARCHICAL for v in serial)
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +1039,25 @@ def _assert_fresh(snap):
         ([], [("ex:t0", SAME, "ex:t1", 0.0)], [("ex:t0", SAME, "ex:t1", 0.0)]),
     ]
 )
+@example(
+    [
+        # a chain, t0 below t1 below t2 below t3
+        ([("ex:t0", SUB, "ex:t1", 1.0), ("ex:t1", SUB, "ex:t2", 1.0), ("ex:t2", SUB, "ex:t3", 1.0)], [], []),
+        # closes the cycle t0 t1 t2 with t3 above it, so the levels are built anew
+        ([("ex:t2", SUB, "ex:t0", 1.0)], [], []),
+        # t4 joins the class of t1 on the cycle, t5 goes above t3, and ...
+        ([("ex:t4", SAME, "ex:t1", 1.0), ("ex:t3", SUB, "ex:t5", 1.0)], [], []),
+        # ... is broken again, so its classes rise one above another
+        ([], [("ex:t2", SUB, "ex:t0", 1.0), ("ex:t4", SAME, "ex:t1", 1.0)], []),
+    ]
+)
+@example(
+    [
+        ([("ex:t1", SUB, "ex:t2", 1.0), ("ex:t2", SUB, "ex:t3", 1.0), ("ex:t0", SUB, "ex:t5", 1.0)], [], []),
+        # t3 joins the class of t0, whose root sits two levels lower and so takes t3's level
+        ([("ex:t0", SAME, "ex:t3", 1.0)], [], []),
+    ]
+)
 def test_derived_snapshot_equals_fresh_build(batches):
     engine = make_engine()
     t = engine.terminology
@@ -972,6 +1079,9 @@ def test_derived_snapshot_equals_fresh_build(batches):
         snap = t.compute_closure()
         assert snap.edges == t._mappings.rows()
         _assert_fresh(snap)
+        # repaired from the last snapshot's, so they may differ from a fresh
+        # build's and still be valid
+        assert level_rule_breaks(snap.hierarchy[_LOOSE], snap.levels) == []
         verdicts, reach = oracle_ladder(nodes, list(snap.edges))
         for a in ids:
             for b in ids:
