@@ -22,6 +22,9 @@ _CURIE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.\-]*):(\S+)$")
 _PREFIX_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 # matches exactly the characters for which str.isspace() is true
 _SPACE_RE = re.compile(r"\s")
+#: the most strings one prefix map remembers the Gupri of; a full memo is
+#: cleared, so a server fed ever new identifiers holds at most this many
+_MEMO_CAP = 1 << 16
 
 
 def is_absolute_iri(value: str) -> bool:
@@ -66,6 +69,8 @@ class PrefixMap:
         # the bindings in the order compress tries them: longest expansion
         # first, ties by prefix name, so the first match is the one it uses
         self._match_order: list[tuple[str, str]] = []
+        # the Gupri of each string given to gupri, replaced by every register
+        self._memo: dict[str, Gupri] = {}
         if bindings:
             for prefix, iri in bindings.items():
                 self.register(prefix, iri)
@@ -77,6 +82,8 @@ class PrefixMap:
             raise InvalidGupri(f"prefix {prefix!r} must expand to an absolute IRI, got {iri!r}")
         self._bindings[prefix] = iri
         self._match_order = sorted(self._bindings.items(), key=lambda b: (-len(b[1]), b[0]))
+        # after the bindings, so a call that takes the new memo reads them
+        self._memo = {}
 
     def bindings(self) -> list[tuple[str, str]]:
         return sorted(self._bindings.items())
@@ -105,9 +112,30 @@ class PrefixMap:
         return expansion + local
 
     def gupri(self, value: str | Gupri) -> Gupri:
+        """The Gupri of ``value``.
+
+        A string's Gupri is remembered, under the string and under its
+        canonical form, until the next :meth:`register` or until the memo
+        fills and is cleared, so the mentions of an identifier share one
+        object; an error is raised again on every call. The memo is taken
+        before the bindings are read, so a Gupri built while a prefix is
+        registered lands in the memo that the registration dropped.
+        """
         if isinstance(value, Gupri):
             return value
-        return Gupri(self.canonicalize(value))
+        if type(value) is not str:
+            return Gupri(self.canonicalize(value))
+        memo = self._memo
+        g = memo.get(value)
+        if g is None:
+            canonical = self.canonicalize(value)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            g = memo.get(canonical)
+            if g is None:
+                g = memo[canonical] = Gupri(canonical)
+            memo[value] = g
+        return g
 
     def compress(self, iri: str) -> str:
         """CURIE form under the longest matching binding, or the IRI itself.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -167,8 +166,6 @@ _RELATIONS = (_SUBCLASS, _SUBPROPERTY, _LOOSE)
 _LIFTED_INTO = {
     p: tuple(relation for relation in _RELATIONS if p in relation) for p in MappingPredicate if p in _LOOSE
 }
-#: the predicates whose edges are not lifted: the equivalence and associative ones
-_UNLIFTED = tuple(p for p in MappingPredicate if p not in _LOOSE)
 
 #: Sentinel returned when a self-mapping is accepted without being stored.
 NOOP_MAPPING_ID = "m-noop"
@@ -321,9 +318,6 @@ def _mapping_order(m: EntityMapping) -> tuple:
 _Hierarchy = dict[frozenset[MappingPredicate], dict[str, dict[str, int]]]
 #: the (subject, object) ends of mappings, by predicate
 _Ends = Mapping[MappingPredicate, Iterable[tuple[str, str]]]
-#: the ends of the equivalence and associative mappings, by predicate, with
-#: the number of mappings between each pair of ends
-_Unlifted = dict[MappingPredicate, Counter[tuple[str, str]]]
 #: the mappings at each canonical node, in table order
 _NodeIndex = Mapping[str, tuple[EntityMapping, ...]]
 
@@ -386,61 +380,61 @@ def _merged(adjacency: Mapping[str, dict[str, int]], steps: Mapping[str, dict[st
     return merged
 
 
-def _recounted(
-    counts: Counter[tuple[str, str]], gone: list[tuple[str, str]], new: list[tuple[str, str]]
-) -> Counter[tuple[str, str]]:
-    """A copy of ``counts`` less ``gone`` and plus ``new``, without the pairs
-    left at 0."""
-    counts = counts.copy()
-    counts.update(new)
-    counts.subtract(gone)
-    for pair in gone:
-        if counts.get(pair) == 0:
-            del counts[pair]
-    return counts
+def _rerooted(
+    root: Mapping[str, str],
+    members: Mapping[str, frozenset[str]],
+    index: _NodeIndex,
+    gone: _Ends,
+    new: _Ends,
+    grade: frozenset[MappingPredicate],
+) -> tuple[Mapping[str, str], Mapping[str, frozenset[str]], set[str]]:
+    """The node-to-root map and the classes of ``grade`` after a write that
+    removed the rows of ``gone`` and added those of ``new``, repaired from
+    ``root`` and its classes ``members``, and the nodes whose root changed.
+    ``index`` is the node index after the write.
+
+    Only a class with an end of a written row of ``grade`` can split or
+    merge, so only those are united again (incremental union-find, Tarjan
+    1975), over the rows of ``grade`` at their members after the write;
+    every other node keeps its root, and every other class is ``members``'
+    own frozenset. With no such row ``root`` and ``members`` themselves
+    come back.
+    """
+    get = root.get
+    dirty = {get(n, n) for p in grade for end in chain(gone[p], new[p]) for n in end}
+    if not dirty:
+        return root, members, set()
+    touched = {n for r in dirty for n in members.get(r, (r,))}
+    # both ends of such a row lie in the touched classes, so each is taken
+    # once, at its subject
+    united = graph.components(
+        (n, m.object.canonical)
+        for n in touched
+        for m in index.get(n, ())
+        if m.predicate in grade and m.subject.canonical == n
+    )
+    repaired, regrouped = dict(root), dict(members)
+    for n in touched.difference(united):
+        repaired.pop(n, None)  # in no class of more than one member now
+    repaired.update(united)
+    for r in dirty:
+        regrouped.pop(r, None)
+    regrouped.update(_classes(united))
+    return repaired, regrouped, {n for n in touched if united.get(n) != get(n)}
 
 
-def _moved(old_root: Mapping[str, str], new_root: Mapping[str, str]) -> set[str]:
-    """The nodes whose root differs between two node-to-root maps; a node in
-    only one of them has moved too, into a class or out of every class."""
-    return {n for n, _ in old_root.items() ^ new_root.items()}
-
-
-def _regrouped(
-    members: Mapping[str, frozenset[str]], old_root: Mapping[str, str], new_root: Mapping[str, str], moved: set[str]
-) -> dict[str, frozenset[str]]:
-    """The classes of ``new_root``, from ``members``, those of ``old_root``:
-    a class that a node of ``moved`` left or entered is rebuilt, and every
-    other class is ``members``' own frozenset."""
-    entered: dict[str, set[str]] = {}
-    for n in moved:
-        r = new_root.get(n)
-        if r is not None:
-            entered.setdefault(r, set()).add(n)
-    regrouped = dict(members)
-    for r in entered.keys() | {old_root[n] for n in moved if n in old_root}:
-        # a member that did not move kept its root
-        group = entered.get(r, set()).union(n for n in members.get(r, ()) if n not in moved)
-        if group:
-            regrouped[r] = frozenset(group)
-        else:
-            del regrouped[r]
-    return regrouped
-
-
-def _repaired(
-    pairs: frozenset[frozenset[str]], unlifted: _Unlifted, gone: _Ends, new: _Ends
-) -> frozenset[frozenset[str]]:
+def _repaired(pairs: frozenset[frozenset[str]], index: _NodeIndex, gone: _Ends, new: _Ends) -> frozenset[frozenset[str]]:
     """``pairs`` with each pair of an associative mapping in ``gone`` or
-    ``new`` tested again against the counts in ``unlifted``; every other pair
-    is ``pairs``' own frozenset."""
+    ``new`` tested again against ``index``, the node index after the write;
+    every other pair is ``pairs``' own frozenset."""
     ends = {end for p in _ASSOCIATIVE for end in chain(gone[p], new[p])}
     if not ends:
         return pairs
-    counts = [unlifted[p] for p in _ASSOCIATIVE]
     present, absent = set(), set()
     for s, o in ends:
-        stored = any((s, o) in c or (o, s) in c for c in counts)
+        # s and o differ, so a mapping at s with o at an end joins them
+        at = index.get(s, ())
+        stored = any(m.predicate in _ASSOCIATIVE and o in (m.subject.canonical, m.object.canonical) for m in at)
         (present if stored else absent).add(frozenset((s, o)))
     return pairs.difference(absent).union(present)
 
@@ -542,50 +536,46 @@ def _updated_snapshot(
     ``removed``, in their order, followed by ``added`` are ``edges``; equal
     to a build from ``edges`` and leaving ``previous`` unchanged.
 
-    The class roots come from the equivalence edges, a small share of the
-    table, so they are recomputed; a class that no node left or entered, and
-    an associative pair no write touched, is ``previous``'s own object. The
-    node index and the lifted hierarchy are updated: a removed edge is taken
-    away under the old classes, an added one added under the new, and an
-    edge kept from ``previous`` with an end that changed class, read from
-    ``previous``'s node index at that end, moves from its old lift to its new
-    one.
+    The node index is patched at the ends of the written rows, and the
+    classes of each grade are repaired from it at those that the grade's
+    written rows touched; every other class, and an associative pair no
+    write touched, is ``previous``'s own object. The lifted hierarchy is
+    updated: a removed edge is taken away under the old classes, an added
+    one added under the new, and an edge kept from ``previous`` with an end
+    that changed class, read from ``previous``'s node index at that end,
+    moves from its old lift to its new one.
     """
     gone, new = _ends(removed), _ends(added)
     gone_ids = {m.id for m in removed}
-    unlifted = {
-        p: _recounted(counts, gone[p], new[p]) if gone[p] or new[p] else counts
-        for p, counts in previous.unlifted.items()
-    }
-    ont_root = _roots(unlifted, _ONTOLOGICAL_GRADE)
-    ref_root = _roots(unlifted, _REFERENTIAL_GRADE)
-    old_root = previous.ref_root
-    moved = _moved(old_root, ref_root)
     # built here from the edges if ``previous`` is a build never explained
-    index = previous.node_index
+    old_index = previous.node_index
+    index = _reindexed(old_index, removed, gone_ids, added)
+    ont_root, ont_members, _ = _rerooted(
+        previous.ont_root, previous.ont_members, index, gone, new, _ONTOLOGICAL_GRADE
+    )
+    old_root = previous.ref_root
+    ref_root, ref_members, moved = _rerooted(old_root, previous.ref_members, index, gone, new, _REFERENTIAL_GRADE)
     steps: _Hierarchy = {relation: {} for relation in _RELATIONS}
     _lift(steps, gone, old_root, -1)
     if moved:
-        kept = _kept_at(index, moved, gone_ids)
+        kept = _kept_at(old_index, moved, gone_ids)
         _lift(steps, kept, old_root, -1)
         _lift(steps, kept, ref_root, 1)
     _lift(steps, new, ref_root, 1)
-    ref_members = _regrouped(previous.ref_members, old_root, ref_root, moved)
     hierarchy = {relation: _merged(previous.hierarchy[relation], steps[relation]) for relation in _RELATIONS}
     snapshot = ClosureSnapshot(
         ont_root=ont_root,
-        ont_members=_regrouped(previous.ont_members, previous.ont_root, ont_root, _moved(previous.ont_root, ont_root)),
+        ont_members=ont_members,
         ref_root=ref_root,
         ref_members=ref_members,
         hierarchy=hierarchy,
-        associative_pairs=_repaired(previous.associative_pairs, unlifted, gone, new),
+        associative_pairs=_repaired(previous.associative_pairs, index, gone, new),
         edges=edges,
     )
     # handed over, so the next derivation, the first explanation and the
     # first hierarchical walk need not find them in the edges
     vars(snapshot).update(
-        unlifted=unlifted,
-        node_index=_reindexed(index, removed, gone_ids, added),
+        node_index=index,
         # built here from the hierarchy if ``previous`` was never walked
         levels=_releveled(previous.levels, hierarchy[_LOOSE], old_root, ref_root, ref_members, moved, gone, new),
     )
@@ -653,9 +643,10 @@ class ClosureSnapshot:
     derived snapshot is handed it, and a full or filtered build makes it on
     first use rather than with the snapshot, so a fresh build's first verdict
     never waits. Hierarchical walks are pruned by :attr:`levels`, which a
-    derived snapshot is handed too, and a full or filtered build makes on its
-    first hierarchical walk. Neither is a field, so two snapshots of one edge
-    set compare equal whatever either has made.
+    derived snapshot is handed too and a full build makes on its first
+    hierarchical walk; a filtered build, which serves one call, has none and
+    walks unpruned. Neither is a field, so two snapshots of one edge set
+    compare equal whatever either has made.
     """
 
     ont_root: Mapping[str, str]
@@ -696,10 +687,10 @@ class ClosureSnapshot:
 
         A loose walk decides whether any hierarchy rung applies in a
         direction, and the strict walks run only in a direction it reached,
-        as each strict relation is a subset of the loose one. Every walk is
-        pruned by :attr:`levels`, so it never steps onto a class above the
-        goal's level, and a direction whose start is above its goal is not
-        walked at all.
+        as each strict relation is a subset of the loose one. With
+        :attr:`levels`, every walk is pruned, so it never steps onto a class
+        above the goal's level, and a direction whose start is above its goal
+        is not walked at all.
         """
         if a == b:
             return InteropVerdict(InteropLevel.IDENTICAL, actionable=True), _NO_EDGES, _NO_EDGES
@@ -734,28 +725,19 @@ class ClosureSnapshot:
         raise ValueError(f"{level!r} does not form equivalence classes")
 
     @cached_property
-    def unlifted(self) -> _Unlifted:
-        """The ends of the equivalence and associative ``edges``, counted by
-        predicate: what the snapshot derived from this one recomputes the
-        classes from. Found in ``edges`` when a derivation first asks, so a
-        build that is never a base does not pay for it; a derived snapshot is
-        handed its own by the derivation."""
-        ends = _ends(self.edges)
-        return {p: Counter(ends[p]) for p in _UNLIFTED}
-
-    @cached_property
-    def levels(self) -> dict[str, int]:
+    def levels(self) -> dict[str, int] | None:
         """A level per lifted referential class over the loose hierarchy,
         which every strict one is a subset of: it never falls along an edge,
         and rises along every edge whose lower class lies on no cycle and
         above none. A walk toward a goal never steps onto a class above the
         goal's level.
 
-        A full or filtered build makes them on its first hierarchical walk,
-        with :func:`graph.levels`; a snapshot derived from the last one is
-        handed them, repaired from the last one's at the classes the write
-        touched. Two threads that ask at once may both build them; either
-        is kept.
+        A full build makes them on its first hierarchical walk, with
+        :func:`graph.levels`; a snapshot derived from the last one is handed
+        them, repaired from the last one's at the classes the write touched.
+        A filtered build is handed None, as its one call would wait longer
+        for the levels than its walks save, so it walks unpruned. Two threads
+        that ask at once may both build them; either is kept.
         """
         return graph.levels(self.hierarchy[_LOOSE])
 
@@ -982,7 +964,10 @@ class TerminologyRegistry:
         if min_confidence is not None:
             if not _is_unit_number(min_confidence):
                 raise MalformedContent(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
-            return self._build_snapshot(tuple(m for m in self._mappings.rows() if m.confidence >= min_confidence))
+            snapshot = self._build_snapshot(tuple(m for m in self._mappings.rows() if m.confidence >= min_confidence))
+            # it serves one call, whose few walks cost less unpruned than the levels would
+            vars(snapshot)["levels"] = None
+            return snapshot
         return self._mappings.derived(self._build_snapshot, _updated_snapshot)
 
     def call_snapshot(self, snap: ClosureSnapshot | None, min_confidence: float | None = None) -> ClosureSnapshot:

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import importlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semint import Gupri, PrefixMap
+from semint import Gupri, PrefixMap, identifiers, load_store
 from semint.errors import InvalidGupri
 
 from oracles import compress_scan
@@ -134,3 +140,89 @@ def test_bad_prefix_registration():
 def test_gupri_str(pm):
     assert str(pm.gupri("pato:weight")) == "http://example.org/pato/weight"
     assert Gupri("urn:x:1") == Gupri("urn:x:1")
+
+
+# each string's Gupri is remembered
+
+
+def test_gupri_is_one_object_per_identifier(pm):
+    assert pm.gupri("ex:a") is pm.gupri("ex:a")
+    # a CURIE and its expansion share one object too
+    assert pm.gupri("http://example.org/things/a") is pm.gupri("ex:a")
+    assert pm.gupri(" ex:a ") is pm.gupri("ex:a")
+
+
+def test_register_drops_remembered_gupris(pm):
+    before = pm.gupri("ex:a")
+    pm.register("ex", "http://example.org/other/")
+    assert pm.gupri("ex:a").canonical == "http://example.org/other/a"
+    assert before.canonical == "http://example.org/things/a"
+
+
+def test_invalid_identifier_raises_on_every_call(pm):
+    for _ in range(3):
+        with pytest.raises(InvalidGupri):
+            pm.gupri("nope:thing")
+    pm.register("nope", "http://example.org/nope/")
+    assert pm.gupri("nope:thing").canonical == "http://example.org/nope/thing"
+
+
+@pytest.mark.parametrize("value", [["x"], {"x": 1}, None, 7])
+def test_gupri_of_a_non_string_is_invalid(pm, value):
+    for _ in range(2):
+        with pytest.raises(InvalidGupri):
+            pm.gupri(value)
+
+
+def test_full_memo_is_cleared_and_still_answers(pm, monkeypatch):
+    monkeypatch.setattr(identifiers, "_MEMO_CAP", 2)
+    first = pm.gupri("ex:n0")
+    for _ in range(2):
+        for k in range(7):
+            assert pm.gupri(f"ex:n{k}").canonical == f"http://example.org/things/n{k}"
+    again = pm.gupri("ex:n0")
+    assert again == first and again is not first  # built again after a clear
+
+
+def test_gupri_during_registrations_never_keeps_a_stale_expansion(pm):
+    # a Gupri built under the old binding while a registration runs must not
+    # be served once the registration is done
+    names = [f"ex:n{k}" for k in range(40)]
+    expansions = ["http://example.org/one/", "http://example.org/two/"]
+    stop = threading.Event()
+
+    def read() -> int:
+        calls = 0
+        while not stop.is_set():
+            for name in names:
+                pm.gupri(name)
+                calls += 1
+        return calls
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so calls and registrations overlap
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            readers = [pool.submit(read) for _ in range(4)]
+            try:
+                for k in range(400):
+                    expansion = expansions[k % 2]
+                    pm.register("ex", expansion)
+                    assert all(pm.gupri(name).canonical == expansion + name[3:] for name in names)
+            finally:
+                stop.set()
+            assert all(f.result(timeout=60) > 0 for f in readers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_loaded_store_holds_one_gupri_per_identifier(tmp_path, monkeypatch):
+    # the benchmark's generator writes the seeded tiny store
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    gen.write_store(gen.SIZES["tiny"], 1, tmp_path / "store")
+    engine = load_store(tmp_path / "store")
+    gupris = [end for m in engine.terminology.mappings() for end in (m.subject, m.object)]
+    gupris += [t.id for t in engine.terminology.terms()]
+    assert len(gupris) > 600
+    assert len({id(g) for g in gupris}) == len({g.canonical for g in gupris})

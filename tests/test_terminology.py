@@ -32,7 +32,14 @@ from semint.errors import (
     UnknownTerm,
 )
 from semint.store import ExpandMode, FindQuery, find
-from semint.terminology import _LOOSE, _SUBCLASS, _SUBPROPERTY, NOOP_MAPPING_ID, TerminologyRegistry
+from semint.terminology import (
+    _LOOSE,
+    _REFERENTIAL_GRADE,
+    _SUBCLASS,
+    _SUBPROPERTY,
+    NOOP_MAPPING_ID,
+    TerminologyRegistry,
+)
 
 from conftest import add_mapping, make_engine, term
 from oracles import (
@@ -658,6 +665,10 @@ def test_pruned_walks_answer_as_unpruned_ones(rows, threshold):
         for k in range(copies):
             add_mapping(engine, subject, predicate, object_, confidence=confidence, comment=f"copy {k}")
     snap = engine.terminology.compute_closure(threshold)
+    if threshold is not None:
+        # a filtered snapshot walks unpruned, so a full build of its edges is pruned instead
+        assert snap.levels is None
+        snap = TerminologyRegistry._build_snapshot(snap.edges)
     ids = [Gupri(engine.prefix_map.canonicalize(t)) for t in _PATH_TERMS]
     for relation in (_LOOSE, _SUBCLASS, _SUBPROPERTY):
         for a in ids:
@@ -746,13 +757,15 @@ def test_levels_live_with_their_snapshot(engine):
     add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:d")
     a, c, d = (engine.prefix_map.gupri(x) for x in ("ex:a", "ex:c", "ex:d"))
     base, filtered = t.compute_closure(), t.compute_closure(0.0)
-    for snap in (base, filtered):
-        assert "levels" not in vars(snap)  # not built with the snapshot
-        # a verdict within one class walks no hierarchy
-        assert snap.interop_level(a, d).level is InteropLevel.ONTOLOGICAL
-        assert "levels" not in vars(snap)
-        assert snap.interop_level(a, c).direction == "broader"
-        assert "levels" in vars(snap)
+    assert "levels" not in vars(base)  # not built with the snapshot
+    # a verdict within one class walks no hierarchy
+    assert base.interop_level(a, d).level is InteropLevel.ONTOLOGICAL
+    assert "levels" not in vars(base)
+    assert base.interop_level(a, c).direction == "broader"
+    assert "levels" in vars(base)
+    # a filtered snapshot serves one call, and walks unpruned
+    assert filtered.interop_level(a, c).direction == "broader"
+    assert vars(filtered)["levels"] is None
     levels = vars(base)["levels"]
     assert t.compute_closure() is base and t.interop_level("ex:c", "ex:a").direction == "narrower"
     assert vars(base)["levels"] is levels
@@ -764,6 +777,31 @@ def test_levels_live_with_their_snapshot(engine):
     assert t.interop_level("ex:d", "ex:e").direction == "broader"
     # the base keeps its own levels
     assert vars(base)["levels"] is levels and level_rule_breaks(base.hierarchy[_LOOSE], levels) == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fx: fx.engine.terminology.interop_level("unit:gram", "unit:mass-unit", min_confidence=0.5),
+        lambda fx: fx.engine.terminology.explain_path("unit:gram", "unit:mass-unit", min_confidence=0.5),
+        lambda fx: fx.engine.crosswalks.check_crosswalk(fx.crosswalk_id, min_confidence=0.5),
+    ],
+    ids=["interop_level", "explain_path", "check_crosswalk"],
+)
+def test_filtered_call_never_builds_levels(weight, monkeypatch, call):
+    built: list[int] = []
+    levels = graph.levels
+
+    def counted(adjacency):
+        built.append(len(adjacency))
+        return levels(adjacency)
+
+    monkeypatch.setattr(graph, "levels", counted)
+    assert call(weight)
+    assert built == []
+    # the cached snapshot's first hierarchical walk does build them
+    assert weight.engine.terminology.interop_level("unit:gram", "unit:mass-unit").direction == "broader"
+    assert len(built) == 1
 
 
 def test_walks_concurrent_first_use_matches_serial():
@@ -1002,13 +1040,13 @@ def write_batches(draw):
 
 
 SUB, SAME, CLOSE = MappingPredicate.SUB_CLASS_OF, MappingPredicate.SAME_AS, MappingPredicate.CLOSE_MATCH
+EQUIV = MappingPredicate.EQUIVALENT_CLASS
 
 
 def _assert_fresh(snap):
     fresh = TerminologyRegistry._build_snapshot(snap.edges)
     for f in dataclasses.fields(snap):
         assert getattr(snap, f.name) == getattr(fresh, f.name), f.name
-    assert snap.unlifted == fresh.unlifted
     # by id: two mappings that differ only in a confidence of 0.0 and -0.0
     # compare equal
     for node in {end.canonical for m in snap.edges for end in (m.subject, m.object)}:
@@ -1058,10 +1096,39 @@ def _assert_fresh(snap):
         ([("ex:t0", SAME, "ex:t3", 1.0)], [], []),
     ]
 )
+@example(
+    [
+        # a chain of five in one class, with a subClassOf row out of its
+        # middle, and two other classes, one above it
+        ([("ex:t0", SAME, "ex:t1", 1.0), ("ex:t1", EQUIV, "ex:t2", 1.0), ("ex:t2", SAME, "ex:t3", 1.0),
+          ("ex:t3", SAME, "ex:t4", 1.0), ("ex:t5", SAME, "ex:t6", 1.0), ("ex:t7", EQUIV, "ex:t8", 1.0),
+          ("ex:t2", SUB, "ex:t5", 1.0)], [], []),
+        # the chain's middle rows go, so it splits in three, and the other two merge
+        ([("ex:t6", SAME, "ex:t7", 1.0)], [("ex:t1", EQUIV, "ex:t2", 1.0), ("ex:t2", SAME, "ex:t3", 1.0)], []),
+    ]
+)
+@example(
+    [
+        ([("ex:t0", SAME, "ex:t1", 1.0), ("ex:t0", EQUIV, "ex:t1", 1.0), ("ex:t2", SUB, "ex:t1", 1.0)], [], []),
+        # the ontological class loses its last row, the referential one keeps one
+        ([], [("ex:t0", SAME, "ex:t1", 1.0)], []),
+        # ... and loses it too, so t0 and t1 leave both root maps
+        ([], [("ex:t0", EQUIV, "ex:t1", 1.0)], []),
+    ]
+)
+@example(
+    [
+        ([("ex:t0", SAME, "ex:t1", 1.0), ("ex:t1", EQUIV, "ex:t2", 1.0), ("ex:t3", SUB, "ex:t4", 1.0)], [], []),
+        # no equivalence row, so both root maps are the base's own
+        ([("ex:t2", SUB, "ex:t3", 1.0), ("ex:t4", CLOSE, "ex:t5", 1.0)], [("ex:t3", SUB, "ex:t4", 1.0)], []),
+    ]
+)
 def test_derived_snapshot_equals_fresh_build(batches):
     engine = make_engine()
     t = engine.terminology
-    nodes = [engine.prefix_map.canonicalize(x) for x in _STEP_TERMS]
+    # the terms a batch names, which an example may take beyond _STEP_TERMS
+    terms = sorted({*_STEP_TERMS, *(row[k] for added, _, _ in batches for row in added for k in (0, 2))})
+    nodes = [engine.prefix_map.canonicalize(x) for x in terms]
     ids = [Gupri(n) for n in nodes]
     snapshots = [t.compute_closure()]
     stored: dict[str, str] = {}  # a row's id, which its content fixes, by the row's repr
@@ -1076,9 +1143,14 @@ def test_derived_snapshot_equals_fresh_build(batches):
             t.remove_mapping(stored[repr(row)])
         for row in restored:
             add(row)
+        base = t._mappings._base
         snap = t.compute_closure()
         assert snap.edges == t._mappings.rows()
         _assert_fresh(snap)
+        rows = added + removed + restored
+        if base is not None and base[2] is snapshots[-1] and all(row[1] not in _REFERENTIAL_GRADE for row in rows):
+            # derived from the last snapshot by a write of no equivalence row
+            assert snap.ont_root is snapshots[-1].ont_root and snap.ref_root is snapshots[-1].ref_root
         # repaired from the last snapshot's, so they may differ from a fresh
         # build's and still be valid
         assert level_rule_breaks(snap.hierarchy[_LOOSE], snap.levels) == []
@@ -1127,6 +1199,9 @@ def test_derivation_shares_what_the_write_left_alone(engine):
     assert t.remove_mapping(ac)
     gd = add_mapping(engine, "ex:g", SUB, "ex:d")
     later = t.compute_closure()
+    # no equivalence row was written, so the classes are the last snapshot's
+    assert later.ont_root is snap.ont_root and later.ref_root is snap.ref_root
+    assert later.ont_members is snap.ont_members and later.ref_members is snap.ref_members
     a, d = pm.gupri("ex:a"), pm.gupri("ex:d")
     assert [m.id for m in base.explain_path(a, d)] == [ac, cd]
     assert [m.id for m in snap.explain_path(a, d)] == [ac, cd]
