@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 domain or validation failure, 2 usage error,
 3 parse or IO failure. A store file that cannot be parsed fails every command
 that reads it; a file under ``fdos/`` is read only by the commands that read
-FAIR records (``assess``, ``find``, ``import``, ``export``) and by ``serve``.
+FAIR records (``assess``, ``find``, ``import fdo``, ``export``) and by
+``serve``. An ``import`` writes only the store file of what it added: the
+``terms`` or ``mappings.tsv`` file, or the one document of the record it
+registered; ``export`` rewrites the whole store in canonical form.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from .errors import (
     MalformedRecord,
     ParseFailure,
     SemintError,
+    UnknownCrosswalk,
+    UnknownFdo,
+    UnknownOperation,
+    UnknownSchema,
 )
 from .fdo import StatementCategory
 
@@ -201,9 +208,11 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _run_import(args: argparse.Namespace, engine, root: str) -> int:
+    """Register the file's records and write only the store file that they
+    change; a registration that stores nothing new writes nothing."""
     pm = engine.prefix_map
     if args.kind == "terms":
-        count = 0
+        count, added = 0, False
         for lineno, line in enumerate(_read_file(args.file).splitlines(), start=1):
             if not line.strip():
                 continue
@@ -211,31 +220,55 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
                 record = documents.term_from_doc(documents.load_json(line), pm)
             except (ValueError, MalformedContent, MalformedRecord, InvalidGupri) as exc:
                 raise ParseFailure(args.file, lineno, str(exc)) from None
+            added = added or not engine.terminology.has_term(record.id)
             engine.terminology.register_term(record)
             count += 1
-        store.export_store(engine, root)
+        if added:
+            store.export_store(engine, root, changed="terms")
         _emit({"imported_terms": count})
         return 0
     if args.kind == "mappings":
         report = engine.terminology.import_mappings_tsv(_read_file(args.file), table1_direction=args.table1_direction)
-        store.export_store(engine, root)
+        if report.accepted:
+            store.export_store(engine, root, changed="mappings.tsv")
         _emit(documents.import_report_to_doc(report))
         return 0
     doc = _read_json_file(args.file)
-    parse, register = {
-        "schema": (documents.schema_from_doc, engine.schemas.register_schema),
-        "crosswalk": (documents.crosswalk_from_doc, engine.crosswalks.register_crosswalk),
-        "operation": (documents.operation_from_doc, engine.operations.register_operation),
-        "fdo": (documents.fdo_from_doc, engine.fdos.register_fdo),
+    directory, parse, register, lookup = {
+        "schema": ("schemas", documents.schema_from_doc, engine.schemas.register_schema, engine.schemas.schema),
+        "crosswalk": (
+            "crosswalks",
+            documents.crosswalk_from_doc,
+            engine.crosswalks.register_crosswalk,
+            engine.crosswalks.crosswalk,
+        ),
+        "operation": (
+            "operations",
+            documents.operation_from_doc,
+            engine.operations.register_operation,
+            engine.operations.operation,
+        ),
+        "fdo": ("fdos", documents.fdo_from_doc, engine.fdos.register_fdo, engine.fdos.record),
     }[args.kind]
     try:
         parsed = parse(doc, pm)
     except (MalformedContent, MalformedRecord, InvalidGupri) as exc:
         raise ParseFailure(args.file, 1, str(exc)) from None
+    held = _held(lookup, parsed.gupri if args.kind == "fdo" else parsed.id)
     registered = register(parsed)
-    store.export_store(engine, root)
+    if not held:
+        store.export_store(engine, root, changed=(directory, lookup(registered)))
     _emit({"registered": pm.compress(registered.canonical)})
     return 0
+
+
+def _held(lookup, id) -> bool:
+    """Whether the engine already holds a record under ``id``."""
+    try:
+        lookup(id)
+    except (UnknownSchema, UnknownCrosswalk, UnknownOperation, UnknownFdo):
+        return False
+    return True
 
 
 def _run_crosswalk(args: argparse.Namespace, engine) -> int:

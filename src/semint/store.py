@@ -14,6 +14,9 @@ records reads, so a caller that never reads a record never pays for them.
 
 Exports are canonical: records sorted by canonical identifier, documents
 emitted with fixed key order, so export-import-export is byte-stable.
+``export_store`` rewrites every file, or with ``changed`` only the one file an
+import changed, so an import into a canonical store leaves it equal to a full
+export, and only a full export canonicalizes files edited by hand.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Container, Mapping
 
 from . import documents
 from .engine import Engine
@@ -121,7 +124,7 @@ def open_store(path: str | Path) -> Engine:
     ``crosswalk check``, so a store whose mapping set changed still loads.
     The ``fdos/`` section is read by the first access to the engine's FAIR
     records (a record, a listing, ``find``, an assessment by id, a
-    registration or an export), once, and raises its :class:`ParseFailure`
+    registration or a full export), once, and raises its :class:`ParseFailure`
     there, again at every later access. So an engine that never reads a
     record never reads ``fdos/``.
     """
@@ -190,11 +193,18 @@ def _register_documents(directory: Path, parse, register, prefix_map: PrefixMap)
             raise ParseFailure(file, 1, str(exc)) from None
 
 
+def _json_names(directory: Path) -> list[str]:
+    """The names in ``directory`` that end ``.json``, sorted: those that
+    ``Path.glob("*.json")`` finds, dot-files and directories so named
+    included, without building a path for every entry."""
+    return sorted(name for name in os.listdir(directory) if name.endswith(".json"))
+
+
 def _documents_in(directory: Path):
     if not directory.is_dir():
         return
-    for file in sorted(directory.glob("*.json")):
-        name = str(file.relative_to(directory.parent))
+    for entry in _json_names(directory):
+        file, name = directory / entry, f"{directory.name}/{entry}"
         try:
             yield name, documents.load_json(read_text(file, name))
         except OSError as exc:
@@ -217,11 +227,11 @@ def _write_replacing(target: Path, text: str, listed: bool) -> None:
     holds either its old or its new content, never a part of either. The
     temporary name does not match ``*.json``, so a load never reads it.
 
-    A ``listed`` file, one the export found before it wrote anything, is left
-    alone when it already holds ``text``: an export changes few files, and on
-    ext4 a rename over an existing file also starts writing the new data out,
-    so replacing unchanged files costs more than comparing them. A file not
-    listed is new, so it is written without reading it first.
+    A ``listed`` file, one the writer knows to exist, is left alone when it
+    already holds ``text``: a write changes few files, and on ext4 a rename
+    over an existing file also starts writing the new data out, so replacing
+    unchanged files costs more than comparing them. A file not listed is new,
+    so it is written without reading it first.
     """
     data = text.encode("utf-8")
     try:
@@ -238,73 +248,111 @@ def _write_replacing(target: Path, text: str, listed: bool) -> None:
         raise
 
 
-def export_store(engine: Engine, path: str | Path) -> StoreLayout:
-    """Write the engine's full contents in canonical form.
+def _prefixes_text(engine: Engine) -> str:
+    lines = [f"{prefix}\t{iri}" for prefix, iri in engine.prefix_map.bindings()]
+    return "\n".join(lines) + ("\n" if lines else "")
 
-    Every file whose content changes is replaced whole, and documents of
-    records the engine no longer holds are deleted only after every write
-    succeeded, so an export that fails partway leaves each record of the
+
+def _terms_text(engine: Engine) -> str:
+    pm = engine.prefix_map
+    lines = [documents.render_line(documents.term_to_doc(t, pm)) for t in engine.terminology.terms()]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _mappings_text(engine: Engine) -> str:
+    pm = engine.prefix_map
+    rows = ["\t".join(_MAPPING_COLUMNS)]
+    for m in engine.terminology.mappings():
+        rows.append(
+            "\t".join(
+                [
+                    pm.compress(m.subject.canonical),
+                    m.predicate.curie,
+                    pm.compress(m.object.canonical),
+                    m.justification,
+                    repr(m.confidence),
+                    m.comment or "",
+                    m.author or "",
+                ]
+            )
+        )
+    return "\n".join(rows) + "\n"
+
+
+#: the files of the layout that hold one text each, and how to render it
+_FILES = {"prefixes": _prefixes_text, "terms": _terms_text, "mappings.tsv": _mappings_text}
+
+#: the directories of the layout that hold one document per record: how to
+#: list the engine's records in canonical order and render one; the
+#: document's id field, also the record's attribute, names its file
+_DOCUMENTS = {
+    "schemas": (lambda e: e.schemas.schemas(), lambda r, pm: documents.schema_to_doc(r, pm), "id"),
+    "crosswalks": (lambda e: e.crosswalks.crosswalks(), lambda r, pm: documents.crosswalk_to_doc(r, pm), "id"),
+    "operations": (lambda e: e.operations.operations(), lambda r, pm: documents.operation_to_doc(r, pm), "id"),
+    "fdos": (lambda e: e.fdos.records(), lambda r, pm: documents.fdo_to_doc(r, pm), "gupri"),
+}
+
+
+def _write_document(layout: StoreLayout, directory: str, record, pm: PrefixMap, listed: Container[Path]) -> Path:
+    _, to_doc, id_field = _DOCUMENTS[directory]
+    doc = to_doc(record, pm)
+    target = layout.root / directory / _filename(doc[id_field], getattr(record, id_field).canonical)
+    _write_replacing(target, documents.render(doc), target in listed)
+    return target
+
+
+def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, object] | None = None) -> StoreLayout:
+    """Write the engine's full contents in canonical form, or with
+    ``changed`` only what an import changed.
+
+    A full export replaces every file whose content changes whole, and
+    deletes documents of records the engine no longer holds only after every
+    write succeeded, so an export that fails partway leaves each record of the
     store loadable. Each directory is listed once, before any write, and
     after the FAIR records are read: an engine from :func:`open_store` reads
     ``fdos/`` there, so it never rewrites or deletes a record file it has not
     read, and a failed read writes nothing.
+
+    ``changed`` names one entry of the layout: ``"terms"`` or
+    ``"mappings.tsv"``, rewritten whole, or a directory and the record the
+    engine holds whose document is new in it, as ``("crosswalks", record)``.
+    That one file is written and nothing is listed or deleted, so a store that
+    was canonical before stays equal to a full export, and a file edited by
+    hand elsewhere stays as it is.
     """
     layout = StoreLayout(Path(path))
-    pm = engine.prefix_map
-    fdo_records = engine.fdos.records()
     try:
-        layout.root.mkdir(parents=True, exist_ok=True)
-        for d in layout.document_dirs():
-            d.mkdir(exist_ok=True)
-        listed_documents = {f for d in layout.document_dirs() for f in d.glob("*.json")}
-        listed = listed_documents | set(layout.root.iterdir())
-        written: set[Path] = set()
-
-        def write(target: Path, text: str) -> None:
-            _write_replacing(target, text, target in listed)
-            written.add(target)
-
-        prefix_lines = [f"{prefix}\t{iri}" for prefix, iri in pm.bindings()]
-        write(layout.prefixes_path, "\n".join(prefix_lines) + ("\n" if prefix_lines else ""))
-
-        term_lines = [
-            documents.render_line(documents.term_to_doc(t, pm)) for t in engine.terminology.terms()
-        ]
-        write(layout.terms_path, "\n".join(term_lines) + ("\n" if term_lines else ""))
-
-        rows = ["\t".join(_MAPPING_COLUMNS)]
-        for m in engine.terminology.mappings():
-            rows.append(
-                "\t".join(
-                    [
-                        pm.compress(m.subject.canonical),
-                        m.predicate.curie,
-                        pm.compress(m.object.canonical),
-                        m.justification,
-                        repr(m.confidence),
-                        m.comment or "",
-                        m.author or "",
-                    ]
-                )
-            )
-        write(layout.mappings_path, "\n".join(rows) + "\n")
-
-        def write_document(directory: Path, doc: dict, id_field: str, canonical: str) -> None:
-            write(directory / _filename(doc[id_field], canonical), documents.render(doc))
-
-        for schema in engine.schemas.schemas():
-            write_document(layout.schemas_dir, documents.schema_to_doc(schema, pm), "id", schema.id.canonical)
-        for cw in engine.crosswalks.crosswalks():
-            write_document(layout.crosswalks_dir, documents.crosswalk_to_doc(cw, pm), "id", cw.id.canonical)
-        for op in engine.operations.operations():
-            write_document(layout.operations_dir, documents.operation_to_doc(op, pm), "id", op.id.canonical)
-        for record in fdo_records:
-            write_document(layout.fdos_dir, documents.fdo_to_doc(record, pm), "gupri", record.gupri.canonical)
-        for stale in sorted(listed_documents - written):
-            stale.unlink()
+        if changed is None:
+            _export_all(engine, layout)
+        elif isinstance(changed, str):
+            _write_replacing(layout.root / changed, _FILES[changed](engine), listed=True)
+        else:
+            directory, record = changed
+            (layout.root / directory).mkdir(exist_ok=True)
+            _write_document(layout, directory, record, engine.prefix_map, listed=())
     except OSError as exc:
         raise IoFailure(f"cannot export store to {layout.root}: {exc}") from exc
     return layout
+
+
+def _export_all(engine: Engine, layout: StoreLayout) -> None:
+    # the FAIR records are read before anything is listed or written
+    records = {directory: listing(engine) for directory, (listing, *_) in _DOCUMENTS.items()}
+    layout.root.mkdir(parents=True, exist_ok=True)
+    for d in layout.document_dirs():
+        d.mkdir(exist_ok=True)
+    listed_documents = {d / name for d in layout.document_dirs() for name in _json_names(d)}
+    listed = listed_documents | set(layout.root.iterdir())
+    written: set[Path] = set()
+    for name, text in _FILES.items():
+        target = layout.root / name
+        _write_replacing(target, text(engine), target in listed)
+        written.add(target)
+    for directory, held in records.items():
+        for record in held:
+            written.add(_write_document(layout, directory, record, engine.prefix_map, listed))
+    for stale in sorted(listed_documents - written):
+        stale.unlink()
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,11 @@ def _commands(store_dir: Path, tmp_path: Path) -> tuple[dict[str, list[str]], di
     crosswalk.write_text(render({**doc, "id": "ex:weight-crosswalk-copy"}))
     fdo = tmp_path / "new-fdo.json"
     fdo.write_text(render(fdo_to_doc(replace(fx.golden, gupri=pm.gupri("ex:fdo-new")), pm)))
+    # the imports come first, so every command after them reads the same
+    # store each time the commands run: an import run again adds nothing
     no_records = {
+        "import-mappings": ["import", "mappings", str(mappings)],
+        "import-crosswalk": ["import", "crosswalk", str(crosswalk)],
         "interop": ["interop", "pato:weight", "ncit:weight"],
         "validate": ["validate", str(instance)],
         "transform": ["transform", str(instance), "ex:weight-crosswalk"],
@@ -366,9 +370,7 @@ def _commands(store_dir: Path, tmp_path: Path) -> tuple[dict[str, list[str]], di
         "assess": ["assess", "ex:fdo-apple-weight"],
         "find": ["find", "--term", "pato:weight"],
         "export": ["export"],
-        "import-mappings": ["import", "mappings", str(mappings)],
         "import-fdo": ["import", "fdo", str(fdo)],
-        "import-crosswalk": ["import", "crosswalk", str(crosswalk)],
     }
     return no_records, records
 
@@ -396,11 +398,11 @@ def test_corrupt_fdo_file_fails_only_record_commands(store_dir, tmp_path, capsys
 
 
 def test_imports_keep_every_record_file(store_dir, tmp_path, capsys):
-    _, records = _commands(store_dir, tmp_path)
+    no_records, _ = _commands(store_dir, tmp_path)
     fdos = {p.name: p.read_bytes() for p in (store_dir / "fdos").glob("*.json")}
     assert len(fdos) == 2
     for name in ("import-mappings", "import-crosswalk"):
-        code, _, err = run(capsys, "--store", str(store_dir), *records[name])
+        code, _, err = run(capsys, "--store", str(store_dir), *no_records[name])
         assert code == 0, err
         assert {p.name: p.read_bytes() for p in (store_dir / "fdos").glob("*.json")} == fdos, name
 
@@ -421,6 +423,77 @@ def test_only_record_commands_parse_record_files(store_dir, tmp_path, capsys, mo
         code, _, err = run(capsys, "--store", str(store_dir), *argv)
         assert code == 0, err
         assert len(parsed) == files + (name == "import-fdo"), name
+
+
+def _new_record_files(store_dir: Path, tmp_path: Path) -> dict[str, tuple[Path, str]]:
+    """For each import kind, a file adding one new record (a copy of one the
+    store holds, under a new id) and the store path it should change; for a
+    document kind, the directory that gains one file."""
+    kinds = {}
+    term = json.loads((store_dir / "terms").read_text().splitlines()[0])
+    kinds["terms"] = (tmp_path / "new-term", json.dumps({**term, "id": "ex:new-term"}) + "\n", "terms")
+    kinds["mappings"] = (
+        tmp_path / "new-mappings.tsv",
+        "subject_id\tpredicate_id\tobject_id\nex:apple\tskos:relatedMatch\tex:pear\n",
+        "mappings.tsv",
+    )
+    for kind, directory, fields in (
+        ("schema", "schemas", {"id": "ex:new-schema"}),
+        ("crosswalk", "crosswalks", {"id": "ex:new-crosswalk"}),
+        ("operation", "operations", {"id": "ex:new-operation", "kind": "external-reference"}),
+        ("fdo", "fdos", {"gupri": "ex:new-fdo"}),
+    ):
+        doc = json.loads(next((store_dir / directory).glob("*.json")).read_text())
+        kinds[kind] = (tmp_path / f"new-{kind}.json", render({**doc, **fields}), directory)
+    for file, text, _ in kinds.values():
+        file.write_text(text)
+    return {kind: (file, changed) for kind, (file, _, changed) in kinds.items()}
+
+
+@pytest.mark.parametrize("kind", ["terms", "mappings", "schema", "crosswalk", "operation", "fdo"])
+def test_import_writes_only_what_it_added(store_dir, tmp_path, capsys, kind):
+    file, changed = _new_record_files(store_dir, tmp_path)[kind]
+    before = tree_bytes(store_dir)
+    code, _, err = run(capsys, "--store", str(store_dir), "import", kind, str(file))
+    assert code == 0, err
+    after = tree_bytes(store_dir)
+    differ = sorted(path for path in before.keys() | after.keys() if before.get(path) != after.get(path))
+    if changed in ("terms", "mappings.tsv"):
+        assert differ == [changed]
+    else:
+        assert len(differ) == 1 and differ[0] not in before and Path(differ[0]).parent == Path(changed)
+    # what the import left is the canonical store of what it holds
+    canonical = tmp_path / "canonical"
+    export_store(load_store(store_dir), canonical)
+    assert after == tree_bytes(canonical)
+    # the same records again store nothing new, so they write nothing
+    code, _, err = run(capsys, "--store", str(store_dir), "import", kind, str(file))
+    assert code == 0, err
+    assert tree_bytes(store_dir) == after
+
+
+def test_reimported_crosswalk_under_other_name_adds_no_file(store_dir, capsys):
+    (stored,) = (store_dir / "crosswalks").glob("*.json")
+    renamed = stored.rename(store_dir / "crosswalks" / "hand-named.json")
+    before = tree_bytes(store_dir)
+    code, out, err = run(capsys, "--store", str(store_dir), "import", "crosswalk", str(renamed))
+    assert code == 0, err
+    assert json.loads(out) == {"registered": "ex:weight-crosswalk"}
+    assert tree_bytes(store_dir) == before
+
+
+def test_import_leaves_hand_edited_file_to_export(store_dir, tmp_path, capsys):
+    schema = next((store_dir / "schemas").glob("*.json"))
+    canonical = schema.read_bytes()
+    edited = json.dumps(json.loads(canonical))  # one line, not the canonical layout
+    schema.write_text(edited)
+    file, _ = _new_record_files(store_dir, tmp_path)["mappings"]
+    code, _, err = run(capsys, "--store", str(store_dir), "import", "mappings", str(file))
+    assert code == 0, err
+    assert schema.read_text() == edited
+    code, _, err = run(capsys, "--store", str(store_dir), "export")
+    assert code == 0, err
+    assert schema.read_bytes() == canonical
 
 
 UNREADABLE_JSON = {

@@ -28,6 +28,7 @@ from semint import (
 )
 from semint.crosswalks import AlignmentStatus
 from semint.errors import EmptyQuery, IoFailure, ParseFailure
+from semint import store
 from semint.store import open_store
 
 from conftest import add_mapping, build_weight_fixture, make_engine
@@ -618,3 +619,13 @@ def test_find_sees_every_record_registered_before_it_starts():
     assert not any(t.is_alive() for t in readers)
     assert errors == []
     assert missed == []
+
+
+def test_document_listing_reads_what_glob_finds(tmp_path):
+    directory = tmp_path / "x"
+    directory.mkdir()
+    for name in ("a.json", ".b.json", "c.json.tmp", "d.JSON"):
+        (directory / name).write_text(json.dumps({"name": name}))
+    read = [(name, doc["name"]) for name, doc in store._documents_in(directory)]
+    assert read == [("x/.b.json", ".b.json"), ("x/a.json", "a.json")]
+    assert [name for name, _ in read] == [str(p.relative_to(tmp_path)) for p in sorted(directory.glob("*.json"))]
