@@ -2,11 +2,18 @@
 
 Exit codes: 0 success, 1 domain or validation failure, 2 usage error,
 3 parse or IO failure. A store file that cannot be parsed fails every command
-that reads it; a file under ``fdos/`` is read only by the commands that read
-FAIR records (``assess``, ``find``, ``import fdo``, ``export``) and by
-``serve``. An ``import`` writes only the store file of what it added: the
-``terms`` or ``mappings.tsv`` file, or the one document of the record it
-registered; ``export`` rewrites the whole store in canonical form.
+that reads it. Every command reads every file but those under ``fdos/``, and
+a ``terms`` line that is not JSON fails it; the term records are built only
+by the commands that read them (``assess``, ``import terms``, ``export``) and
+by ``serve``, so a line that is JSON but no term record fails only those. A
+file under ``fdos/`` is read only by the commands that read FAIR records
+(``assess``, ``find``, ``import fdo``, ``export``) and by ``serve``;
+``import fdo`` parses every record file but builds only the records stored
+under the new record's id. An ``import`` writes only the store file of what
+it added: the ``terms`` or ``mappings.tsv`` file, or the one document of the
+record it registered; ``import mappings`` renders only the rows it added and
+merges them into the stored lines. ``export`` rewrites the whole store in
+canonical form.
 """
 
 from __future__ import annotations
@@ -143,7 +150,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     # serve reads every section before it binds, so no handler thread reads
-    # fdos/; any other command reads it only if it reads a FAIR record
+    # a deferred one; any other command builds term and FAIR records only if
+    # it reads them
     engine = store.load_store(root) if args.command == "serve" else store.open_store(root)
     pm = engine.prefix_map
 
@@ -228,9 +236,10 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
         _emit({"imported_terms": count})
         return 0
     if args.kind == "mappings":
+        held = len(engine.terminology.mapping_rows())
         report = engine.terminology.import_mappings_tsv(_read_file(args.file), table1_direction=args.table1_direction)
-        if report.accepted:
-            store.export_store(engine, root, changed="mappings.tsv")
+        if len(engine.terminology.mapping_rows()) > held:
+            store.export_store(engine, root, changed=("mappings.tsv", held))
         _emit(documents.import_report_to_doc(report))
         return 0
     doc = _read_json_file(args.file)
@@ -254,6 +263,9 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
         parsed = parse(doc, pm)
     except (MalformedContent, MalformedRecord, InvalidGupri) as exc:
         raise ParseFailure(args.file, 1, str(exc)) from None
+    if args.kind == "fdo":
+        # only a stored record of the same id, under any file name, can conflict
+        store.defer_fdos(engine, root, only=parsed.gupri)
     held = _held(lookup, parsed.gupri if args.kind == "fdo" else parsed.id)
     registered = register(parsed)
     if not held:

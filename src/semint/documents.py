@@ -508,6 +508,11 @@ def fdo_to_doc(record: FdoRecord, pm: PrefixMap) -> dict:
     return doc
 
 
+def fdo_gupri(data: Any, pm: PrefixMap) -> Gupri:
+    """The id of an FDO document, read as :func:`fdo_from_doc` reads it."""
+    return pm.gupri(_require(_as_obj(data, "fdo document"), "gupri", "fdo document"))
+
+
 def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
     obj = _as_obj(data, "fdo document")
     content_obj = _as_obj(_require(obj, "content", "fdo document"), "fdo content")
@@ -536,7 +541,7 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
         schema_ref = pm.gupri(raw_ref)
     data_identifier = decode_text(obj.get("data_identifier"), "fdo document: bad data_identifier")
     return FdoRecord(
-        gupri=pm.gupri(_require(obj, "gupri", "fdo document")),
+        gupri=fdo_gupri(obj, pm),
         content=content,
         schema_ref=schema_ref,
         creator=decode_text(obj.get("creator"), "fdo document: bad creator"),

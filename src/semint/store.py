@@ -10,18 +10,25 @@ Layout under the store root:
 
 ``load_store`` reads every section into an engine. ``open_store`` reads
 every section but ``fdos/``, which the first access to the engine's FAIR
-records reads, so a caller that never reads a record never pays for them.
+records reads, and builds the term records from the lines of ``terms`` on the
+first access to a term, so a caller that never reads a record never pays for
+building it.
 
 Exports are canonical: records sorted by canonical identifier, documents
 emitted with fixed key order, so export-import-export is byte-stable.
 ``export_store`` rewrites every file, or with ``changed`` only the one file an
-import changed, so an import into a canonical store leaves it equal to a full
-export, and only a full export canonicalizes files edited by hand.
+import changed, rendering only the mapping rows an import added, so an import
+into a canonical store leaves it equal to a full export, and only a full
+export canonicalizes files edited by hand.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
+import itertools
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -34,11 +41,11 @@ from .engine import Engine
 from .errors import EmptyQuery, IoFailure, NotUtf8, ParseFailure, SemintError, decode_utf8
 from .fdo import StatementCategory
 from .identifiers import Gupri, PrefixMap
-from .terminology import InteropLevel, TerminologyRegistry
+from .terminology import EntityMapping, InteropLevel, TerminologyRegistry, mapping_order
 
 __all__ = ["StoreLayout", "init_store", "open_store", "load_store", "export_store", "FindQuery", "ExpandMode", "find", "find_document"]
 
-_MAPPING_COLUMNS = TerminologyRegistry.REQUIRED_COLUMNS + TerminologyRegistry.OPTIONAL_COLUMNS
+_MAPPINGS_HEADER = "\t".join(TerminologyRegistry.REQUIRED_COLUMNS + TerminologyRegistry.OPTIONAL_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ def init_store(path: str | Path) -> StoreLayout:
             d.mkdir(exist_ok=True)
         layout.prefixes_path.write_text("", encoding="utf-8")
         layout.terms_path.write_text("", encoding="utf-8")
-        layout.mappings_path.write_text("\t".join(_MAPPING_COLUMNS) + "\n", encoding="utf-8")
+        layout.mappings_path.write_text(_MAPPINGS_HEADER + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot initialize store at {layout.root}: {exc}") from exc
     return layout
@@ -116,19 +123,37 @@ def _read_store_file(path: Path, name: str) -> str:
 
 
 def open_store(path: str | Path) -> Engine:
-    """Parse the store into a fresh engine, leaving the FAIR records unread.
+    """Parse the store into a fresh engine, leaving the term and FAIR records
+    unbuilt.
 
-    Prefixes, terms, mappings, schemas, crosswalks and operations are read
-    now; errors carry file and line context. Crosswalk documents are loaded
-    with structural checks only; semantic re-validation is the job of
-    ``crosswalk check``, so a store whose mapping set changed still loads.
-    The ``fdos/`` section is read by the first access to the engine's FAIR
-    records (a record, a listing, ``find``, an assessment by id, a
-    registration or a full export), once, and raises its :class:`ParseFailure`
-    there, again at every later access. So an engine that never reads a
-    record never reads ``fdos/``.
+    Prefixes, mappings, schemas, crosswalks and operations are read now;
+    errors carry file and line context. Crosswalk documents are loaded with
+    structural checks only; semantic re-validation is the job of ``crosswalk
+    check``, so a store whose mapping set changed still loads.
+
+    ``terms`` is read and each line parsed as JSON now, so a file that is not
+    UTF-8 or a line that is not JSON fails here, but the term records are
+    built from the lines by the first access to the engine's terms (a term
+    by id, ``has_term``, a listing, a registration, an assessment or an
+    export). The ``fdos/`` section is read by the first access to the
+    engine's FAIR records (a record, a listing, ``find``, an assessment by
+    id, a registration or a full export). Each deferred section is read once
+    and raises its :class:`ParseFailure` there, again at every later access,
+    so an engine that never reads a record never builds it.
     """
-    layout = StoreLayout(Path(path))
+    return _read_store(Path(path), eager=False)
+
+
+def load_store(path: str | Path) -> Engine:
+    """Parse every store file into a fresh engine: :func:`open_store`, with
+    each deferred section read at once where the layout puts it, so the
+    sections are read in layout order and fail with the same errors as by one
+    eager reader."""
+    return _read_store(Path(path), eager=True)
+
+
+def _read_store(root: Path, eager: bool) -> Engine:
+    layout = StoreLayout(root)
     if not layout.root.is_dir():
         raise IoFailure(f"no store at {layout.root}")
     prefix_map = PrefixMap()
@@ -145,14 +170,14 @@ def open_store(path: str | Path) -> Engine:
     engine = Engine.empty(prefix_map)
 
     if layout.terms_path.exists():
-        for lineno, line in enumerate(_read_store_file(layout.terms_path, "terms").splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = documents.term_from_doc(documents.load_json(line), prefix_map)
-                engine.terminology.register_term(record)
-            except (SemintError, ValueError) as exc:
-                raise ParseFailure("terms", lineno, str(exc)) from None
+        lines = _read_store_file(layout.terms_path, "terms").splitlines()
+        # each line is parsed now and again by the fill, which builds the
+        # records: the lines take less memory than their documents
+        for _ in _term_documents(lines):
+            pass
+        engine.terminology.defer_terms(functools.partial(_register_terms, engine, lines))
+        if eager:
+            engine.terminology.terms()
 
     if layout.mappings_path.exists():
         text = _read_store_file(layout.mappings_path, "mappings.tsv")
@@ -170,25 +195,55 @@ def open_store(path: str | Path) -> Engine:
         (layout.operations_dir, documents.operation_from_doc, engine.operations.register_operation),
     ):
         _register_documents(directory, parse, register, prefix_map)
-    engine.fdos.defer(
-        lambda: _register_documents(layout.fdos_dir, documents.fdo_from_doc, engine.fdos.register_fdo, prefix_map)
-    )
+    defer_fdos(engine, layout.root)
+    if eager:
+        engine.fdos.records()
     return engine
 
 
-def load_store(path: str | Path) -> Engine:
-    """Parse every store file into a fresh engine: :func:`open_store`, then
-    the ``fdos/`` section at once, so the sections are read in the same order
-    and fail with the same errors as by one eager reader."""
-    engine = open_store(path)
-    engine.fdos.records()  # the first access runs the deferred fdos/ read
-    return engine
+def _term_documents(lines: list[str]):
+    """Each non-blank line of ``terms`` with its number, parsed as JSON."""
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                yield lineno, documents.load_json(line)
+            except ValueError as exc:
+                raise ParseFailure("terms", lineno, str(exc)) from None
 
 
-def _register_documents(directory: Path, parse, register, prefix_map: PrefixMap) -> None:
+def _register_terms(engine: Engine, lines: list[str]) -> None:
+    for lineno, doc in _term_documents(lines):
+        try:
+            engine.terminology.register_term(documents.term_from_doc(doc, engine.prefix_map))
+        except SemintError as exc:
+            raise ParseFailure("terms", lineno, str(exc)) from None
+
+
+def defer_fdos(engine: Engine, path: str | Path, only: Gupri | None = None) -> None:
+    """Leave the engine's FAIR records to the first access to them, which
+    reads every file under ``fdos/`` of the store at ``path``.
+
+    With ``only``, that access still reads every file and parses it as JSON,
+    and a file that fails fails the access, but it builds and registers only
+    the documents whose id is ``only``: the records that a record of that id
+    can conflict with, under whatever file name. A document whose id cannot
+    be read fails too. The engine then holds no other record, so it serves
+    one registration of ``only`` and the write of its one file, never a
+    listing or a full export.
+    """
+    fdos_dir = StoreLayout(Path(path)).fdos_dir
+    pm = engine.prefix_map
+    wanted = None if only is None else lambda doc: documents.fdo_gupri(doc, pm) == only
+    engine.fdos.defer(lambda: _register_documents(fdos_dir, documents.fdo_from_doc, engine.fdos.register_fdo, pm, wanted))
+
+
+def _register_documents(directory: Path, parse, register, prefix_map: PrefixMap, wanted=None) -> None:
+    """Register each document under ``directory``; with ``wanted``, only
+    those it holds true, though every file is still read and parsed."""
     for file, doc in _documents_in(directory):
         try:
-            register(parse(doc, prefix_map))
+            if wanted is None or wanted(doc):
+                register(parse(doc, prefix_map))
         except SemintError as exc:
             raise ParseFailure(file, 1, str(exc)) from None
 
@@ -259,24 +314,49 @@ def _terms_text(engine: Engine) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _mapping_line(m: EntityMapping, pm: PrefixMap) -> str:
+    return "\t".join(
+        [
+            pm.compress(m.subject.canonical),
+            m.predicate.curie,
+            pm.compress(m.object.canonical),
+            m.justification,
+            repr(m.confidence),
+            m.comment or "",
+            m.author or "",
+        ]
+    )
+
+
 def _mappings_text(engine: Engine) -> str:
     pm = engine.prefix_map
-    rows = ["\t".join(_MAPPING_COLUMNS)]
-    for m in engine.terminology.mappings():
-        rows.append(
-            "\t".join(
-                [
-                    pm.compress(m.subject.canonical),
-                    m.predicate.curie,
-                    pm.compress(m.object.canonical),
-                    m.justification,
-                    repr(m.confidence),
-                    m.comment or "",
-                    m.author or "",
-                ]
-            )
-        )
-    return "\n".join(rows) + "\n"
+    lines = [_MAPPINGS_HEADER, *(_mapping_line(m, pm) for m in engine.terminology.mappings())]
+    return "\n".join(lines) + "\n"
+
+
+def _merged_mappings_text(engine: Engine, stored: str, held: int) -> str:
+    """``mappings.tsv`` after an import: the ``stored`` text with the lines of
+    the rows after the first ``held`` of the table merged in, when the text
+    is the canonical header and one line for each of those ``held`` rows, in
+    canonical order; else :func:`_mappings_text`.
+
+    The engine was opened from ``stored``, so a line could store at most one
+    row, and ``held`` rows from as many lines after the header means each
+    line stored one, in table order. A new row that ties with a stored one
+    goes after it, as the stable sort of the table puts it, so a canonical
+    text stays equal to a full render while only the new rows are rendered.
+    """
+    lines = stored.splitlines()
+    rows = engine.terminology.mapping_rows()
+    if lines[:1] != [_MAPPINGS_HEADER] or len(lines) != held + 1 or stored != "\n".join(lines) + "\n":
+        return _mappings_text(engine)
+    keys = [mapping_order(m) for m in rows[:held]]
+    if any(a > b for a, b in itertools.pairwise(keys)):
+        return _mappings_text(engine)
+    pm = engine.prefix_map
+    added = sorted(((mapping_order(m), _mapping_line(m, pm)) for m in rows[held:]), key=operator.itemgetter(0))
+    merged = heapq.merge(zip(keys, lines[1:]), added, key=operator.itemgetter(0))
+    return "\n".join([_MAPPINGS_HEADER, *(line for _, line in merged)]) + "\n"
 
 
 #: the files of the layout that hold one text each, and how to render it
@@ -314,11 +394,16 @@ def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, 
     read, and a failed read writes nothing.
 
     ``changed`` names one entry of the layout: ``"terms"`` or
-    ``"mappings.tsv"``, rewritten whole, or a directory and the record the
-    engine holds whose document is new in it, as ``("crosswalks", record)``.
-    That one file is written and nothing is listed or deleted, so a store that
-    was canonical before stays equal to a full export, and a file edited by
-    hand elsewhere stays as it is.
+    ``"mappings.tsv"``, rewritten whole; ``("mappings.tsv", held)``, for an
+    engine opened from this store that held ``held`` mapping rows before an
+    import added the rows after them in table order; or a directory and the
+    record the engine holds whose document is new in it, as ``("crosswalks",
+    record)``. That one file is written and nothing is listed or deleted, so a
+    store that was canonical before stays equal to a full export, and a file
+    edited by hand elsewhere stays as it is. With ``held``, only the added
+    rows are rendered, and their lines are merged into the stored ones
+    (:func:`_merged_mappings_text`); a ``mappings.tsv`` that is not one
+    sorted line per row, such as one with comments, is rewritten whole.
     """
     layout = StoreLayout(Path(path))
     try:
@@ -326,6 +411,13 @@ def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, 
             _export_all(engine, layout)
         elif isinstance(changed, str):
             _write_replacing(layout.root / changed, _FILES[changed](engine), listed=True)
+        elif changed[0] == "mappings.tsv":
+            target = layout.mappings_path
+            try:
+                text = _merged_mappings_text(engine, read_text(target, "mappings.tsv"), changed[1])
+            except FileNotFoundError:
+                text = _mappings_text(engine)
+            _write_replacing(target, text, listed=True)
         else:
             directory, record = changed
             (layout.root / directory).mkdir(exist_ok=True)
@@ -336,7 +428,8 @@ def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, 
 
 
 def _export_all(engine: Engine, layout: StoreLayout) -> None:
-    # the FAIR records are read before anything is listed or written
+    # every section is read, in layout order, before anything is listed or written
+    texts = {name: text(engine) for name, text in _FILES.items()}
     records = {directory: listing(engine) for directory, (listing, *_) in _DOCUMENTS.items()}
     layout.root.mkdir(parents=True, exist_ok=True)
     for d in layout.document_dirs():
@@ -344,9 +437,9 @@ def _export_all(engine: Engine, layout: StoreLayout) -> None:
     listed_documents = {d / name for d in layout.document_dirs() for name in _json_names(d)}
     listed = listed_documents | set(layout.root.iterdir())
     written: set[Path] = set()
-    for name, text in _FILES.items():
+    for name, text in texts.items():
         target = layout.root / name
-        _write_replacing(target, text(engine), target in listed)
+        _write_replacing(target, text, target in listed)
         written.add(target)
     for directory, held in records.items():
         for record in held:

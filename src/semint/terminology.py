@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from . import graph
 from .errors import (
@@ -53,7 +53,10 @@ __all__ = [
     "TermAudit",
     "ClosureSnapshot",
     "TerminologyRegistry",
+    "mapping_order",
 ]
+
+T = TypeVar("T")
 
 _LANG_TAG_RE = re.compile(r"^[a-z]{2,8}(-[a-z0-9]{1,8})*$")
 
@@ -301,7 +304,10 @@ class TermAudit:
     checks: tuple[AuditCheck, ...]
 
 
-def _mapping_order(m: EntityMapping) -> tuple:
+def mapping_order(m: EntityMapping) -> tuple:
+    """The key of the canonical order of mappings, in which
+    :meth:`TerminologyRegistry.mappings` lists them and ``mappings.tsv``
+    holds them; ties keep table order."""
     return (
         m.subject.canonical,
         m.predicate.curie,
@@ -815,6 +821,11 @@ class TerminologyRegistry:
 
     # -- term registry ------------------------------------------------------
 
+    def defer_terms(self, fill: Callable[[], None]) -> None:
+        """Leave the term records to ``fill``, which registers them; the first
+        access to the terms runs it (:meth:`RecordTable.defer`)."""
+        self._terms.defer(fill)
+
     def register_term(self, record: TermRecord) -> Gupri:
         self._terms.add(record.id.canonical, record)
         return record.id
@@ -874,7 +885,17 @@ class TerminologyRegistry:
         return self._mappings.remove(mapping_id)
 
     def mappings(self) -> list[EntityMapping]:
-        return sorted(self._mappings.rows(), key=_mapping_order)
+        return sorted(self._mappings.rows(), key=mapping_order)
+
+    def mapping_rows(self) -> tuple[EntityMapping, ...]:
+        """The stored mappings in table order, the order they were stored in."""
+        return self._mappings.rows()
+
+    def derived_from_mappings(self, derive: Callable[[tuple[EntityMapping, ...]], T]) -> T:
+        """``derive`` of :meth:`mapping_rows`, computed once per version of
+        the mapping table (:meth:`RecordTable.derived`): a caller that keys it
+        by one function reads it again only after a write."""
+        return self._mappings.derived(derive)
 
     def mappings_between(self, subject: Gupri | None = None, object: Gupri | None = None) -> list[EntityMapping]:
         """Stored mappings with each given term at one end, in canonical order
@@ -884,7 +905,7 @@ class TerminologyRegistry:
             return self.mappings()
         at = self.compute_closure().node_index.get((subject or object).canonical, ())
         other = (object or subject).canonical
-        return sorted((m for m in at if other in (m.subject.canonical, m.object.canonical)), key=_mapping_order)
+        return sorted((m for m in at if other in (m.subject.canonical, m.object.canonical)), key=mapping_order)
 
     # -- TSV interchange ----------------------------------------------------
 
@@ -956,10 +977,11 @@ class TerminologyRegistry:
 
         The default (unfiltered) snapshot is derived once per version of the
         mapping table, from the previous one and the rows added and removed
-        since, and from every row only when there is no previous one or more
-        writes than rows lie between them; filtered ones are built on each
-        call. A threshold that is not a number in [0, 1] (a bool, NaN and a
-        string included) is rejected.
+        since, and from every row only when there is no previous one or the
+        writes between them reach a fifth of the rows, but at least 32 and at
+        most one per row (``records._REBUILD_SHARE``); filtered ones are built
+        on each call. A threshold that is not a number in [0, 1] (a bool, NaN
+        and a string included) is rejected.
         """
         if min_confidence is not None:
             if not _is_unit_number(min_confidence):

@@ -14,7 +14,7 @@ import pytest
 
 from semint import export_store, load_store
 from semint.cli import main
-from semint import documents
+from semint import documents, store
 from semint.documents import instance_to_doc, render, schema_from_doc, term_from_doc
 from semint.errors import MalformedContent, ParseFailure
 from semint.service import make_server
@@ -397,6 +397,151 @@ def test_corrupt_fdo_file_fails_only_record_commands(store_dir, tmp_path, capsys
         assert tree_bytes(store_dir) == before, name
 
 
+def test_bad_term_record_fails_only_term_commands(store_dir, tmp_path, capsys):
+    # every command parses each terms line as JSON, but only the commands
+    # that read term records build them
+    no_records, records = _commands(store_dir, tmp_path)
+    new_term = tmp_path / "new-term"
+    new_term.write_text(json.dumps({**json.loads((store_dir / "terms").read_text().splitlines()[0]), "id": "ex:new-term"}))
+    readers = {"assess": records["assess"], "export": records["export"], "import-terms": ["import", "terms", str(new_term)]}
+    # import fdo adds the record that find then finds, both times
+    others = {**no_records, "import-fdo": records["import-fdo"], "find": records["find"]}
+    clean = {name: run(capsys, "--store", str(store_dir), *argv)[:2] for name, argv in others.items()}
+    assert all(code in (0, 1) and out for code, out in clean.values())
+    terms = store_dir / "terms"
+    lines = terms.read_text().splitlines()
+    lines.insert(1, '{"id": 5}')
+    terms.write_text("\n".join(lines) + "\n")
+    for name, argv in others.items():
+        code, out, err = run(capsys, "--store", str(store_dir), *argv)
+        assert (code, out) == clean[name], (name, err)
+    before = tree_bytes(store_dir)
+    for name, argv in readers.items():
+        code, out, err = run(capsys, "--store", str(store_dir), *argv)
+        assert (code, out) == (3, ""), name
+        error = json.loads(err)
+        assert error["error"] == "parse-failure", name
+        assert error["message"].startswith("terms:2: "), name
+        assert tree_bytes(store_dir) == before, name
+
+
+def test_import_fdo_conflicts_with_a_hand_named_record_of_its_id(store_dir, tmp_path, capsys):
+    _, records = _commands(store_dir, tmp_path)
+    doc = json.loads((tmp_path / "new-fdo.json").read_text())
+    hand_named = store_dir / "fdos" / "hand-named.json"
+    hand_named.write_text(render({**doc, "creator": "someone else"}))
+    before = tree_bytes(store_dir)
+    code, out, err = run(capsys, "--store", str(store_dir), *records["import-fdo"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "conflicting-fdo"
+    assert tree_bytes(store_dir) == before
+    # the same content under that name is held already, so nothing is written
+    hand_named.write_text(render(doc))
+    before = tree_bytes(store_dir)
+    code, out, err = run(capsys, "--store", str(store_dir), *records["import-fdo"])
+    assert code == 0, err
+    assert json.loads(out) == {"registered": "ex:fdo-new"}
+    assert tree_bytes(store_dir) == before
+    # a record file whose id is no identifier fails the import, as a full read would
+    hand_named.write_text(render({**doc, "gupri": 5}))
+    code, out, err = run(capsys, "--store", str(store_dir), *records["import-fdo"])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["message"].startswith("fdos/hand-named.json:1: ")
+
+
+def _mapping_rows(rng, count: int, terms: list[str]) -> str:
+    """``count`` mapping rows between ``terms``, with confidences that tie
+    (0.0 and -0.0) and optional comments and authors."""
+    predicates = ["owl:sameAs", "skos:exactMatch", "owl:equivalentClass", "rdfs:subClassOf", "skos:closeMatch",
+                  "skos:relatedMatch", "skos:broadMatch", "skos:narrowMatch"]
+    lines = ["subject_id\tpredicate_id\tobject_id\tmapping_justification\tconfidence\tcomment\tauthor_id"]
+    for _ in range(count):
+        subject, object_ = rng.sample(terms, 2)
+        lines.append("\t".join([
+            subject, rng.choice(predicates), object_, rng.choice(["manual-curation", "lexical-match"]),
+            rng.choice(["1.0", "0.9", "0.5", "0.0", "-0.0"]), rng.choice(["", "", "checked"]), rng.choice(["", "ex:curator"]),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def mapping_store(store_dir, tmp_path):
+    """The store with 400 more mapping rows, exported canonically, and a
+    file of 60 rows to import: new ones, and some stored already or tying
+    with stored ones on every field but the sign of a zero confidence."""
+    import random
+
+    rng = random.Random(7)
+    terms = [f"ex:m{i}" for i in range(30)] + ["pato:weight", "ncit:weight", "ex:apple"]
+    engine = load_store(store_dir)
+    stored = _mapping_rows(rng, 400, terms)
+    engine.terminology.import_mappings_tsv(stored)
+    export_store(engine, store_dir)
+    stored_lines = stored.splitlines()[1:]
+    again = [line.replace("\t0.0\t", "\t-0.0\t") for line in rng.sample(stored_lines, 10)]
+    new_rows = _mapping_rows(rng, 50, terms).splitlines()
+    file = tmp_path / "import.tsv"
+    file.write_text("\n".join(new_rows + again) + "\n")
+    return file
+
+
+def _imported_mappings(store_dir, tmp_path, capsys, monkeypatch, file) -> int:
+    """Import ``file`` and check that the store is then what a full export
+    writes after the same import; the number of mapping lines rendered."""
+    engine = load_store(store_dir)
+    engine.terminology.import_mappings_tsv(file.read_text())
+    canonical = tmp_path / "canonical"
+    export_store(engine, canonical)
+    rendered = []
+    line = store._mapping_line
+    monkeypatch.setattr(store, "_mapping_line", lambda m, pm: rendered.append(m) or line(m, pm))
+    code, _, err = run(capsys, "--store", str(store_dir), "import", "mappings", str(file))
+    assert code == 0, err
+    monkeypatch.undo()
+    assert tree_bytes(store_dir) == tree_bytes(canonical)
+    return len(rendered)
+
+
+def test_import_mappings_renders_only_the_rows_it_added(store_dir, tmp_path, capsys, monkeypatch, mapping_store):
+    held = len(load_store(store_dir).terminology.mapping_rows())
+    rendered = _imported_mappings(store_dir, tmp_path, capsys, monkeypatch, mapping_store)
+    added = len(load_store(store_dir).terminology.mapping_rows()) - held
+    assert 0 < added < 60
+    assert rendered == added
+
+
+@pytest.mark.parametrize("edit", ["unsorted", "commented", "blank line"])
+def test_import_mappings_into_an_edited_file_rewrites_it(store_dir, tmp_path, capsys, monkeypatch, mapping_store, edit):
+    # a file that is not one line per row in canonical order is rendered whole
+    mappings = store_dir / "mappings.tsv"
+    lines = mappings.read_text().splitlines()
+    if edit == "unsorted":
+        lines[5], lines[6] = lines[6], lines[5]
+    else:
+        lines.insert(7, "# checked by hand" if edit == "commented" else "")
+    mappings.write_text("\n".join(lines) + "\n")
+    rendered = _imported_mappings(store_dir, tmp_path, capsys, monkeypatch, mapping_store)
+    assert rendered == len(load_store(store_dir).terminology.mapping_rows())
+
+
+def test_import_mappings_keeps_a_stored_line_in_another_spelling(store_dir, tmp_path, capsys, mapping_store):
+    # one row a line in canonical order is merged into as it is, so a row
+    # spelled with its IRI keeps that spelling until export
+    mappings = store_dir / "mappings.tsv"
+    lines = mappings.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith("ex:m1\t"))
+    prefixes = dict(line.split("\t") for line in (store_dir / "prefixes").read_text().splitlines())
+    spelled = prefixes["ex"] + lines[index][len("ex:") :]
+    lines[index] = spelled
+    mappings.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "--store", str(store_dir), "import", "mappings", str(mapping_store))
+    assert code == 0, err
+    assert spelled in mappings.read_text().splitlines()
+    code, _, err = run(capsys, "--store", str(store_dir), "export")
+    assert code == 0, err
+    assert spelled not in mappings.read_text().splitlines()
+
+
 def test_imports_keep_every_record_file(store_dir, tmp_path, capsys):
     no_records, _ = _commands(store_dir, tmp_path)
     fdos = {p.name: p.read_bytes() for p in (store_dir / "fdos").glob("*.json")}
@@ -408,10 +553,11 @@ def test_imports_keep_every_record_file(store_dir, tmp_path, capsys):
 
 
 def test_only_record_commands_parse_record_files(store_dir, tmp_path, capsys, monkeypatch):
-    # every command but the ones that read FAIR records leaves fdos/ unparsed
+    # every command but the ones that read FAIR records leaves fdos/ unparsed,
+    # and import fdo builds only the imported record and those of its id
     parsed = []
     parse = documents.fdo_from_doc
-    monkeypatch.setattr(documents, "fdo_from_doc", lambda doc, pm: parsed.append(doc) or parse(doc, pm))
+    monkeypatch.setattr(documents, "fdo_from_doc", lambda doc, pm: parsed.append(doc["gupri"]) or parse(doc, pm))
     no_records, records = _commands(store_dir, tmp_path)
     for name, argv in no_records.items():
         code, _, err = run(capsys, "--store", str(store_dir), *argv)
@@ -422,7 +568,16 @@ def test_only_record_commands_parse_record_files(store_dir, tmp_path, capsys, mo
         parsed.clear()
         code, _, err = run(capsys, "--store", str(store_dir), *argv)
         assert code == 0, err
-        assert len(parsed) == files + (name == "import-fdo"), name
+        if name == "import-fdo":
+            assert parsed == ["ex:fdo-new"], name
+        else:
+            assert len(parsed) == files, name
+    # the record is now stored: importing it again builds it twice, from the
+    # input and from its file, and no other record
+    parsed.clear()
+    code, _, err = run(capsys, "--store", str(store_dir), *records["import-fdo"])
+    assert code == 0, err
+    assert parsed == ["ex:fdo-new", "ex:fdo-new"]
 
 
 def _new_record_files(store_dir: Path, tmp_path: Path) -> dict[str, tuple[Path, str]]:

@@ -78,6 +78,22 @@ def test_log_is_bounded_by_the_table():
     assert plain.derived(sum) == 3
 
 
+def test_a_batch_past_the_share_of_the_records_derives_again():
+    # 200 records and 50 more: the log holds 50 writes, a fifth of the 250
+    # records after them, and one more write drops it
+    for size, updated in ((50, True), (51, False)):
+        table: RecordTable[int] = RecordTable("number")
+        summed = Summed()
+        for k in range(200):
+            table.add(f"k{k}", k)
+        assert summed.read(table) == sum(range(200))
+        for k in range(size):
+            table.add(f"new{k}", 1)
+        assert (table._base is not None) == updated, size
+        assert summed.read(table) == sum(range(200)) + size
+        assert (len(summed.updates), len(summed.builds)) == ((1, 1) if updated else (0, 2)), size
+
+
 def test_value_derived_before_a_write_is_not_the_base_after_it():
     table: RecordTable[int] = RecordTable("number")
     table.add("a", 1)

@@ -217,6 +217,32 @@ def test_corrupt_term_line_parse_failure(tmp_path):
     assert excinfo.value.line == 1
 
 
+def test_term_records_are_built_on_first_access_and_loaded_in_layout_order(tmp_path):
+    fx = populated_fixture()
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    terms = root / "terms"
+    lines = terms.read_text().splitlines()
+    lines[0] = '{"id": 5}'  # JSON, but no term record
+    terms.write_text("\n".join(lines) + "\n")
+    engine = open_store(root)
+    assert engine.terminology.interop_level("pato:weight", "ncit:weight").actionable
+    for read in [engine.terminology.terms, lambda: engine.terminology.has_term("pato:weight")] * 2:
+        with pytest.raises(ParseFailure) as excinfo:
+            read()
+        assert (excinfo.value.file, excinfo.value.line) == ("terms", 1)
+    # a bad mapping row too: open_store fails on it, load_store on the terms
+    # first, as the layout orders them
+    mappings = root / "mappings.tsv"
+    mappings.write_text(mappings.read_text() + "only-two\tfields\n")
+    with pytest.raises(ParseFailure) as excinfo:
+        open_store(root)
+    assert excinfo.value.file == "mappings.tsv"
+    with pytest.raises(ParseFailure) as excinfo:
+        load_store(root)
+    assert (excinfo.value.file, excinfo.value.line) == ("terms", 1)
+
+
 def test_corrupt_prefix_line_parse_failure(tmp_path):
     layout = init_store(tmp_path / "store")
     layout.prefixes_path.write_text("justonefield\n")

@@ -1168,6 +1168,34 @@ def test_derived_snapshot_equals_fresh_build(batches):
         _assert_fresh(snap)
 
 
+def test_a_batch_past_the_share_of_the_rows_builds_the_snapshot(monkeypatch):
+    from semint import terminology
+
+    updates = []
+    update = terminology._updated_snapshot
+    monkeypatch.setattr(terminology, "_updated_snapshot", lambda *args: updates.append(args[3]) or update(*args))
+    predicates = ("owl:sameAs", "rdfs:subClassOf", "skos:closeMatch", "owl:equivalentClass")
+
+    def rows(tag: str, count: int) -> str:
+        # a tree over ex:n1..., each row from a node to its parent; none is a self-mapping
+        lines = [f"ex:{tag}{i}\t{predicates[i % 4]}\tex:n{i // 2}" for i in range(1, count + 1)]
+        return "subject_id\tpredicate_id\tobject_id\n" + "\n".join(lines) + "\n"
+
+    # 400 rows and 100 more: the log holds a fifth of the rows after it, and
+    # one more write drops it
+    for count, updated in ((100, True), (101, False)):
+        t = make_engine().terminology
+        t.import_mappings_tsv(rows("n", 400))
+        t.compute_closure()
+        updates.clear()
+        t.import_mappings_tsv(rows("p", count))
+        assert (t._mappings._base is not None) == updated, count
+        snap = t.compute_closure()
+        assert [len(added) for added in updates] == ([count] if updated else []), count
+        assert snap.edges == t._mappings.rows()
+        _assert_fresh(snap)
+
+
 def test_derivation_shares_what_the_write_left_alone(engine):
     t, pm = engine.terminology, engine.prefix_map
     c = pm.canonicalize
