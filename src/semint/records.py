@@ -26,16 +26,14 @@ R = TypeVar("R")
 T = TypeVar("T")
 
 #: a value is derived from the records again, not updated, once the writes
-#: since its base reach the records, or this fraction of them (as a divisor)
-#: past the floor. On the closure snapshots of generated stores (Python 3.11,
-#: 2 shared cores), an update costs as much as a build with its node index
-#: and levels once the writes are about a quarter of the rows after them:
-#: 4,800 rows added to 16,000 took 83 against 81 ms, and 800 removed from
-#: 4,000 took 12 against 11 ms. A fifth keeps an update below a build (3,200
-#: added to 16,000: 57 against 95 ms). The floor acts only on tables of fewer
-#: than 160 rows, where 32 writes update in under half a millisecond
+#: since its base reach this fraction of the records (as a divisor). On the
+#: closure snapshots of generated stores (Python 3.11, 2 shared cores), an
+#: update costs as much as a build with its node index and levels once the
+#: writes are about a quarter of the rows after them: 4,800 rows added to
+#: 16,000 took 83 against 81 ms, and 800 removed from 4,000 took 12 against
+#: 11 ms. A fifth keeps an update below a build (3,200 added to 16,000: 57
+#: against 95 ms)
 _REBUILD_SHARE = 5
-_REBUILD_FLOOR = 32
 
 
 class RecordTable(Generic[R]):
@@ -130,16 +128,14 @@ class RecordTable(Generic[R]):
     def _wrote(self, change: tuple[str, R, bool] | None = None) -> None:
         """Start a new version after a write, under the lock. The write goes
         into the log while there is a base, unless the log holds a fifth as
-        many writes as the table holds records already, but at least
-        ``_REBUILD_FLOOR`` and at most one per record; then the base and its
+        many writes as the table holds records already; then the base and its
         log are dropped, and the next value is derived from the records again.
         ``None`` stands for a write that replaced every record."""
         self._version += 1
         self._derived = {}
         if self._base is None:
             return
-        rows = len(self._rows)
-        if change is None or len(self._log) >= min(rows, max(rows // _REBUILD_SHARE, _REBUILD_FLOOR)):
+        if change is None or len(self._log) >= len(self._rows) // _REBUILD_SHARE:
             self._base, self._log = None, []
         else:
             self._log.append(change)

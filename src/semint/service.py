@@ -9,18 +9,14 @@ Reads run against the engine's immutable snapshots; the two compute endpoints
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
 from urllib.parse import parse_qsl, unquote, urlparse
 
 from . import documents, store
 from .engine import Engine
 from .errors import BindFailure, MalformedContent, SemintError
-from .identifiers import PrefixMap
-from .terminology import EntityMapping, mapping_order
 
 __all__ = ["StoreServer", "make_server", "serve"]
 
@@ -54,16 +50,6 @@ def _flag_param(params: dict[str, str], key: str) -> bool:
     return value == "true"
 
 
-def _all_mappings_reply(rows: tuple[EntityMapping, ...]) -> Callable[[PrefixMap], bytes]:
-    """The body of ``GET /mappings`` with no query, the mapping table's
-    ``rows`` in canonical order, as a function of the prefix map that renders
-    it on its first call for each map. The mapping table derives it once per
-    version, keyed by this function, and the facade neither writes nor
-    registers a prefix, so the facade renders the reply once."""
-    ordered = sorted(rows, key=mapping_order)
-    return functools.cache(lambda pm: documents.render([documents.mapping_to_doc(m, pm) for m in ordered]).encode("utf-8"))
-
-
 class StoreServer(ThreadingHTTPServer):
     daemon_threads = True
 
@@ -91,15 +77,14 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.engine  # type: ignore[attr-defined]
 
     def _send(self, status: int, doc, *, close: bool = False) -> None:
-        """Reply with ``doc`` as JSON, or with ``doc``'s bytes as they are
-        rendered already, in one write; ``close`` ends the connection.
+        """Reply with ``doc`` as JSON in one write; ``close`` ends the connection.
 
         ``end_headers`` would write the buffered head on its own and the body
         in a second write, and the server's Nagle buffering (RFC 896) holds
         that second segment until the client's delayed ACK (RFC 1122
         4.2.3.2), about 40 ms later. So the blank line and the body join the
         head, and one flush writes them all."""
-        body = doc if isinstance(doc, bytes) else documents.render(doc).encode("utf-8")
+        body = documents.render(doc).encode("utf-8")
         self.send_response(status)
         if close:
             self.send_header("Connection", "close")
@@ -169,9 +154,6 @@ class _Handler(BaseHTTPRequestHandler):
             params = reads("subject", "object")
             subject = pm.gupri(params["subject"]) if "subject" in params else None
             object_ = pm.gupri(params["object"]) if "object" in params else None
-            if subject is None and object_ is None:
-                self._send(200, engine.terminology.derived_from_mappings(_all_mappings_reply)(pm))
-                return
             mappings = engine.terminology.mappings_between(subject, object_)
             self._send(200, [documents.mapping_to_doc(m, pm) for m in mappings])
         elif path == "/interop":

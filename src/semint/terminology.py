@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import graph
 from .errors import (
@@ -55,8 +55,6 @@ __all__ = [
     "TerminologyRegistry",
     "mapping_order",
 ]
-
-T = TypeVar("T")
 
 _LANG_TAG_RE = re.compile(r"^[a-z]{2,8}(-[a-z0-9]{1,8})*$")
 
@@ -891,12 +889,6 @@ class TerminologyRegistry:
         """The stored mappings in table order, the order they were stored in."""
         return self._mappings.rows()
 
-    def derived_from_mappings(self, derive: Callable[[tuple[EntityMapping, ...]], T]) -> T:
-        """``derive`` of :meth:`mapping_rows`, computed once per version of
-        the mapping table (:meth:`RecordTable.derived`): a caller that keys it
-        by one function reads it again only after a write."""
-        return self._mappings.derived(derive)
-
     def mappings_between(self, subject: Gupri | None = None, object: Gupri | None = None) -> list[EntityMapping]:
         """Stored mappings with each given term at one end, in canonical order
         and ties in table order, as :meth:`mappings` lists them. They are read
@@ -978,10 +970,10 @@ class TerminologyRegistry:
         The default (unfiltered) snapshot is derived once per version of the
         mapping table, from the previous one and the rows added and removed
         since, and from every row only when there is no previous one or the
-        writes between them reach a fifth of the rows, but at least 32 and at
-        most one per row (``records._REBUILD_SHARE``); filtered ones are built
-        on each call. A threshold that is not a number in [0, 1] (a bool, NaN
-        and a string included) is rejected.
+        writes between them reach a fifth of the rows
+        (``records._REBUILD_SHARE``); filtered ones are built on each call. A
+        threshold that is not a number in [0, 1] (a bool, NaN and a string
+        included) is rejected.
         """
         if min_confidence is not None:
             if not _is_unit_number(min_confidence):

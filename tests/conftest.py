@@ -28,6 +28,7 @@ from semint import (
     StatementSchema,
     TermRecord,
 )
+from semint import records
 from semint.operations import CONVERT_UNIT_ID
 
 PREFIXES = {
@@ -248,6 +249,15 @@ def engine() -> Engine:
 @pytest.fixture
 def weight() -> WeightFixture:
     return build_weight_fixture()
+
+
+@pytest.fixture
+def every_write_updates(monkeypatch):
+    """A derived value is updated from its base until the writes since it
+    outnumber the records, so the few records of a test table reach the
+    update path, which a store's share (``records._REBUILD_SHARE``) keeps for
+    batches of up to a fifth of the records."""
+    monkeypatch.setattr(records, "_REBUILD_SHARE", 1)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from semint.records import RecordTable
 
 
@@ -24,6 +26,7 @@ class Summed:
         return table.derived(self.derive, self.update)
 
 
+@pytest.mark.usefixtures("every_write_updates")
 def test_derived_value_is_updated_from_the_last_one():
     table: RecordTable[int] = RecordTable("number")
     summed = Summed()
@@ -55,6 +58,7 @@ def test_derived_value_is_updated_from_the_last_one():
     assert len(summed.builds) == 1
 
 
+@pytest.mark.usefixtures("every_write_updates")
 def test_log_is_bounded_by_the_table():
     # more writes than records since the base: the base and its log are
     # dropped, and the next value is derived from the records
@@ -94,6 +98,7 @@ def test_a_batch_past_the_share_of_the_records_derives_again():
         assert (len(summed.updates), len(summed.builds)) == ((1, 1) if updated else (0, 2)), size
 
 
+@pytest.mark.usefixtures("every_write_updates")
 def test_value_derived_before_a_write_is_not_the_base_after_it():
     table: RecordTable[int] = RecordTable("number")
     table.add("a", 1)

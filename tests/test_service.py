@@ -15,14 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semint import MappingPredicate, export_store, load_store
+from semint import export_store, load_store
 from semint.cli import main
 from semint import documents
 from semint.documents import instance_to_doc, render
 from semint import service
 from semint.service import make_server
 
-from conftest import add_mapping, build_weight_fixture
+from conftest import build_weight_fixture
 from test_documents import VALID, _paths, _replaced, json_values
 from test_store import populated_fixture
 
@@ -110,31 +110,6 @@ def test_get_mappings_filtered(served):
     assert status == 200
     docs = json.loads(body)
     assert any(d["predicate"] == "owl:sameAs" for d in docs)
-
-
-def test_unqueried_mappings_reply_is_rendered_once_per_version(monkeypatch):
-    engine = populated_fixture().engine
-    rendered = []
-    to_doc = documents.mapping_to_doc
-    monkeypatch.setattr(documents, "mapping_to_doc", lambda m, pm: rendered.append(m.id) or to_doc(m, pm))
-    server = make_server(engine, "127.0.0.1:0")
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = "http://{}:{}".format(*server.server_address[:2])
-    try:
-        rows = engine.terminology.mappings()
-        replies = [http_get(base, "/mappings") for _ in range(2)]
-        assert replies == [(200, render([to_doc(m, engine.prefix_map) for m in rows]).encode())] * 2
-        assert rendered == [m.id for m in rows]
-        # a write between two calls renders the reply again
-        added = add_mapping(engine, "ex:apple", MappingPredicate.CLOSE_MATCH, "ex:pear")
-        rendered.clear()
-        status, body = http_get(base, "/mappings")
-        assert status == 200 and added in {doc["id"] for doc in json.loads(body)}
-        assert sorted(rendered) == sorted([m.id for m in rows] + [added])
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_get_crosswalks_filtered(served):

@@ -7,7 +7,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from semint import (
@@ -414,6 +414,7 @@ def test_no_stale_snapshot_published_during_writes(engine):
     assert engine.terminology.interop_level("ex:r0", "ex:r300").level is InteropLevel.ONTOLOGICAL
 
 
+@pytest.mark.usefixtures("every_write_updates")
 def test_mapping_table_keeps_one_base_snapshot(engine):
     # the last snapshot is the base the next one is derived from: a write
     # keeps it, the next derivation frees it, and a write that would make the
@@ -750,6 +751,7 @@ def test_explain_path_concurrent_first_use_matches_serial():
     assert any(serial)
 
 
+@pytest.mark.usefixtures("every_write_updates")
 def test_levels_live_with_their_snapshot(engine):
     t = engine.terminology
     add_mapping(engine, "ex:a", MappingPredicate.SUB_CLASS_OF, "ex:b")
@@ -1054,7 +1056,8 @@ def _assert_fresh(snap):
         assert got == [(m.id, from_subject) for m, from_subject in fresh.mappings_at(node)], node
 
 
-@settings(deadline=None, max_examples=120)
+# the share is patched once for every example
+@settings(deadline=None, max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(write_batches())
 @example(
     [
@@ -1123,7 +1126,7 @@ def _assert_fresh(snap):
         ([("ex:t2", SUB, "ex:t3", 1.0), ("ex:t4", CLOSE, "ex:t5", 1.0)], [("ex:t3", SUB, "ex:t4", 1.0)], []),
     ]
 )
-def test_derived_snapshot_equals_fresh_build(batches):
+def test_derived_snapshot_equals_fresh_build(every_write_updates, batches):
     engine = make_engine()
     t = engine.terminology
     # the terms a batch names, which an example may take beyond _STEP_TERMS
@@ -1196,6 +1199,7 @@ def test_a_batch_past_the_share_of_the_rows_builds_the_snapshot(monkeypatch):
         _assert_fresh(snap)
 
 
+@pytest.mark.usefixtures("every_write_updates")
 def test_derivation_shares_what_the_write_left_alone(engine):
     t, pm = engine.terminology, engine.prefix_map
     c = pm.canonicalize
@@ -1238,6 +1242,7 @@ def test_derivation_shares_what_the_write_left_alone(engine):
         _assert_fresh(s)
 
 
+@pytest.mark.usefixtures("every_write_updates")
 def test_snapshots_derived_during_writes_equal_fresh_builds(engine):
     # writers add and remove rows while readers derive: each snapshot a reader
     # gets is the closure of its own edges, whichever base it came from
