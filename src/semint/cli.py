@@ -14,11 +14,18 @@ it added: the ``terms`` or ``mappings.tsv`` file, or the one document of the
 record it registered; ``import mappings`` renders only the rows it added and
 merges them into the stored lines. ``export`` rewrites the whole store in
 canonical form.
+
+``python -m semint.cli`` and the ``semint`` script run :func:`entry`, which
+returns :func:`main`'s exit code after ``gc.freeze()``: the process is about
+to end, and the collections at interpreter exit then skip the loaded store.
+:func:`main` itself never touches the collector, and ``serve`` never returns
+to the entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -318,5 +325,15 @@ def main(argv: list[str] | None = None) -> int:
         return 3 if isinstance(exc, (ParseFailure, IoFailure)) else 1
 
 
+def entry() -> int:
+    """The process entry of ``python -m semint.cli`` and the ``semint``
+    script: :func:`main`'s exit code, returned after ``gc.freeze()``, so the
+    collections at interpreter exit skip the loaded store. :func:`main`
+    leaves the collector alone, since in-process callers share it."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import operator
 import threading
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Callable, Generic, Iterable, TypeVar
 
 from .errors import SemintError
 
@@ -108,6 +108,27 @@ class RecordTable(Generic[R]):
         if not same(existing, record):
             raise self.conflict(f"{self.noun} {key} already registered with different content")
         return False
+
+    def add_all(self, items: Iterable[tuple[str, R]]) -> None:
+        """Store each ``(key, record)`` of ``items`` as :meth:`add` would, in
+        their order.
+
+        The batch takes the lock once, so a reader sees none of it or all of
+        it. A key taken, by the table or earlier in the batch, by an unequal
+        record raises the conflict error, with the records before it stored.
+        Each stored record starts its own version, as a single add does, so
+        the log and the share past which it is dropped count the same writes.
+        """
+        self._settle()
+        with self._lock:
+            rows = self._rows
+            for key, record in items:
+                existing = rows.get(key)
+                if existing is None:
+                    rows[key] = record
+                    self._wrote((key, record, True))
+                elif existing != record:
+                    raise self.conflict(f"{self.noun} {key} already registered with different content")
 
     def get(self, key: str) -> R:
         self._settle()

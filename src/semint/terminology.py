@@ -844,40 +844,42 @@ class TerminologyRegistry:
     # -- mapping registry ---------------------------------------------------
 
     def add_mapping(self, m: EntityMapping) -> str:
-        return self._add(
-            m.subject,
+        stored = self._oriented(
+            self.prefix_map.gupri(m.subject),
             m.predicate,
-            m.object,
+            self.prefix_map.gupri(m.object),
             justification=m.justification,
             confidence=m.confidence,
             author=m.author,
             comment=m.comment,
         )
+        if stored is None:
+            return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
+        self._mappings.add(stored.id, stored)
+        return stored.id
 
-    def _add(
-        self,
-        subject: str | Gupri,
+    @staticmethod
+    def _oriented(
+        subject: Gupri,
         predicate: MappingPredicate,
-        object_: str | Gupri,
+        object_: Gupri,
         *,
         table1_direction: bool = False,
         **fields: Any,
-    ) -> str:
-        """Store a mapping, built once as it is stored: canonical ends,
+    ) -> EntityMapping | None:
+        """The mapping to store, built once with its stored orientation:
         narrowMatch as the reversed broadMatch and, with ``table1_direction``,
         a subClassOf/subPropertyOf row read parent first. The other ``fields``
-        go to :meth:`EntityMapping.create` as they are."""
-        subject, object_ = self.prefix_map.gupri(subject), self.prefix_map.gupri(object_)
+        go to :meth:`EntityMapping.create` as they are. ``None`` for a
+        self-mapping, which is checked after the build, so one with a bad
+        confidence is still rejected."""
         if table1_direction and predicate in _HIERARCHICAL:
             subject, object_ = object_, subject
         if predicate is MappingPredicate.NARROW_MATCH:
             subject, object_ = object_, subject
             predicate = MappingPredicate.BROAD_MATCH
         m = EntityMapping.create(subject, predicate, object_, **fields)
-        if m.subject == m.object:
-            return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
-        self._mappings.add(m.id, m)
-        return m.id
+        return None if m.subject == m.object else m
 
     def remove_mapping(self, mapping_id: str) -> bool:
         return self._mappings.remove(mapping_id)
@@ -913,14 +915,21 @@ class TerminologyRegistry:
         is read as the parent and the edge is flipped on storage. ``bytes``
         that are not UTF-8 raise :class:`MalformedContent` naming the line
         and byte of the first bad one.
+
+        The header's columns are resolved once; a repeated column reads its
+        last field. The accepted rows are stored together, as one write
+        (:meth:`RecordTable.add_all`), so a reader sees the whole import or
+        none of it.
         """
         text = decode_utf8(data) if isinstance(data, bytes) else data
+        gupri, predicate_of = self.prefix_map.gupri, MappingPredicate.from_curie
         header: list[str] | None = None
         accepted = 0
         rejected: list[RejectedRow] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+        batch: list[EntityMapping] = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            start = line.lstrip()
+            if not start or start[0] == "#":
                 continue
             fields = line.split("\t")
             if header is None:
@@ -928,39 +937,44 @@ class TerminologyRegistry:
                 missing = [c for c in self.REQUIRED_COLUMNS if c not in header]
                 if missing:
                     raise MissingRequiredColumn(f"missing column(s): {', '.join(missing)}")
-                continue
-            if len(fields) != len(header):
-                rejected.append(
-                    RejectedRow(lineno, f"expected {len(header)} fields, got {len(fields)}")
+                width = len(header)
+                # the last index of each name; an absent optional column
+                # reads the empty cell appended to every row
+                column = {name: i for i, name in enumerate(header)}
+                subject_at, predicate_at, object_at = (column[name] for name in self.REQUIRED_COLUMNS)
+                justification_at, confidence_at, comment_at, author_at = (
+                    column.get(name, width) for name in self.OPTIONAL_COLUMNS
                 )
                 continue
-            row = dict(zip(header, fields))
+            if len(fields) != width:
+                rejected.append(RejectedRow(lineno, f"expected {width} fields, got {len(fields)}"))
+                continue
+            fields.append("")
             try:
-                self._add_row(row, table1_direction=table1_direction)
+                subject = gupri(fields[subject_at].strip())
+                object_ = gupri(fields[object_at].strip())
+                predicate = predicate_of(fields[predicate_at].strip())
+                confidence = fields[confidence_at].strip()
+                stored = self._oriented(
+                    subject,
+                    predicate,
+                    object_,
+                    table1_direction=table1_direction,
+                    justification=fields[justification_at].strip() or "unspecified",
+                    confidence=float(confidence) if confidence else 1.0,
+                    author=fields[author_at].strip() or None,
+                    comment=fields[comment_at].strip() or None,
+                )
             except (InvalidGupri, UnknownPredicate, MalformedRecord, ValueError) as exc:
                 rejected.append(RejectedRow(lineno, str(exc)))
                 continue
             accepted += 1
+            if stored is not None:
+                batch.append(stored)
         if header is None:
             raise MissingRequiredColumn("file has no header row")
+        self._mappings.add_all((m.id, m) for m in batch)
         return ImportReport(accepted=accepted, rejected=tuple(rejected))
-
-    def _add_row(self, row: Mapping[str, str], *, table1_direction: bool) -> str:
-        subject = self.prefix_map.gupri(row["subject_id"].strip())
-        object_ = self.prefix_map.gupri(row["object_id"].strip())
-        predicate = MappingPredicate.from_curie(row["predicate_id"].strip())
-        confidence_text = row.get("confidence", "").strip()
-        confidence = float(confidence_text) if confidence_text else 1.0
-        return self._add(
-            subject,
-            predicate,
-            object_,
-            table1_direction=table1_direction,
-            justification=row.get("mapping_justification", "").strip() or "unspecified",
-            confidence=confidence,
-            author=row.get("author_id", "").strip() or None,
-            comment=row.get("comment", "").strip() or None,
-        )
 
     # -- closure ------------------------------------------------------------
 

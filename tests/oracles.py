@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Container, Iterable
+from typing import Any, Container, Iterable, Mapping
 
 from semint import EntityMapping, Gupri, MappingPredicate, graph
+from semint.errors import InvalidGupri, MalformedRecord, MissingRequiredColumn, UnknownPredicate, decode_utf8
+from semint.terminology import NOOP_MAPPING_ID, ImportReport, RejectedRow
 
 ONTOLOGICAL_PREDICATES = {MappingPredicate.SAME_AS, MappingPredicate.EXACT_MATCH}
 REFERENTIAL_PREDICATES = ONTOLOGICAL_PREDICATES | {
@@ -19,6 +21,7 @@ REFERENTIAL_PREDICATES = ONTOLOGICAL_PREDICATES | {
     MappingPredicate.REFERENTIAL_MATCH,
     MappingPredicate.EQUIVALENT_PROPERTY,
 }
+HIERARCHICAL_PREDICATES = {MappingPredicate.SUB_CLASS_OF, MappingPredicate.SUB_PROPERTY_OF}
 
 
 def equivalence_partition(nodes: list[str], edges: list[tuple[str, str]]) -> set[frozenset[str]]:
@@ -333,3 +336,80 @@ def compress_scan(bindings: Iterable[tuple[str, str]], iri: str) -> str:
     if best is None:
         return iri
     return f"{best[0]}:{iri[len(best[1]):]}"
+
+
+def import_mappings_tsv_by_row(registry, data: bytes | str, *, table1_direction: bool = False) -> ImportReport:
+    """The TSV import one row at a time, as ``import_mappings_tsv`` did before
+    its batch load: each row read through a dict of its header's columns and
+    stored on its own, with the registry's ``_mappings`` table."""
+    text = decode_utf8(data) if isinstance(data, bytes) else data
+    header: list[str] | None = None
+    accepted = 0
+    rejected: list[RejectedRow] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if header is None:
+            header = [f.strip() for f in fields]
+            missing = [c for c in registry.REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise MissingRequiredColumn(f"missing column(s): {', '.join(missing)}")
+            continue
+        if len(fields) != len(header):
+            rejected.append(
+                RejectedRow(lineno, f"expected {len(header)} fields, got {len(fields)}")
+            )
+            continue
+        row = dict(zip(header, fields))
+        try:
+            _add_row(registry, row, table1_direction=table1_direction)
+        except (InvalidGupri, UnknownPredicate, MalformedRecord, ValueError) as exc:
+            rejected.append(RejectedRow(lineno, str(exc)))
+            continue
+        accepted += 1
+    if header is None:
+        raise MissingRequiredColumn("file has no header row")
+    return ImportReport(accepted=accepted, rejected=tuple(rejected))
+
+
+def _add_row(registry, row: Mapping[str, str], *, table1_direction: bool) -> str:
+    subject = registry.prefix_map.gupri(row["subject_id"].strip())
+    object_ = registry.prefix_map.gupri(row["object_id"].strip())
+    predicate = MappingPredicate.from_curie(row["predicate_id"].strip())
+    confidence_text = row.get("confidence", "").strip()
+    confidence = float(confidence_text) if confidence_text else 1.0
+    return _add(
+        registry,
+        subject,
+        predicate,
+        object_,
+        table1_direction=table1_direction,
+        justification=row.get("mapping_justification", "").strip() or "unspecified",
+        confidence=confidence,
+        author=row.get("author_id", "").strip() or None,
+        comment=row.get("comment", "").strip() or None,
+    )
+
+
+def _add(
+    registry,
+    subject: str | Gupri,
+    predicate: MappingPredicate,
+    object_: str | Gupri,
+    *,
+    table1_direction: bool = False,
+    **fields: Any,
+) -> str:
+    subject, object_ = registry.prefix_map.gupri(subject), registry.prefix_map.gupri(object_)
+    if table1_direction and predicate in HIERARCHICAL_PREDICATES:
+        subject, object_ = object_, subject
+    if predicate is MappingPredicate.NARROW_MATCH:
+        subject, object_ = object_, subject
+        predicate = MappingPredicate.BROAD_MATCH
+    m = EntityMapping.create(subject, predicate, object_, **fields)
+    if m.subject == m.object:
+        return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
+    registry._mappings.add(m.id, m)
+    return m.id

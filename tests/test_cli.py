@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -910,6 +911,61 @@ def test_serve_runs_the_facade(store_dir, monkeypatch):
     monkeypatch.setattr(service, "serve", lambda engine, bind: served.append(bind))
     assert main(["--store", str(store_dir), "serve", "--bind", "127.0.0.1:0"]) == 0
     assert served == ["127.0.0.1:0"]
+
+
+def test_main_leaves_the_collector_alone(store_dir, capsys):
+    # only the process entry freezes, since tests and tracers call main in-process
+    assert run(capsys, "--store", str(store_dir), "interop", "pato:weight", "ncit:weight")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("failure", ["usage", "parse", "domain"])
+def test_the_module_exits_as_main_returns(failure, store_dir, tmp_path, capsys):
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\377")
+    argv, code = {
+        "usage": (["--store", str(store_dir), "no-such-command"], 2),
+        "parse": (["--store", str(store_dir), "validate", str(not_utf8)], 3),
+        "domain": (["--store", str(store_dir), "interop", "pato:weight", "ncit:weight", "--min-confidence", "nan"], 1),
+    }[failure]
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    in_process = capsys.readouterr()
+    done = subprocess.run(
+        [sys.executable, "-m", "semint.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, in_process.out, in_process.err)
+    if failure != "usage":
+        assert json.loads(done.stderr)["error"] == ("parse-failure" if failure == "parse" else "malformed-content")
+
+
+def test_the_entry_freezes_what_main_left(store_dir):
+    script = (
+        "import gc, sys\n"
+        "from semint.cli import entry\n"
+        "sys.argv[1:] = ['--store', sys.argv[1], 'interop', 'pato:weight', 'ncit:weight']\n"
+        "code = entry()\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(store_dir)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "0 True"
+    # the console script runs the same entry
+    pyproject = (src.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'semint = "semint.cli:entry"' in pyproject.split("[project.scripts]", 1)[1]
 
 
 DETERMINISM_SCRIPT = """

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from semint.errors import SemintError
 from semint.records import RecordTable
 
 
@@ -96,6 +97,84 @@ def test_a_batch_past_the_share_of_the_records_derives_again():
         assert (table._base is not None) == updated, size
         assert summed.read(table) == sum(range(200)) + size
         assert (len(summed.updates), len(summed.builds)) == ((1, 1) if updated else (0, 2)), size
+
+
+class Conflict(SemintError):
+    pass
+
+
+def test_add_all_skips_a_taken_key_with_an_equal_record():
+    table: RecordTable[int] = RecordTable("number")
+    table.add("a", 1)
+    summed = Summed()
+    assert summed.read(table) == 1
+    table.add_all([("a", 1), ("b", 2), ("b", 2)])
+    assert table.rows() == (1, 2)
+    # a batch that stores nothing is no write: the derived value stays
+    assert summed.read(table) == 3 and len(summed.builds) == 2
+    table.add_all([("a", 1), ("b", 2)])
+    assert summed.read(table) == 3 and len(summed.builds) == 2
+
+
+def test_add_all_with_a_conflict_raises_after_the_records_before_it():
+    table: RecordTable[int] = RecordTable("number", conflict=Conflict)
+    table.add("a", 1)
+    with pytest.raises(Conflict, match="number a already registered with different content"):
+        table.add_all([("b", 2), ("a", 3), ("c", 3)])
+    with pytest.raises(Conflict, match="number d already registered"):
+        table.add_all([("d", 4), ("d", 5)])  # taken earlier in the batch
+    assert table.rows() == (1, 2, 4)
+
+
+def test_a_derived_value_is_dropped_after_a_batch():
+    table: RecordTable[int] = RecordTable("number")
+    table.add("a", 1)
+    assert table.derived(sum) == 1
+    table.add_all([("b", 2), ("c", 3)])
+    assert table.derived(sum) == 6
+
+
+def _after_writes(stored: int, batch: int, add_all: bool) -> tuple:
+    """The base and log of a table of ``stored`` records with a derived value,
+    after ``batch`` more records stored one by one or as one batch, and how
+    the next value is derived."""
+    table: RecordTable[int] = RecordTable("number")
+    summed = Summed()
+    for k in range(stored):
+        table.add(f"k{k}", k)
+    summed.read(table)
+    new = [(f"new{k}", k) for k in range(batch)]
+    if add_all:
+        table.add_all(new)
+    else:
+        for key, record in new:
+            table.add(key, record)
+    state = (table._base is not None, list(table._log), table._version, table.rows())
+    summed.read(table)
+    return state, len(summed.builds), summed.updates
+
+
+@pytest.mark.usefixtures("every_write_updates")
+def test_a_batch_logs_the_writes_single_adds_would():
+    # with the share at one write per record, adds alone never reach it: the
+    # log grows by one write as the table grows by one record
+    for stored in range(1, 6):
+        for batch in range(0, 3 * stored):
+            one_by_one = _after_writes(stored, batch, add_all=False)
+            assert _after_writes(stored, batch, add_all=True) == one_by_one, (stored, batch)
+            assert one_by_one[0][0] and len(one_by_one[0][1]) == batch
+
+
+def test_a_batch_past_the_share_drops_the_base_where_single_adds_would():
+    kept = set()
+    for stored, batches in [(s, range(12)) for s in range(1, 30)] + [(200, range(48, 53))]:
+        for batch in batches:
+            one_by_one = _after_writes(stored, batch, add_all=False)
+            assert _after_writes(stored, batch, add_all=True) == one_by_one, (stored, batch)
+            kept.add(one_by_one[0][0])
+    assert kept == {True, False}
+    # 200 records and 50 more keep the base, as test_a_batch_past_the_share_of_the_records_derives_again finds
+    assert _after_writes(200, 50, add_all=True)[0][0] and not _after_writes(200, 51, add_all=True)[0][0]
 
 
 @pytest.mark.usefixtures("every_write_updates")

@@ -45,6 +45,7 @@ from conftest import add_mapping, make_engine, term
 from oracles import (
     all_shortest_paths,
     explain_path_scan,
+    import_mappings_tsv_by_row,
     level_rule_breaks,
     oracle_closures,
     oracle_ladder,
@@ -292,6 +293,123 @@ def test_import_tsv_ignores_unknown_columns(engine):
 def test_import_tsv_utf8_bytes(engine):
     data = f"{TSV_HEADER}\nex:a\towl:sameAs\tex:b\tmanuelle-Kuratierung-ä\t\t\t\n".encode()
     assert engine.terminology.import_mappings_tsv(data).accepted == 1
+
+
+#: the cells a generated TSV column draws from: good, equal in another
+#: spelling, bad and empty values; ex:a is http://example.org/things/a
+_TSV_CELLS = {
+    "subject_id": ["ex:a", " ex:b ", "ex:c", "http://example.org/things/a", "nope:x", "", "ex a"],
+    "object_id": ["ex:a", "ex:b", "obi:c", "http://example.org/things/b", "nope:y", ""],
+    "predicate_id": [p.curie for p in MappingPredicate] + ["skos:nearMatch", " owl:sameAs ", ""],
+    "confidence": ["", "1", "0.5", " 0.25 ", "0", "nan", "inf", "-inf", "1.5", "-0.1", "1e400", "high"],
+    "mapping_justification": ["", "manual-curation", " lexical "],
+    "comment": ["", "checked"],
+    "author_id": ["", "orcid:1"],
+    "subject_label": ["", "a thing"],
+    "mapping_tool": ["lexmatch"],
+}
+_TSV_SKIPPED = ["", "  ", "\t", "# mapping_set_id: ex:set", "  # indented comment", "#"]
+
+
+@st.composite
+def mapping_tsv(draw) -> str:
+    """A mapping file over a few terms: the required columns in any order,
+    optional and unknown ones, any of them repeated, now and then a required
+    one left out; rows of good and bad cells, rows of the wrong width, and
+    comment and blank lines before and among them."""
+    extra = draw(st.lists(st.sampled_from(sorted(_TSV_CELLS)), max_size=5))
+    header = draw(st.permutations(list(TerminologyRegistry.REQUIRED_COLUMNS) + extra))
+    if draw(st.integers(0, 24)) == 0:
+        header = header[1:]
+    row = st.tuples(*(st.sampled_from(_TSV_CELLS[name]) for name in header)).map(list)
+    line = st.one_of(
+        row,
+        row,
+        row.map(lambda cells: cells[:-1]),
+        row.map(lambda cells: cells + ["extra"]),
+        st.sampled_from(_TSV_SKIPPED).map(lambda text: [text]),
+    )
+    lines = draw(st.lists(st.sampled_from(_TSV_SKIPPED), max_size=2)) + ["\t".join(header)]
+    lines += ["\t".join(cells) for cells in draw(st.lists(line, max_size=14))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+_TSV_EVERY_CASE = "\n".join(
+    [
+        "# a repeated column reads its last field, an unknown one is ignored",
+        "subject_id\tpredicate_id\tobject_id\tconfidence\tsubject_id\tmapping_tool",
+        "ex:z\towl:sameAs\tex:b\t0.5\tex:a\tlexmatch",
+        "ex:z\towl:sameAs\tex:b\t0.5\tex:a\tlexmatch",
+        "",
+        "   ",
+        "ex:z\tskos:narrowMatch\tex:c\t\tex:a\t",
+        "ex:z\trdfs:subClassOf\tex:c\t\tex:b\t",
+        "ex:z\towl:sameAs\tex:a\t\thttp://example.org/things/a\t",
+        "ex:z\towl:sameAs\tex:a\tnan\tex:a\t",
+        "ex:z\tskos:nearMatch\tex:a\t\tex:b\t",
+        "ex:z\towl:sameAs\tnope:q\t\tex:b\t",
+        "ex:z\towl:sameAs\tex:c\tinf\tex:b\t",
+        "ex:z\towl:sameAs\tex:c\t1.5\tex:b\t",
+        "ex:z\towl:sameAs\tex:c\thigh\tex:b\t",
+        "ex:a\towl:sameAs",
+        "  # an indented comment",
+    ]
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(mapping_tsv(), mapping_tsv(), st.booleans())
+@example(_TSV_EVERY_CASE, _TSV_EVERY_CASE.replace("0.5", "0.7"), True)
+@example(_TSV_EVERY_CASE, "# no header\n\n", False)
+def test_batch_import_equals_the_row_at_a_time_import(first, second, table1_direction):
+    # the second import meets the rows the first one stored
+    batch, by_row = make_engine().terminology, make_engine().terminology
+    for text in (first, second):
+        outcomes = []
+        for registry, load in ((batch, TerminologyRegistry.import_mappings_tsv), (by_row, import_mappings_tsv_by_row)):
+            try:
+                outcomes.append(load(registry, text, table1_direction=table1_direction))
+            except MissingRequiredColumn as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert batch.mapping_rows() == by_row.mapping_rows()
+
+
+def _tree_tsv(tag: str, count: int) -> str:
+    """``count`` rows of a tree over ex:n1..., each from a node to its parent."""
+    lines = [f"ex:{tag}{i}\trdfs:subClassOf\tex:n{i // 2}" for i in range(1, count + 1)]
+    return "subject_id\tpredicate_id\tobject_id\n" + "\n".join(lines) + "\n"
+
+
+def test_a_reader_sees_an_import_whole_or_not_at_all(engine):
+    t = engine.terminology
+    t.import_mappings_tsv(_tree_tsv("n", 100))
+    before = len(t.mapping_rows())
+    seen: set[int] = set()
+    started, stop = threading.Barrier(3), threading.Event()
+
+    def reader():
+        started.wait(10)
+        while not stop.is_set():
+            seen.add(len(t.mapping_rows()))
+            seen.add(len(t.compute_closure().edges))
+
+    readers = [threading.Thread(target=reader) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in readers:
+            r.start()
+        started.wait(10)
+        t.import_mappings_tsv(_tree_tsv("p", 2000))
+    finally:
+        stop.set()
+        for r in readers:
+            r.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(r.is_alive() for r in readers)
+    assert seen <= {before, before + 2000}
 
 
 # ---------------------------------------------------------------------------
