@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
 from . import graph
@@ -42,6 +42,7 @@ from .schemas import (
     SchemaRegistry,
     SlotFill,
     SlotKind,
+    SlotSpec,
     StatementInstance,
     StatementSchema,
 )
@@ -95,13 +96,15 @@ class CrosswalkProvenance:
 
 @dataclass(frozen=True)
 class Crosswalk:
-    """A directional set of slot alignments between two schemas."""
+    """A directional set of slot alignments between two schemas. Its level
+    is computed by registration, so it is not part of its content: two
+    crosswalks that differ only in level are equal."""
 
     id: Gupri
     source_schema: Gupri
     target_schema: Gupri
     alignments: tuple[SlotAlignment, ...]
-    level: CrosswalkLevel | None = None
+    level: CrosswalkLevel | None = field(default=None, compare=False)
     provenance: CrosswalkProvenance = CrosswalkProvenance()
 
 
@@ -133,6 +136,8 @@ class CrosswalkReport:
     checks: tuple[AlignmentCheck, ...]
     uncovered_required_source: tuple[str, ...]
     uncovered_required_target: tuple[str, ...]
+    #: whether every slot of both schemas is aligned; no payload renders it
+    covers_all_slots: bool
 
     @property
     def clean(self) -> bool:
@@ -194,53 +199,50 @@ class CrosswalkRegistry:
 
     # -- checking and classification -------------------------------------------
 
-    def check_crosswalk(
-        self, cw: Crosswalk | str | Gupri, min_confidence: float | None = None, *, snap: ClosureSnapshot | None = None
-    ) -> CrosswalkReport:
-        """Grade every alignment and report required-slot coverage."""
+    def check_crosswalk(self, cw: Crosswalk | str | Gupri, *, snap: ClosureSnapshot | None = None) -> CrosswalkReport:
+        """Grade every alignment and report slot coverage."""
         cw = self._resolve(cw)
-        snap = self.terminology.call_snapshot(snap, min_confidence)
+        snap = snap or self.terminology.compute_closure()
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
-        self._validate_alignment_shape(cw, source, target)
-        checks = []
-        for alignment in cw.alignments:
-            sslot = source.slot(alignment.source_slot)
-            tslot = target.slot(alignment.target_slot)
-            checks.append(AlignmentCheck(alignment, *self._status(snap, sslot, tslot)))
-        aligned_sources = {a.source_slot for a in cw.alignments}
-        aligned_targets = {a.target_slot for a in cw.alignments}
+        sources, targets = self._validate_alignment_shape(cw, source, target)
         return CrosswalkReport(
             crosswalk_id=cw.id,
-            checks=tuple(checks),
-            uncovered_required_source=tuple(
-                s.slot_id for s in source.slots if s.required and s.slot_id not in aligned_sources
+            checks=tuple(
+                AlignmentCheck(alignment, *self._status(snap, sslot, tslot))
+                for alignment, sslot, tslot in zip(cw.alignments, sources.values(), targets.values())
             ),
-            uncovered_required_target=tuple(
-                s.slot_id for s in target.slots if s.required and s.slot_id not in aligned_targets
-            ),
+            uncovered_required_source=tuple(s.slot_id for s in source.slots if s.required and s.slot_id not in sources),
+            uncovered_required_target=tuple(s.slot_id for s in target.slots if s.required and s.slot_id not in targets),
+            covers_all_slots=len(sources) == len(source.slots) and len(targets) == len(target.slots),
         )
 
+    @staticmethod
     def _validate_alignment_shape(
-        self, cw: Crosswalk, source: StatementSchema, target: StatementSchema
-    ) -> None:
-        seen_source: set[str] = set()
-        seen_target: set[str] = set()
+        cw: Crosswalk, source: StatementSchema, target: StatementSchema
+    ) -> tuple[dict[str, SlotSpec], dict[str, SlotSpec]]:
+        """The source and the target slots of the alignments, by id in
+        alignment order; an unknown slot or a slot aligned twice raises."""
+        sources: dict[str, SlotSpec] = {}
+        targets: dict[str, SlotSpec] = {}
         for alignment in cw.alignments:
-            if source.slot(alignment.source_slot) is None:
+            sslot = source.slot(alignment.source_slot)
+            if sslot is None:
                 raise UnknownSlot(
                     f"source schema {source.id} has no slot {alignment.source_slot!r}"
                 )
-            if target.slot(alignment.target_slot) is None:
+            tslot = target.slot(alignment.target_slot)
+            if tslot is None:
                 raise UnknownSlot(
                     f"target schema {target.id} has no slot {alignment.target_slot!r}"
                 )
-            if alignment.source_slot in seen_source:
+            if alignment.source_slot in sources:
                 raise IncompatibleAlignment(f"source slot {alignment.source_slot!r} aligned twice")
-            if alignment.target_slot in seen_target:
+            if alignment.target_slot in targets:
                 raise IncompatibleAlignment(f"target slot {alignment.target_slot!r} aligned twice")
-            seen_source.add(alignment.source_slot)
-            seen_target.add(alignment.target_slot)
+            sources[alignment.source_slot] = sslot
+            targets[alignment.target_slot] = tslot
+        return sources, targets
 
     @staticmethod
     def _status(snap: ClosureSnapshot, sslot, tslot) -> tuple[AlignmentStatus, str]:
@@ -267,27 +269,20 @@ class CrosswalkRegistry:
             f"no actionable mapping between {sslot.constraint} and {tslot.constraint}"
         )
 
-    def classify_crosswalk(self, cw: Crosswalk | str | Gupri, min_confidence: float | None = None) -> CrosswalkLevel:
+    def classify_crosswalk(self, cw: Crosswalk | str | Gupri) -> CrosswalkLevel:
         """Ontological iff all slots of both schemas are covered at ontological grade."""
-        cw = self._resolve(cw)
-        return self._level(cw, self.check_crosswalk(cw, min_confidence))
+        return self._level(self.check_crosswalk(cw))
 
-    def _level(self, cw: Crosswalk, report: CrosswalkReport) -> CrosswalkLevel:
+    @classmethod
+    def _level(cls, report: CrosswalkReport) -> CrosswalkLevel:
         """Classification of a crosswalk from its check report."""
         if not report.clean:
-            raise InvalidCrosswalk(self._report_problem(report))
-        source = self.schemas.schema(cw.source_schema)
-        target = self.schemas.schema(cw.target_schema)
-        aligned_sources = {a.source_slot for a in cw.alignments}
-        aligned_targets = {a.target_slot for a in cw.alignments}
-        total_coverage = all(s.slot_id in aligned_sources for s in source.slots) and all(
-            s.slot_id in aligned_targets for s in target.slots
-        )
+            raise InvalidCrosswalk(cls._report_problem(report))
         all_ontological = all(
             c.status in (AlignmentStatus.EQUAL, AlignmentStatus.ONTOLOGICALLY_MAPPED)
             for c in report.checks
         )
-        if total_coverage and all_ontological:
+        if report.covers_all_slots and all_ontological:
             return CrosswalkLevel.ONTOLOGICAL
         return CrosswalkLevel.REFERENTIAL
 
@@ -306,7 +301,7 @@ class CrosswalkRegistry:
     def register_crosswalk(self, cw: Crosswalk) -> Gupri:
         """Store a crosswalk after a full check; the level is computed here."""
         stored = replace(cw, level=self._checked_level(self.terminology.compute_closure(), cw))
-        self._crosswalks.add(stored.id.canonical, stored, self._content_equal)
+        self._crosswalks.add(stored.id.canonical, stored)
         return stored.id
 
     def _insert_trusted(self, cw: Crosswalk) -> Gupri:
@@ -318,13 +313,8 @@ class CrosswalkRegistry:
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
         self._validate_alignment_shape(cw, source, target)
-        self._crosswalks.add(cw.id.canonical, cw, self._content_equal)
+        self._crosswalks.add(cw.id.canonical, cw)
         return cw.id
-
-    @staticmethod
-    def _content_equal(a: Crosswalk, b: Crosswalk) -> bool:
-        """Equal but for the level, which registration computes."""
-        return replace(a, level=None) == replace(b, level=None)
 
     # -- composition and inversion ------------------------------------------------
 
@@ -354,7 +344,7 @@ class CrosswalkRegistry:
         return replace(composed, level=level)
 
     def _level_of(self, snap: ClosureSnapshot, cw: Crosswalk) -> CrosswalkLevel:
-        return cw.level if cw.level is not None else self._level(cw, self.check_crosswalk(cw, snap=snap))
+        return cw.level if cw.level is not None else self._level(self.check_crosswalk(cw, snap=snap))
 
     def invert_crosswalk(self, cw: Crosswalk | str | Gupri, id: Gupri | None = None) -> Crosswalk:
         """Swap source and target; alignments are reversed.
@@ -390,7 +380,7 @@ class CrosswalkRegistry:
             raise uncovered(
                 f"required target slot(s) uncovered{context}: {', '.join(report.uncovered_required_target)}"
             )
-        return self._level(cw, report)
+        return self._level(report)
 
     def _resolve(self, cw: Crosswalk | str | Gupri) -> Crosswalk:
         return cw if isinstance(cw, Crosswalk) else self.crosswalk(cw)

@@ -62,8 +62,13 @@ def render(obj: Any) -> str:
 
 
 def render_line(obj: Any) -> str:
-    """Canonical single-line JSON, used for line-oriented files."""
-    return json.dumps(obj, separators=(", ", ": "), ensure_ascii=False)
+    """Canonical single-line JSON, used for line-oriented files, which are
+    split with ``str.splitlines``. ``json.dumps`` escapes only the characters
+    below U+0020, so the three other breaks it splits at are escaped here."""
+    line = json.dumps(obj, separators=(", ", ": "), ensure_ascii=False)
+    if line.isascii():
+        return line
+    return line.replace("\x85", "\\u0085").replace("\u2028", "\\u2028").replace("\u2029", "\\u2029")
 
 
 def load_json(text: str) -> Any:

@@ -14,7 +14,6 @@ table's first records can be left to a fill that the first access runs.
 from __future__ import annotations
 
 import functools
-import operator
 import threading
 from typing import Any, Callable, Generic, Iterable, TypeVar
 
@@ -94,24 +93,16 @@ class RecordTable(Generic[R]):
                 self._filling = False
             self._pending = None
 
-    def add(self, key: str, record: R, same: Callable[[R, R], bool] = operator.eq) -> bool:
-        """Store ``record`` under ``key`` unless the key is taken, and say
-        whether it was stored; a taken key whose record is not ``same`` as
-        this one raises the conflict error."""
+    def add(self, key: str, record: R) -> bool:
+        """Store ``record`` under ``key`` by the register-once rule
+        (:meth:`_put`), and say whether it was stored."""
         self._settle()
         with self._lock:
-            existing = self._rows.get(key)
-            if existing is None:
-                self._rows[key] = record
-                self._wrote((key, record, True))
-                return True
-        if not same(existing, record):
-            raise self.conflict(f"{self.noun} {key} already registered with different content")
-        return False
+            return self._put(key, record)
 
     def add_all(self, items: Iterable[tuple[str, R]]) -> None:
-        """Store each ``(key, record)`` of ``items`` as :meth:`add` would, in
-        their order.
+        """Store each ``(key, record)`` of ``items`` by the register-once
+        rule (:meth:`_put`), in their order.
 
         The batch takes the lock once, so a reader sees none of it or all of
         it. A key taken, by the table or earlier in the batch, by an unequal
@@ -121,14 +112,21 @@ class RecordTable(Generic[R]):
         """
         self._settle()
         with self._lock:
-            rows = self._rows
             for key, record in items:
-                existing = rows.get(key)
-                if existing is None:
-                    rows[key] = record
-                    self._wrote((key, record, True))
-                elif existing != record:
-                    raise self.conflict(f"{self.noun} {key} already registered with different content")
+                self._put(key, record)
+
+    def _put(self, key: str, record: R) -> bool:
+        """The register-once rule, under the lock: store ``record`` unless
+        ``key`` is taken, and say whether it was stored; a taken key whose
+        record is unequal to this one raises the conflict error."""
+        existing = self._rows.get(key)
+        if existing is None:
+            self._rows[key] = record
+            self._wrote((key, record, True))
+            return True
+        if existing != record:
+            raise self.conflict(f"{self.noun} {key} already registered with different content")
+        return False
 
     def get(self, key: str) -> R:
         self._settle()

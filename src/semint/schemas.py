@@ -288,11 +288,10 @@ class SchemaRegistry:
         inst: StatementInstance,
         *,
         strict: bool = False,
-        min_confidence: float | None = None,
         snap: ClosureSnapshot | None = None,
     ) -> ValidationReport:
         """Check a token model against its type model; never raises on content."""
-        snap = self.terminology.call_snapshot(snap, min_confidence)
+        snap = snap or self.terminology.compute_closure()
         schema = self.schema(inst.schema_id)
         violations: list[Violation] = []
         for slot in schema.slots:
@@ -349,12 +348,10 @@ class SchemaRegistry:
 
     # -- statement-type queries -------------------------------------------------
 
-    def schemas_for_statement_type(
-        self, p: str | Gupri, min_confidence: float | None = None, *, snap: ClosureSnapshot | None = None
-    ) -> list[Gupri]:
+    def schemas_for_statement_type(self, p: str | Gupri, *, snap: ClosureSnapshot | None = None) -> list[Gupri]:
         """Schemas whose statement type is referentially equivalent to ``p``."""
         gp = self.prefix_map.gupri(p)
-        wanted = self.terminology.call_snapshot(snap, min_confidence).referential_class(gp)
+        wanted = (snap or self.terminology.compute_closure()).referential_class(gp)
         return [s.id for s in self.schemas() if s.statement_type.canonical in wanted]
 
     def detect_schema_duplicates(self, crosswalks, *, snap: ClosureSnapshot | None = None) -> list[DuplicateGroup]:
@@ -363,7 +360,7 @@ class SchemaRegistry:
         A group is crosswalk-covered when every schema pair in it is connected
         in the crosswalk registry, composition allowed.
         """
-        snap = self.terminology.call_snapshot(snap)
+        snap = snap or self.terminology.compute_closure()
         groups: dict[str, list[StatementSchema]] = {}
         for schema in self.schemas():
             groups.setdefault(snap.referential_root(schema.statement_type), []).append(schema)

@@ -844,6 +844,12 @@ class TerminologyRegistry:
     # -- mapping registry ---------------------------------------------------
 
     def add_mapping(self, m: EntityMapping) -> str:
+        """Store ``m`` and return its id. A justification, author or comment
+        that a ``mappings.tsv`` cell would not reload as itself (empty, or
+        with a tab, a line break or a space at either end) is malformed."""
+        for name, text in (("justification", m.justification), ("author", m.author), ("comment", m.comment)):
+            if text is not None and (not text or text != text.strip() or "\t" in text or len(text.splitlines()) > 1):
+                raise MalformedRecord(f"mapping {name} {text!r} is not one trimmed line without tabs")
         stored = self._oriented(
             self.prefix_map.gupri(m.subject),
             m.predicate,
@@ -998,15 +1004,6 @@ class TerminologyRegistry:
             return snapshot
         return self._mappings.derived(self._build_snapshot, _updated_snapshot)
 
-    def call_snapshot(self, snap: ClosureSnapshot | None, min_confidence: float | None = None) -> ClosureSnapshot:
-        """The one snapshot a public call reads: ``snap`` when its caller holds
-        the call's snapshot, which fixes the threshold too, else :meth:`compute_closure`."""
-        if snap is None:
-            return self.compute_closure(min_confidence)
-        if min_confidence is not None:
-            raise TypeError("give snap or min_confidence, not both")
-        return snap
-
     @staticmethod
     def _build_snapshot(edges: tuple[EntityMapping, ...]) -> ClosureSnapshot:
         """The snapshot of ``edges``, built from every edge."""
@@ -1048,7 +1045,7 @@ class TerminologyRegistry:
 
     def audit_term_fairness(self, id: str | Gupri, *, snap: ClosureSnapshot | None = None) -> TermAudit:
         """Per-criterion vocabulary-quality audit of a registered term."""
-        snap = self.call_snapshot(snap)
+        snap = snap or self.compute_closure()
         record = self.term(id)
         checks = []
         checks.append(

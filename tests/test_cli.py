@@ -628,6 +628,18 @@ def test_import_writes_only_what_it_added(store_dir, tmp_path, capsys, kind):
     assert tree_bytes(store_dir) == after
 
 
+def test_imported_term_text_with_a_line_separator_keeps_the_store_readable(store_dir, tmp_path, capsys):
+    # the text is one JSON line, and terms is read with str.splitlines, which
+    # breaks lines at U+2028 too
+    file = tmp_path / "terms"
+    file.write_text('{"id": "ex:a", "labels": {"en": "line\\u2028sep"}}\n')
+    code, _, err = run(capsys, "--store", str(store_dir), "import", "terms", str(file))
+    assert code == 0, err
+    code, _, err = run(capsys, "--store", str(store_dir), "interop", "ex:a", "pato:weight")
+    assert code == 0, err
+    assert load_store(store_dir).terminology.term("ex:a").labels == {"en": "line\u2028sep"}
+
+
 def test_reimported_crosswalk_under_other_name_adds_no_file(store_dir, capsys):
     (stored,) = (store_dir / "crosswalks").glob("*.json")
     renamed = stored.rename(store_dir / "crosswalks" / "hand-named.json")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,13 +22,14 @@ from semint import (
     StatementCategory,
     StatementInstance,
     StatementSchema,
+    TermRecord,
     export_store,
     find,
     init_store,
     load_store,
 )
 from semint.crosswalks import AlignmentStatus
-from semint.errors import EmptyQuery, IoFailure, ParseFailure
+from semint.errors import EmptyQuery, IoFailure, MalformedRecord, ParseFailure
 from semint import store
 from semint.store import open_store
 
@@ -445,6 +447,63 @@ def test_export_independent_of_insertion_order(tmp_path):
     export_store(forward, tmp_path / "forward")
     export_store(backward, tmp_path / "backward")
     assert tree_bytes(tmp_path / "forward") == tree_bytes(tmp_path / "backward")
+
+
+# every line break str.splitlines splits at, a tab and a space, mixed into any text
+store_text = st.text(st.characters() | st.sampled_from("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 "), max_size=12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    labels=st.dictionaries(st.sampled_from(["en", "de", "ja"]), store_text, max_size=3),
+    definition=st.none() | store_text,
+    criteria=st.none() | store_text,
+    synonyms=st.lists(store_text, max_size=3),
+)
+def test_term_text_round_trips_through_the_store(labels, definition, criteria, synonyms):
+    # terms is read with str.splitlines, so a line of it must hold no break
+    engine = make_engine()
+    pm = engine.prefix_map
+    engine.terminology.register_term(
+        TermRecord(pm.gupri("ex:a"), labels, definition, criteria, synonyms=tuple(synonyms))
+    )
+    engine.terminology.register_term(TermRecord(pm.gupri("ex:b"), {"en": "after"}))
+    with tempfile.TemporaryDirectory() as root:
+        export_store(engine, root)
+        assert load_store(root).terminology.terms() == engine.terminology.terms()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    predicate=st.sampled_from(MappingPredicate),
+    justification=store_text,
+    confidence=st.floats(0, 1),
+    author=st.none() | store_text,
+    comment=st.none() | store_text,
+)
+def test_every_accepted_mapping_round_trips_through_the_store(predicate, justification, confidence, author, comment):
+    # a text that a mappings.tsv cell cannot hold as itself is rejected by
+    # add_mapping, so the exported row reloads as the same mapping
+    engine = make_engine()
+    try:
+        add_mapping(
+            engine, "ex:a", predicate, "pato:b",
+            justification=justification, confidence=confidence, author=author, comment=comment,
+        )
+    except MalformedRecord:
+        return
+    with tempfile.TemporaryDirectory() as root:
+        export_store(engine, root)
+        assert load_store(root).terminology.mapping_rows() == engine.terminology.mapping_rows()
+
+
+@pytest.mark.parametrize("field", ["justification", "author", "comment"])
+@pytest.mark.parametrize("text", ["", " x", "x ", "a\tb", "a\nb", "a\r\nb", "a\u2028b", "a\x85b"])
+def test_mapping_text_that_a_tsv_cell_cannot_hold_is_rejected(field, text):
+    engine = make_engine()
+    with pytest.raises(MalformedRecord):
+        add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:b", **{field: text})
+    assert engine.terminology.mapping_rows() == ()
 
 
 # ---------------------------------------------------------------------------

@@ -904,7 +904,9 @@ def test_levels_live_with_their_snapshot(engine):
     [
         lambda fx: fx.engine.terminology.interop_level("unit:gram", "unit:mass-unit", min_confidence=0.5),
         lambda fx: fx.engine.terminology.explain_path("unit:gram", "unit:mass-unit", min_confidence=0.5),
-        lambda fx: fx.engine.crosswalks.check_crosswalk(fx.crosswalk_id, min_confidence=0.5),
+        lambda fx: fx.engine.crosswalks.check_crosswalk(
+            fx.crosswalk_id, snap=fx.engine.terminology.compute_closure(0.5)
+        ),
     ],
     ids=["interop_level", "explain_path", "check_crosswalk"],
 )
@@ -1421,7 +1423,7 @@ def test_snapshots_derived_during_writes_equal_fresh_builds(engine):
     "call",
     [
         lambda fx: fx.engine.crosswalks.transform_instance(fx.instance, fx.crosswalk_id, min_confidence=0.5),
-        lambda fx: fx.engine.schemas.validate_instance(fx.instance, min_confidence=0.5),
+        lambda fx: fx.engine.schemas.validate_instance(fx.instance, snap=fx.engine.terminology.compute_closure(0.5)),
         # three resource alignments between differently constrained slots
         lambda fx: fx.engine.crosswalks.check_crosswalk(
             Crosswalk(
@@ -1434,7 +1436,7 @@ def test_snapshots_derived_during_writes_equal_fresh_builds(engine):
                     SlotAlignment("unit", "entity"),
                 ),
             ),
-            min_confidence=0.5,
+            snap=fx.engine.terminology.compute_closure(0.5),
         ),
     ],
     ids=["transform_instance", "validate_instance", "check_crosswalk"],
@@ -1534,15 +1536,3 @@ def test_inner_calls_go_through_public_methods(weight, monkeypatch):
     calls.clear()
     weight.engine.crosswalks.transform_instance(weight.instance, weight.crosswalk_id)
     assert calls == {"validate_instance": 2}
-
-
-def test_snapshot_and_threshold_together_is_a_caller_error(weight):
-    engine = weight.engine
-    snap = engine.terminology.compute_closure()
-    assert engine.schemas.validate_instance(weight.instance, snap=snap).valid
-    with pytest.raises(TypeError):
-        engine.schemas.validate_instance(weight.instance, min_confidence=0.5, snap=snap)
-    with pytest.raises(TypeError):
-        engine.schemas.schemas_for_statement_type("obi:weight-assay", 0.5, snap=snap)
-    with pytest.raises(TypeError):
-        engine.crosswalks.check_crosswalk(weight.crosswalk_id, 0.5, snap=snap)
