@@ -8,12 +8,12 @@ by the commands that read them (``assess``, ``import terms``, ``export``) and
 by ``serve``, so a line that is JSON but no term record fails only those. A
 file under ``fdos/`` is read only by the commands that read FAIR records
 (``assess``, ``find``, ``import fdo``, ``export``) and by ``serve``;
-``import fdo`` parses every record file but builds only the records stored
-under the new record's id. An ``import`` writes only the store file of what
-it added: the ``terms`` or ``mappings.tsv`` file, or the one document of the
-record it registered; ``import mappings`` renders only the rows it added and
-merges them into the stored lines. ``export`` rewrites the whole store in
-canonical form.
+``assess`` and ``import fdo`` parse every record file but build only the
+records stored under the id they assess or import. An ``import`` writes only
+the store file of what it added: the ``terms`` or ``mappings.tsv`` file, or
+the one document of the record it registered; ``import mappings`` renders
+only the rows it added and merges them into the stored lines. ``export``
+rewrites the whole store in canonical form.
 
 ``python -m semint.cli`` and the ``semint`` script run :func:`entry`, which
 returns :func:`main`'s exit code after ``gc.freeze()``: the process is about
@@ -207,7 +207,10 @@ def _run(args: argparse.Namespace) -> int:
         _emit(documents.applicable_to_doc(entries, degree, pm))
         return 0
     if args.command == "assess":
-        report = engine.fdos.assess_fdo(args.gupri)
+        gupri = pm.gupri(args.gupri)
+        # no check reads another record, so only the records of this id are built
+        store.defer_fdos(engine, root, only=gupri)
+        report = engine.fdos.assess_fdo(gupri)
         _emit(documents.assessment_to_doc(report, pm))
         return 0
     if args.command == "find":

@@ -12,7 +12,6 @@ into the target vocabulary where entity mappings permit.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
@@ -61,11 +60,11 @@ __all__ = [
     "identity_crosswalk",
 ]
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class SlotAlignment:
+    """A source slot aligned with a target slot."""
+
     source_slot: str
     target_slot: str
 
@@ -89,6 +88,8 @@ class CrosswalkLevel(IntEnum):
 
 @dataclass(frozen=True)
 class CrosswalkProvenance:
+    """Who asserted a crosswalk, when, and why."""
+
     author: str | None = None
     date: str | None = None
     justification: str | None = None
@@ -125,6 +126,8 @@ _CLEAN_STATUSES = {
 
 @dataclass(frozen=True)
 class AlignmentCheck:
+    """The verdict on one alignment of a crosswalk."""
+
     alignment: SlotAlignment
     status: AlignmentStatus
     detail: str = ""
@@ -132,6 +135,8 @@ class AlignmentCheck:
 
 @dataclass(frozen=True)
 class CrosswalkReport:
+    """A crosswalk check: each alignment's verdict and the required slots no alignment covers."""
+
     crosswalk_id: Gupri
     checks: tuple[AlignmentCheck, ...]
     uncovered_required_source: tuple[str, ...]
@@ -437,7 +442,10 @@ class CrosswalkRegistry:
                 )
         for slot_id in sorted(inst.fills):
             if slot_id not in aligned_sources:
-                logger.warning(
+                # imported where it is used, so only a process that logs pays for the import
+                import logging
+
+                logging.getLogger(__name__).warning(
                     "transform %s -> %s drops unaligned source fill %r",
                     source.id,
                     target.id,

@@ -58,6 +58,8 @@ class CertaintyLevel(Enum):
 
 @dataclass(frozen=True)
 class FdoRecord:
+    """A FAIR digital object: its identifier, content and metadata."""
+
     gupri: Gupri
     content: Gupri | StatementInstance | tuple[StatementInstance, ...]
     schema_ref: Gupri | tuple[Gupri, ...] | None = None
@@ -109,6 +111,8 @@ class CheckStatus(Enum):
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One criterion of a FAIR assessment and its outcome."""
+
     check_id: str
     status: CheckStatus
     detail: str = ""
@@ -116,6 +120,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AssessmentReport:
+    """A record's FAIR assessment: each check and the score over the applicable ones."""
+
     fdo: Gupri
     checks: tuple[CheckResult, ...]
     passed: int
@@ -125,6 +131,8 @@ class AssessmentReport:
 
 @dataclass(frozen=True)
 class CollectionAssessment:
+    """Assessment totals over many records: the mean score and each check's counts."""
+
     mean_score: float
     per_check: tuple[tuple[str, int, int, int], ...]  # (check_id, pass, fail, na)
 

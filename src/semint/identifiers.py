@@ -100,15 +100,19 @@ class PrefixMap:
             raise InvalidGupri("empty identifier")
         if _SPACE_RE.search(value):
             raise InvalidGupri(f"identifier contains whitespace: {value!r}")
-        if is_absolute_iri(value):
-            return value
-        match = _CURIE_RE.match(value)
-        if not match:
-            raise InvalidGupri(f"not an absolute IRI or CURIE: {value!r}")
-        prefix, local = match.groups()
+        # a CURIE's prefix ends at the first colon
+        prefix, _, local = value.partition(":")
         expansion = self._bindings.get(prefix)
-        if expansion is None:
-            raise InvalidGupri(f"unregistered prefix {prefix!r} in {value!r}")
+        # a registered prefix matches the CURIE grammar's, so with a local
+        # part the value is a CURIE; unless "//" follows the colon or the
+        # prefix is "urn", it is no IRI or URN either, and no match is needed
+        if expansion is None or not local or local.startswith("//") or prefix.lower() == "urn":
+            if is_absolute_iri(value):
+                return value
+            if not _CURIE_RE.match(value):
+                raise InvalidGupri(f"not an absolute IRI or CURIE: {value!r}")
+            if expansion is None:
+                raise InvalidGupri(f"unregistered prefix {prefix!r} in {value!r}")
         return expansion + local
 
     def gupri(self, value: str | Gupri) -> Gupri:
@@ -121,10 +125,8 @@ class PrefixMap:
         before the bindings are read, so a Gupri built while a prefix is
         registered lands in the memo that the registration dropped.
         """
-        if isinstance(value, Gupri):
-            return value
         if type(value) is not str:
-            return Gupri(self.canonicalize(value))
+            return value if isinstance(value, Gupri) else Gupri(self.canonicalize(value))
         memo = self._memo
         g = memo.get(value)
         if g is None:

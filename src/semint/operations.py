@@ -11,7 +11,6 @@ is registered by reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum, IntEnum
 
 from . import graph
@@ -67,12 +66,16 @@ class OperationKind(Enum):
 
 @dataclass(frozen=True)
 class OperationParam:
+    """A named, typed parameter of an operation."""
+
     name: str
     datatype: DatatypeTag
 
 
 @dataclass(frozen=True)
 class OperationDescriptor:
+    """An operation and the schemas it applies to."""
+
     id: Gupri
     label: str
     applicable_schemas: frozenset[Gupri]
@@ -96,6 +99,8 @@ class ActionabilityClass(IntEnum):
 
 @dataclass(frozen=True)
 class ApplicableOperation:
+    """An operation that applies to a schema, directly or through crosswalks."""
+
     operation: OperationDescriptor
     via: tuple[str, ...] = ()  # crosswalk ids; empty means directly applicable
 
@@ -108,6 +113,8 @@ class XInteropStatus(Enum):
 
 @dataclass(frozen=True)
 class XInteropResult:
+    """Whether one operation applies to two schemas, and the crosswalk path by which it reaches each."""
+
     status: XInteropStatus
     paths: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (schema, crosswalk path)
 
@@ -266,6 +273,9 @@ class OperationsRegistry:
         target = self.prefix_map.gupri(target_unit)
         source_exp = self._unit_exponent(unit_fill.value)  # type: ignore[arg-type]
         target_exp = self._unit_exponent(target)
+        # imported where it is used, so only a process that converts pays for the import
+        from decimal import Decimal
+
         # moving the exponent rounds nothing, where scaleb rounds to the context's 28 digits
         sign, digits, exponent = Decimal(value_fill.value).as_tuple()  # type: ignore[arg-type]
         scaled = Decimal((sign, digits, exponent + source_exp - target_exp))  # type: ignore[operator]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
 from typing import Mapping
 
@@ -101,6 +100,9 @@ def literal_parses(value: str, tag: DatatypeTag) -> bool:
         text = value.replace("Z", "+00:00")
         if not _DATETIME_RE.fullmatch(text):
             return False
+        # imported where it is used, so only a process that reads a datetime pays for the import
+        from datetime import datetime
+
         try:
             datetime.fromisoformat(text)
             return True
@@ -198,6 +200,8 @@ class StatementInstance:
 
 @dataclass(frozen=True)
 class Violation:
+    """One way an instance fails its schema, at a slot or the whole instance."""
+
     code: str
     slot_id: str | None
     message: str
@@ -205,6 +209,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Whether an instance is valid against its schema, and each violation if not."""
+
     valid: bool
     violations: tuple[Violation, ...] = ()
 

@@ -50,6 +50,8 @@ _MAPPINGS_HEADER = "\t".join(TerminologyRegistry.REQUIRED_COLUMNS + TerminologyR
 
 @dataclass(frozen=True)
 class StoreLayout:
+    """The paths of a store's files and directories under its root."""
+
     root: Path
 
     @property
@@ -460,6 +462,8 @@ class ExpandMode(Enum):
 
 @dataclass(frozen=True)
 class FindQuery:
+    """The criteria of a FAIR record search; each one set narrows it."""
+
     term: Gupri | None = None
     expand: ExpandMode = ExpandMode.NONE
     statement_type: Gupri | None = None

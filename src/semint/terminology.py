@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import graph
 from .errors import (
@@ -85,6 +85,10 @@ class TermRecord:
     referent_kind: ReferentKind = ReferentKind.CLASS
 
     def __post_init__(self):
+        _check_utf8(
+            f"term {str(self.id)!r}",
+            chain((str(self.id), self.definition, self.recognition_criteria), self.labels.values(), self.synonyms),
+        )
         normalized = {}
         for tag, text in self.labels.items():
             tag = tag.lower()
@@ -97,6 +101,17 @@ class TermRecord:
             if s not in deduped:
                 deduped.append(s)
         object.__setattr__(self, "synonyms", tuple(deduped))
+
+
+def _check_utf8(owner: str, texts: Iterable[object]) -> None:
+    """Raise :class:`MalformedRecord` for a text of ``texts`` that UTF-8
+    cannot encode, one with a lone surrogate: no store file could hold it."""
+    for text in texts:
+        if isinstance(text, str) and not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise MalformedRecord(f"{owner}: {text!r} is not UTF-8 text ({exc.reason})") from None
 
 
 class MappingPredicate(Enum):
@@ -120,10 +135,10 @@ class MappingPredicate(Enum):
 
     @classmethod
     def from_curie(cls, curie: str) -> "MappingPredicate":
-        try:
-            return cls(curie)
-        except ValueError:
-            raise UnknownPredicate(f"unknown mapping predicate {curie!r}") from None
+        predicate = _PREDICATES.get(curie) if isinstance(curie, str) else None
+        if predicate is None:
+            raise UnknownPredicate(f"unknown mapping predicate {curie!r}")
+        return predicate
 
     @property
     def curie(self) -> str:
@@ -141,6 +156,9 @@ class MappingPredicate(Enum):
     def machine_actionable(self) -> bool:
         return self in _ACTIONABLE
 
+
+#: each predicate under its CURIE, so a TSV cell resolves with one lookup
+_PREDICATES = {p.value: p for p in MappingPredicate}
 
 _ONTOLOGICAL_GRADE = frozenset({MappingPredicate.SAME_AS, MappingPredicate.EXACT_MATCH})
 _REFERENTIAL_GRADE = _ONTOLOGICAL_GRADE | {
@@ -172,9 +190,13 @@ _LIFTED_INTO = {
 NOOP_MAPPING_ID = "m-noop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMapping:
-    """A typed, provenance-carrying edge between two term identifiers."""
+    """A typed, provenance-carrying edge between two term identifiers.
+
+    Build one with :meth:`create`, which checks the fields and derives the
+    id. The registry stores only mappings built so: ``add_mapping`` builds
+    the one it is given again."""
 
     id: str
     subject: Gupri
@@ -185,49 +207,42 @@ class EntityMapping:
     author: str | None = None
     comment: str | None = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise MalformedRecord(f"confidence {self.confidence} outside [0,1]")
-
     @classmethod
     def create(
         cls,
         subject: Gupri,
         predicate: MappingPredicate,
         object: Gupri,
-        *,
         justification: str = "unspecified",
         confidence: float = 1.0,
         author: str | None = None,
         comment: str | None = None,
     ) -> "EntityMapping":
-        """Build a mapping with a deterministic content-derived id. An int
-        confidence is kept as its float, the one the exported row reloads."""
-        if not _is_unit_number(confidence):
-            raise MalformedRecord(f"confidence {confidence!r} is not a number in [0,1]")
-        confidence = float(confidence)
-        digest = hashlib.sha1(
-            "\x1f".join(
-                [
-                    subject.canonical,
-                    predicate.curie,
-                    object.canonical,
-                    justification,
-                    repr(confidence),
-                    author or "",
-                    comment or "",
-                ]
-            ).encode("utf-8")
-        ).hexdigest()[:12]
+        """Build a mapping with a deterministic content-derived id: the
+        first 12 hex digits of the sha1 of its fields. A confidence that is
+        not a number in [0, 1] and text that UTF-8 cannot encode are
+        malformed. An int confidence is kept as its float, the one the
+        exported row reloads."""
+        if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
+            if not _is_unit_number(confidence):
+                raise MalformedRecord(f"confidence {confidence!r} is not a number in [0,1]")
+            confidence = float(confidence)
+        fields = (
+            subject.canonical,
+            predicate._value_,
+            object.canonical,
+            justification,
+            repr(confidence),
+            author or "",
+            comment or "",
+        )
+        try:
+            key = "\x1f".join(fields).encode("utf-8")
+        except UnicodeEncodeError:
+            _check_utf8("mapping", fields)
+            raise
         return cls(
-            id=f"m-{digest}",
-            subject=subject,
-            predicate=predicate,
-            object=object,
-            justification=justification,
-            confidence=confidence,
-            author=author,
-            comment=comment,
+            "m-" + hashlib.sha1(key).hexdigest()[:12], subject, predicate, object, justification, confidence, author, comment
         )
 
 
@@ -278,18 +293,24 @@ class InteropVerdict:
 
 @dataclass(frozen=True)
 class RejectedRow:
+    """A row of a mapping file that was not stored: its line number and why."""
+
     line: int
     reason: str
 
 
 @dataclass(frozen=True)
 class ImportReport:
+    """What a mapping import stored and rejected."""
+
     accepted: int
     rejected: tuple[RejectedRow, ...] = ()
 
 
 @dataclass(frozen=True)
 class AuditCheck:
+    """One criterion of a term's vocabulary-quality audit and its outcome."""
+
     check_id: str
     status: str  # pass | fail | not_applicable
     advisory: bool = False
@@ -298,6 +319,8 @@ class AuditCheck:
 
 @dataclass(frozen=True)
 class TermAudit:
+    """The audit checks of one registered term."""
+
     term: Gupri
     checks: tuple[AuditCheck, ...]
 
@@ -850,42 +873,30 @@ class TerminologyRegistry:
         for name, text in (("justification", m.justification), ("author", m.author), ("comment", m.comment)):
             if text is not None and (not text or text != text.strip() or "\t" in text or len(text.splitlines()) > 1):
                 raise MalformedRecord(f"mapping {name} {text!r} is not one trimmed line without tabs")
-        stored = self._oriented(
-            self.prefix_map.gupri(m.subject),
-            m.predicate,
-            self.prefix_map.gupri(m.object),
-            justification=m.justification,
-            confidence=m.confidence,
-            author=m.author,
-            comment=m.comment,
+        subject, predicate, object_ = self._oriented(
+            self.prefix_map.gupri(m.subject), m.predicate, self.prefix_map.gupri(m.object)
         )
-        if stored is None:
+        stored = EntityMapping.create(
+            subject, predicate, object_, m.justification, m.confidence, m.author, m.comment
+        )
+        if subject.canonical == object_.canonical:
             return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
         self._mappings.add(stored.id, stored)
         return stored.id
 
     @staticmethod
     def _oriented(
-        subject: Gupri,
-        predicate: MappingPredicate,
-        object_: Gupri,
-        *,
-        table1_direction: bool = False,
-        **fields: Any,
-    ) -> EntityMapping | None:
-        """The mapping to store, built once with its stored orientation:
-        narrowMatch as the reversed broadMatch and, with ``table1_direction``,
-        a subClassOf/subPropertyOf row read parent first. The other ``fields``
-        go to :meth:`EntityMapping.create` as they are. ``None`` for a
-        self-mapping, which is checked after the build, so one with a bad
-        confidence is still rejected."""
+        subject: Gupri, predicate: MappingPredicate, object_: Gupri, table1_direction: bool = False
+    ) -> tuple[Gupri, MappingPredicate, Gupri]:
+        """The stored orientation of a mapping: narrowMatch as the reversed
+        broadMatch and, with ``table1_direction``, a subClassOf/subPropertyOf
+        row read parent first. A self-mapping is not stored, but it is still
+        built first, so one with a bad confidence is rejected."""
         if table1_direction and predicate in _HIERARCHICAL:
             subject, object_ = object_, subject
         if predicate is MappingPredicate.NARROW_MATCH:
-            subject, object_ = object_, subject
-            predicate = MappingPredicate.BROAD_MATCH
-        m = EntityMapping.create(subject, predicate, object_, **fields)
-        return None if m.subject == m.object else m
+            return object_, MappingPredicate.BROAD_MATCH, subject
+        return subject, predicate, object_
 
     def remove_mapping(self, mapping_id: str) -> bool:
         return self._mappings.remove(mapping_id)
@@ -928,11 +939,14 @@ class TerminologyRegistry:
         none of it.
         """
         text = decode_utf8(data) if isinstance(data, bytes) else data
-        gupri, predicate_of = self.prefix_map.gupri, MappingPredicate.from_curie
+        gupri, predicates, oriented = self.prefix_map.gupri, _PREDICATES, self._oriented
+        # read from the class on each call, so a create replaced there is the one called
+        create = EntityMapping.create
         header: list[str] | None = None
         accepted = 0
         rejected: list[RejectedRow] = []
         batch: list[EntityMapping] = []
+        keep = batch.append
         for lineno, line in enumerate(text.splitlines(), start=1):
             start = line.lstrip()
             if not start or start[0] == "#":
@@ -959,24 +973,26 @@ class TerminologyRegistry:
             try:
                 subject = gupri(fields[subject_at].strip())
                 object_ = gupri(fields[object_at].strip())
-                predicate = predicate_of(fields[predicate_at].strip())
+                curie = fields[predicate_at].strip()
+                # one lookup; only an unknown CURIE goes on to raise in from_curie
+                predicate = predicates.get(curie) or MappingPredicate.from_curie(curie)
                 confidence = fields[confidence_at].strip()
-                stored = self._oriented(
+                subject, predicate, object_ = oriented(subject, predicate, object_, table1_direction)
+                m = create(
                     subject,
                     predicate,
                     object_,
-                    table1_direction=table1_direction,
-                    justification=fields[justification_at].strip() or "unspecified",
-                    confidence=float(confidence) if confidence else 1.0,
-                    author=fields[author_at].strip() or None,
-                    comment=fields[comment_at].strip() or None,
+                    fields[justification_at].strip() or "unspecified",
+                    float(confidence) if confidence else 1.0,
+                    fields[author_at].strip() or None,
+                    fields[comment_at].strip() or None,
                 )
             except (InvalidGupri, UnknownPredicate, MalformedRecord, ValueError) as exc:
                 rejected.append(RejectedRow(lineno, str(exc)))
                 continue
             accepted += 1
-            if stored is not None:
-                batch.append(stored)
+            if subject.canonical != object_.canonical:
+                keep(m)
         if header is None:
             raise MissingRequiredColumn("file has no header row")
         self._mappings.add_all((m.id, m) for m in batch)

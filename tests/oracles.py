@@ -7,9 +7,11 @@ enumeration, and plan counts from literal pair enumeration.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 from itertools import combinations
-from typing import Any, Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from semint import EntityMapping, Gupri, MappingPredicate, graph
 from semint.errors import InvalidGupri, MalformedRecord, MissingRequiredColumn, UnknownPredicate, decode_utf8
@@ -325,6 +327,21 @@ def explain_path_scan(
     return list(graph.best_path(adjacency, a, (b,), lambda v, _: v) or ())
 
 
+def canonicalize_by_grammar(bindings: Mapping[str, str], value: str) -> str:
+    """A stripped, non-empty identifier without whitespace in canonical form,
+    decided by the grammars alone, in their order: an absolute IRI or a URN
+    as it is, else a CURIE of a bound prefix expanded. ``InvalidGupri`` for
+    anything else."""
+    if re.match(r"^[A-Za-z][A-Za-z0-9+.\-]*://\S+$", value) or re.match(
+        r"^urn:[A-Za-z0-9][A-Za-z0-9\-]{0,31}:\S+$", value, re.IGNORECASE
+    ):
+        return value
+    match = re.match(r"^([A-Za-z_][A-Za-z0-9_.\-]*):(\S+)$", value)
+    if not match or match.group(1) not in bindings:
+        raise InvalidGupri(value)
+    return bindings[match.group(1)] + match.group(2)
+
+
 def compress_scan(bindings: Iterable[tuple[str, str]], iri: str) -> str:
     """CURIE form of ``iri``: every binding scanned in prefix-name order, the
     first of the longest expansions that leave a non-empty local part wins."""
@@ -400,15 +417,35 @@ def _add(
     object_: str | Gupri,
     *,
     table1_direction: bool = False,
-    **fields: Any,
+    justification: str = "unspecified",
+    confidence: float = 1.0,
+    author: str | None = None,
+    comment: str | None = None,
 ) -> str:
+    """Store one mapping in the stored orientation, its id derived here from
+    the sha1 of its fields rather than by ``EntityMapping.create``."""
     subject, object_ = registry.prefix_map.gupri(subject), registry.prefix_map.gupri(object_)
     if table1_direction and predicate in HIERARCHICAL_PREDICATES:
         subject, object_ = object_, subject
     if predicate is MappingPredicate.NARROW_MATCH:
         subject, object_ = object_, subject
         predicate = MappingPredicate.BROAD_MATCH
-    m = EntityMapping.create(subject, predicate, object_, **fields)
+    if isinstance(confidence, bool) or not isinstance(confidence, (int, float)) or not 0 <= confidence <= 1:
+        raise MalformedRecord(f"confidence {confidence!r} is not a number in [0,1]")
+    confidence = float(confidence)
+    text = "\x1f".join(
+        [subject.canonical, predicate.value, object_.canonical, justification, repr(confidence), author or "", comment or ""]
+    )
+    m = EntityMapping(
+        f"m-{hashlib.sha1(text.encode('utf-8')).hexdigest()[:12]}",
+        subject,
+        predicate,
+        object_,
+        justification,
+        confidence,
+        author,
+        comment,
+    )
     if m.subject == m.object:
         return NOOP_MAPPING_ID  # self-mappings are implicit, never stored
     registry._mappings.add(m.id, m)

@@ -398,6 +398,25 @@ def test_corrupt_fdo_file_fails_only_record_commands(store_dir, tmp_path, capsys
         assert tree_bytes(store_dir) == before, name
 
 
+def test_bad_fdo_record_of_another_id_fails_only_commands_that_build_it(store_dir, tmp_path, capsys):
+    # assess and import fdo parse every record file but build only those of
+    # their own id; find and export build every record
+    _, records = _commands(store_dir, tmp_path)
+    clean = {name: run(capsys, "--store", str(store_dir), *records[name])[:2] for name in ("assess", "import-fdo")}
+    assert all(code == 0 and out for code, out in clean.values())
+    bad = store_dir / "fdos" / "bad.json"
+    bad.write_text('{"gupri": "pato:other", "content": {"kind": "nope"}}')
+    for name, expected in clean.items():
+        code, out, err = run(capsys, "--store", str(store_dir), *records[name])
+        assert (code, out) == expected, (name, err)
+    before = tree_bytes(store_dir)
+    for name in ("find", "export"):
+        code, out, err = run(capsys, "--store", str(store_dir), *records[name])
+        assert (code, out) == (3, ""), name
+        assert json.loads(err)["message"].startswith("fdos/bad.json:1: "), name
+        assert tree_bytes(store_dir) == before, name
+
+
 def test_bad_term_record_fails_only_term_commands(store_dir, tmp_path, capsys):
     # every command parses each terms line as JSON, but only the commands
     # that read term records build them
@@ -555,7 +574,8 @@ def test_imports_keep_every_record_file(store_dir, tmp_path, capsys):
 
 def test_only_record_commands_parse_record_files(store_dir, tmp_path, capsys, monkeypatch):
     # every command but the ones that read FAIR records leaves fdos/ unparsed,
-    # and import fdo builds only the imported record and those of its id
+    # assess builds only the assessed record, and import fdo only the
+    # imported record and those of its id
     parsed = []
     parse = documents.fdo_from_doc
     monkeypatch.setattr(documents, "fdo_from_doc", lambda doc, pm: parsed.append(doc["gupri"]) or parse(doc, pm))
@@ -571,6 +591,8 @@ def test_only_record_commands_parse_record_files(store_dir, tmp_path, capsys, mo
         assert code == 0, err
         if name == "import-fdo":
             assert parsed == ["ex:fdo-new"], name
+        elif name == "assess":
+            assert parsed == ["ex:fdo-apple-weight"], name
         else:
             assert len(parsed) == files, name
     # the record is now stored: importing it again builds it twice, from the
@@ -901,19 +923,64 @@ def test_list_items_and_map_values_accept_only_json_strings(store_dir, tmp_path,
     assert excinfo.value.file.startswith(where)
 
 
-def test_import_leaves_the_facade_unloaded():
-    # only serve needs the facade and http.server, so no other command pays their import
-    src = Path(__file__).resolve().parent.parent / "src"
-    script = "import sys, semint.cli; print(sorted({'semint.service', 'http.server'} & set(sys.modules)))"
+def _fresh_python(script: str) -> str:
+    """The stdout of ``script`` run in a new interpreter on the sources and
+    the test helpers, ahead of the path it was given."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), *filter(None, [os.environ.get("PYTHONPATH")])]
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         capture_output=True,
         check=True,
         text=True,
         timeout=120,
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_leaves_the_facade_unloaded():
+    # only serve needs the facade and http.server, so no other command pays their import
+    script = "import sys, semint.cli; print(sorted({'semint.service', 'http.server'} & set(sys.modules)))"
+    assert _fresh_python(script) == "[]\n"
+
+
+def test_import_leaves_logging_decimal_and_datetime_unloaded():
+    # no read uses them, so each is imported only on the one path that does
+    script = "import sys, semint.cli; print(sorted({'logging', 'decimal', 'datetime'} & set(sys.modules)))"
+    assert _fresh_python(script) == "[]\n"
+
+
+def test_every_dataclass_has_its_own_docstring():
+    # @dataclass renders the signature of a class without one into its
+    # docstring, with inspect, at import: every process would pay for it
+    import dataclasses
+    import inspect
+
+    import semint
+
+    classes = [
+        cls
+        for module in (sys.modules[name] for name in sorted(sys.modules) if name.startswith("semint."))
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    ]
+    assert len(classes) > 30 and semint.Engine in classes
+    assert [cls.__qualname__ for cls in classes if "__doc__" not in vars(cls) or not vars(cls)["__doc__"]] == []
+    assert [cls.__qualname__ for cls in classes if cls.__doc__.startswith(cls.__name__ + "(")] == []
+
+
+def test_lazily_imported_paths_answer_in_a_fresh_process():
+    script = (
+        "from semint.schemas import DatatypeTag, literal_parses\n"
+        "print(literal_parses('2024-05-14T10:00:00Z', DatatypeTag.DATETIME))\n"
+        "print(literal_parses('2024-02-30', DatatypeTag.DATETIME))\n"
+        "from conftest import build_weight_fixture\n"
+        "fx = build_weight_fixture()\n"
+        "out = fx.engine.operations.convert_unit(fx.instance, 'value', 'unit', 'unit:kilogram')\n"
+        "print(out.fills['value'].value)\n"
+    )
+    assert _fresh_python(script).splitlines() == ["True", "False", "0.21245"]
 
 
 def test_serve_runs_the_facade(store_dir, monkeypatch):

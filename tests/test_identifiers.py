@@ -7,13 +7,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semint import Gupri, PrefixMap, identifiers, load_store
 from semint.errors import InvalidGupri
 
-from oracles import compress_scan
+from oracles import canonicalize_by_grammar, compress_scan
 
 
 @pytest.fixture
@@ -127,6 +127,40 @@ def test_compress_matches_sorted_scan(bindings, paths, suffixes):
     iris = [_BASE + p for p in paths] + expansions + [e + s for e in expansions for s in suffixes]
     for iri in iris:
         assert pm.compress(iri) == compress_scan(pm.bindings(), iri), iri
+
+
+#: prefixes that read as a URN namespace or an IRI scheme too, and the
+#: pieces of an identifier around its first colon: "//" after it makes an IRI
+#: of an IRI scheme, and a URN needs a namespace and a second colon
+_GRAMMAR_PREFIXES = ["ex", "urn", "URN", "http", "a_b", "x-1"]
+_identifiers = st.builds(
+    lambda head, colon, tail: head + colon + "".join(tail),
+    st.sampled_from(_GRAMMAR_PREFIXES + ["Urn", "nope", "_", "1x", "a.b", ""]),
+    st.sampled_from([":", ":", ""]),
+    st.lists(st.sampled_from(["//", "/", "c", "isbn:", ":", "#", "x-1", "."]), max_size=3),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(prefixes=st.lists(st.sampled_from(_GRAMMAR_PREFIXES), unique=True), value=_identifiers)
+@example(prefixes=["urn"], value="urn:isbn:c")
+@example(prefixes=["URN"], value="URN:isbn:c")
+@example(prefixes=["urn"], value="urn:c")
+@example(prefixes=["http"], value="http://c")
+@example(prefixes=["http"], value="http://")
+@example(prefixes=["http"], value="http:/c")
+@example(prefixes=["a_b"], value="a_b://c")
+@example(prefixes=["ex"], value="ex:")
+def test_canonicalize_matches_the_grammars(prefixes, value):
+    bindings = {prefix: f"http://example.org/{prefix}/" for prefix in prefixes}
+    pm = PrefixMap(bindings)
+    try:
+        expected = canonicalize_by_grammar(bindings, value)
+    except InvalidGupri:
+        with pytest.raises(InvalidGupri):
+            pm.canonicalize(value)
+    else:
+        assert pm.canonicalize(value) == expected
 
 
 def test_bad_prefix_registration():

@@ -38,6 +38,7 @@ from semint.terminology import (
     _SUBCLASS,
     _SUBPROPERTY,
     NOOP_MAPPING_ID,
+    ImportReport,
     TerminologyRegistry,
 )
 
@@ -182,6 +183,72 @@ def test_confidence_range_enforced(engine):
             EntityMapping.create(a, MappingPredicate.SAME_AS, b, confidence=confidence)
 
 
+#: mapping ids as derived before the batch load was made cheaper, for the
+#: same fields given to add_mapping and as a TSV row; an id digests the stored
+#: orientation and every field, the confidence as the repr of its float
+_GOLDEN_IDS = [
+    # subject, predicate, object, justification, confidence, its TSV cell, author, comment, id
+    ("ex:a", MappingPredicate.SAME_AS, "ex:b", "unspecified", 1, "1", None, None, "m-9729e4322638"),
+    ("ex:a", MappingPredicate.SAME_AS, "ex:b", "unspecified", 1.0, "+1", None, None, "m-9729e4322638"),
+    ("ex:a", MappingPredicate.SAME_AS, "ex:b", "unspecified", 0.5, "0.5", None, None, "m-5af3e67cac48"),
+    ("ex:a", MappingPredicate.SAME_AS, "ex:b", "unspecified", -0.0, "-0.0", None, None, "m-0074b9c3411b"),
+    ("ex:a", MappingPredicate.SAME_AS, "ex:b", "unspecified", 1e-400, "1e-400", None, None, "m-e21fbcb54b9a"),
+    ("ex:a", MappingPredicate.CLOSE_MATCH, "ex:b", "manual-curation", 0.9, "0.9", "orcid:1", "checked", "m-7f781a623848"),
+    ("ex:c", MappingPredicate.NARROW_MATCH, "ex:d", "unspecified", 1.0, "", None, None, "m-023325a1b15f"),
+    ("ex:d", MappingPredicate.BROAD_MATCH, "ex:c", "unspecified", 1.0, "", None, None, "m-023325a1b15f"),
+]
+
+
+@pytest.mark.parametrize("case", _GOLDEN_IDS, ids=lambda case: f"{case[1].curie}-{case[5] or 'none'}-{case[8]}")
+def test_mapping_ids_are_pinned(case):
+    subject, predicate, object_, justification, confidence, cell, author, comment, expected = case
+    added = make_engine()
+    mapping_id = add_mapping(
+        added, subject, predicate, object_, justification=justification, confidence=confidence, author=author, comment=comment
+    )
+    assert mapping_id == expected
+    imported = make_engine()
+    row = [subject, predicate.curie, object_, justification, cell, comment or "", author or ""]
+    report = imported.terminology.import_mappings_tsv(f"{TSV_HEADER}\n" + "\t".join(row) + "\n")
+    assert report == ImportReport(accepted=1)
+    assert imported.terminology.mapping_rows() == added.terminology.mapping_rows()
+    (stored,) = added.terminology.mapping_rows()
+    assert stored.id == expected
+    assert stored.predicate is not MappingPredicate.NARROW_MATCH
+    assert repr(stored.confidence) == repr(float(confidence))
+
+
+def test_text_utf8_cannot_encode_is_malformed(engine):
+    # no store file could hold a lone surrogate, so no record takes one
+    pm = engine.prefix_map
+    bad = "bad\ud800"
+    for id, fields in (
+        ("ex:a", {"labels": {"en": bad}}),
+        ("ex:a", {"labels": {}, "definition": bad}),
+        ("ex:a", {"labels": {}, "synonyms": ("ok", bad)}),
+        ("ex:a" + bad, {"labels": {}}),
+    ):
+        with pytest.raises(MalformedRecord, match="not UTF-8 text") as raised:
+            TermRecord(id=pm.gupri(id), **fields)
+        str(raised.value).encode("utf-8")  # the message itself can be reported
+    a, b = pm.gupri("ex:a"), pm.gupri("ex:b")
+    for fields in ({"justification": bad}, {"author": bad}, {"comment": bad}):
+        with pytest.raises(MalformedRecord, match="not UTF-8 text"):
+            EntityMapping.create(a, MappingPredicate.SAME_AS, b, **fields)
+    with pytest.raises(MalformedRecord, match="not UTF-8 text"):
+        EntityMapping.create(pm.gupri("ex:a" + bad), MappingPredicate.SAME_AS, b)
+    with pytest.raises(MalformedRecord, match="not UTF-8 text"):
+        add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:b", justification=bad)
+    # a str handed to the import rejects the row with the same reason
+    rows = [f"ex:a\towl:sameAs\tex:b\t{bad}\t\t\t", "ex:a\towl:sameAs\tex:c\t\t\t\t"]
+    report = engine.terminology.import_mappings_tsv(TSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    assert report.accepted == 1
+    ((line, reason),) = [(r.line, r.reason) for r in report.rejected]
+    assert line == 2 and "not UTF-8 text" in reason
+    assert [m.object.canonical for m in engine.terminology.mapping_rows()] == ["http://example.org/things/c"]
+    assert engine.terminology.terms() == []
+
+
 # ---------------------------------------------------------------------------
 # TSV import
 
@@ -301,7 +368,7 @@ _TSV_CELLS = {
     "subject_id": ["ex:a", " ex:b ", "ex:c", "http://example.org/things/a", "nope:x", "", "ex a"],
     "object_id": ["ex:a", "ex:b", "obi:c", "http://example.org/things/b", "nope:y", ""],
     "predicate_id": [p.curie for p in MappingPredicate] + ["skos:nearMatch", " owl:sameAs ", ""],
-    "confidence": ["", "1", "0.5", " 0.25 ", "0", "nan", "inf", "-inf", "1.5", "-0.1", "1e400", "high"],
+    "confidence": ["", "1", "0.5", " 0.25 ", "0", "-0.0", "1e-400", "+1", "1_0", "nan", "inf", "-inf", "1.5", "-0.1", "1e400", "high"],
     "mapping_justification": ["", "manual-curation", " lexical "],
     "comment": ["", "checked"],
     "author_id": ["", "orcid:1"],
