@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain or validation failure, 2 usage error,
 3 parse or IO failure. A store file that cannot be parsed fails every command
-that reads it. Every command reads every file but those under ``fdos/``, and
+that reads it, and an input file that does not decode as the kind of document
+its command reads fails that command. Every command reads every file but those under ``fdos/``, and
 a ``terms`` line that is not JSON fails it; the term records are built only
 by the commands that read them (``assess``, ``import terms``, ``export``) and
 by ``serve``, so a line that is JSON but no term record fails only those. A
@@ -31,10 +32,7 @@ from pathlib import Path
 
 from . import documents, store
 from .errors import (
-    InvalidGupri,
     IoFailure,
-    MalformedContent,
-    MalformedRecord,
     ParseFailure,
     SemintError,
     UnknownCrosswalk,
@@ -134,19 +132,10 @@ def _emit(doc) -> None:
     sys.stdout.write(documents.render(doc))
 
 
-def _read_file(path: str) -> str:
-    try:
-        return store.read_text(path, path)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-
-def _read_json_file(path: str):
-    text = _read_file(path)
-    try:
-        return documents.load_json(text)
-    except ValueError as exc:
-        raise ParseFailure(path, 1, str(exc)) from None
+def _read_record(path: str, parse, pm):
+    """The record of the document in the file at ``path``, which
+    ``parse`` decodes (:func:`store.read_json`, :func:`store.decode`)."""
+    return store.decode(parse, store.read_json(path, path), pm, path)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -177,14 +166,14 @@ def _run(args: argparse.Namespace) -> int:
         _emit(documents.verdict_to_doc(a, b, verdict, pm))
         return 0
     if args.command == "validate":
-        inst = documents.instance_from_doc(_read_json_file(args.instance_file), pm)
+        inst = _read_record(args.instance_file, documents.instance_from_doc, pm)
         report = engine.schemas.validate_instance(inst, strict=args.strict)
         _emit(documents.validation_to_doc(report))
         return 0 if report.valid else 1
     if args.command == "crosswalk":
         return _run_crosswalk(args, engine)
     if args.command == "transform":
-        inst = documents.instance_from_doc(_read_json_file(args.instance_file), pm)
+        inst = _read_record(args.instance_file, documents.instance_from_doc, pm)
         out = engine.crosswalks.transform_instance(
             inst,
             args.crosswalk,
@@ -231,13 +220,7 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
     pm = engine.prefix_map
     if args.kind == "terms":
         count, added = 0, False
-        for lineno, line in enumerate(_read_file(args.file).splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = documents.term_from_doc(documents.load_json(line), pm)
-            except (ValueError, MalformedContent, MalformedRecord, InvalidGupri) as exc:
-                raise ParseFailure(args.file, lineno, str(exc)) from None
+        for _, record in store.term_records(store.read_file(args.file, args.file).splitlines(), args.file, pm):
             added = added or not engine.terminology.has_term(record.id)
             engine.terminology.register_term(record)
             count += 1
@@ -247,12 +230,13 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
         return 0
     if args.kind == "mappings":
         held = len(engine.terminology.mapping_rows())
-        report = engine.terminology.import_mappings_tsv(_read_file(args.file), table1_direction=args.table1_direction)
+        report = engine.terminology.import_mappings_tsv(
+            store.read_file(args.file, args.file), table1_direction=args.table1_direction
+        )
         if len(engine.terminology.mapping_rows()) > held:
             store.export_store(engine, root, changed=("mappings.tsv", held))
         _emit(documents.import_report_to_doc(report))
         return 0
-    doc = _read_json_file(args.file)
     directory, parse, register, lookup = {
         "schema": ("schemas", documents.schema_from_doc, engine.schemas.register_schema, engine.schemas.schema),
         "crosswalk": (
@@ -269,10 +253,7 @@ def _run_import(args: argparse.Namespace, engine, root: str) -> int:
         ),
         "fdo": ("fdos", documents.fdo_from_doc, engine.fdos.register_fdo, engine.fdos.record),
     }[args.kind]
-    try:
-        parsed = parse(doc, pm)
-    except (MalformedContent, MalformedRecord, InvalidGupri) as exc:
-        raise ParseFailure(args.file, 1, str(exc)) from None
+    parsed = _read_record(args.file, parse, pm)
     if args.kind == "fdo":
         # only a stored record of the same id, under any file name, can conflict
         store.defer_fdos(engine, root, only=parsed.gupri)
@@ -298,7 +279,7 @@ def _run_crosswalk(args: argparse.Namespace, engine) -> int:
 
     def resolve(ref: str):
         if Path(ref).is_file():
-            return documents.crosswalk_from_doc(_read_json_file(ref), pm)
+            return _read_record(ref, documents.crosswalk_from_doc, pm)
         return engine.crosswalks.crosswalk(ref)
 
     if args.crosswalk_command == "check":

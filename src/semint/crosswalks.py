@@ -407,12 +407,16 @@ class CrosswalkRegistry:
         to the unique equivalent term that is, preferring ontological over
         referential equivalents; lexicographic order breaks ties. With
         ``allow_referential=False`` a rewrite that would need a merely
-        referential equivalent fails instead.
+        referential equivalent fails instead. An instance of another schema
+        than the crosswalk's source raises :class:`SchemaMismatch`.
         """
         snap = self.terminology.compute_closure(min_confidence)
         cw = self._resolve(cw)
+        if inst.schema_id != cw.source_schema:
+            raise SchemaMismatch(f"cannot transform: instance of {inst.schema_id}, {cw.id} starts at {cw.source_schema}")
         source = self.schemas.schema(cw.source_schema)
         target = self.schemas.schema(cw.target_schema)
+        sources, targets = self._validate_alignment_shape(cw, source, target)
         report = self.schemas.validate_instance(inst, snap=snap)
         if not report.valid:
             first = report.violations[0]
@@ -420,15 +424,10 @@ class CrosswalkRegistry:
                 f"instance invalid against {source.id}: {first.code} on {first.slot_id}"
             )
         out_fills: dict[str, SlotFill] = {}
-        aligned_sources = set()
-        for alignment in cw.alignments:
-            aligned_sources.add(alignment.source_slot)
+        for alignment, tslot in zip(cw.alignments, targets.values()):
             fill = inst.fills.get(alignment.source_slot)
             if fill is None:
                 continue
-            tslot = target.slot(alignment.target_slot)
-            if tslot is None:
-                raise UnknownSlot(f"target schema {target.id} has no slot {alignment.target_slot!r}")
             if fill.kind is SlotKind.LITERAL:
                 out_fills[tslot.slot_id] = fill
             else:
@@ -441,7 +440,7 @@ class CrosswalkRegistry:
                     f"required target slot {slot.slot_id!r} has no aligned source fill"
                 )
         for slot_id in sorted(inst.fills):
-            if slot_id not in aligned_sources:
+            if slot_id not in sources:
                 # imported where it is used, so only a process that logs pays for the import
                 import logging
 

@@ -184,7 +184,7 @@ class FdoRegistry:
 
     def records_mentioning(self, terms: Iterable[str]) -> list[FdoRecord]:
         """The records whose content mentions any of the canonical ``terms``,
-        in canonical order, from an index derived once per table version."""
+        in canonical order, from an index derived once between writes."""
         by_term = self._records.derived(_records_by_term)
         found = {record.gupri.canonical: record for term in terms for record in by_term.get(term, ())}
         return [found[key] for key in sorted(found)]

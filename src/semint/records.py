@@ -2,11 +2,10 @@
 
 A registered identifier keeps denoting one content (FAIR F1): a key is stored
 once, registering it again with the same content changes nothing, and with
-different content raises the registry's conflict error. Writes and listings
-hold the table's one lock; single-key reads need none. Every write starts a
-new version of the table, and a value derived from the records of one version
-is served only while that version is current. A value that can be updated is
-kept past the writes after it, together with those writes, so the next value
+different content raises the registry's conflict error. Writes, listings and
+derivations hold the table's one lock; single-key reads need none. A value
+derived from the records is served until the next write; one that can be
+updated is kept past the writes after it, with those writes, so the next value
 is derived from it and the changes since rather than from every record. A
 table's first records can be left to a fill that the first access runs.
 """
@@ -43,15 +42,13 @@ class RecordTable(Generic[R]):
         self.unknown = unknown
         self.conflict = conflict
         self._rows: dict[str, R] = {}
-        self._version = 0
-        # what was derived from the current version, keyed by the function
-        # that derived it; a write replaces the dict, so a value derived from
-        # the old version is never served after the write
+        # what was derived from the records since the last write, keyed by the
+        # function that derived it; a write replaces the dict
         self._derived: dict[Callable, Any] = {}
-        # the last value derived with an update, as (derive, version, value),
-        # and the writes since that version, oldest first, as (key, record,
-        # added); nothing is logged while there is no such value
-        self._base: tuple[Callable, int, Any] | None = None
+        # the last value derived with an update, as (derive, value), and the
+        # writes since it as (key, record, added), oldest first; nothing is
+        # logged while there is no such value
+        self._base: tuple[Callable, Any] | None = None
         self._log: list[tuple[str, R, bool]] = []
         self._lock = threading.Lock()
         # the deferred fill, until it has added every record; a failed fill is
@@ -107,7 +104,7 @@ class RecordTable(Generic[R]):
         The batch takes the lock once, so a reader sees none of it or all of
         it. A key taken, by the table or earlier in the batch, by an unequal
         record raises the conflict error, with the records before it stored.
-        Each stored record starts its own version, as a single add does, so
+        Each stored record is logged as its own write, as a single add is, so
         the log and the share past which it is dropped count the same writes.
         """
         self._settle()
@@ -145,12 +142,11 @@ class RecordTable(Generic[R]):
             return True
 
     def _wrote(self, change: tuple[str, R, bool] | None = None) -> None:
-        """Start a new version after a write, under the lock. The write goes
-        into the log while there is a base, unless the log holds a fifth as
-        many writes as the table holds records already; then the base and its
-        log are dropped, and the next value is derived from the records again.
-        ``None`` stands for a write that replaced every record."""
-        self._version += 1
+        """Drop the derived values after a write, under the lock. The write
+        goes into the log while there is a base, unless the log holds a fifth
+        as many writes as the table holds records already; then the base and
+        its log are dropped, and the next value is derived from the records
+        again. ``None`` stands for a write that replaced every record."""
         self._derived = {}
         if self._base is None:
             return
@@ -180,7 +176,7 @@ class RecordTable(Generic[R]):
         derive: Callable[[tuple[R, ...]], T],
         update: Callable[[T, tuple[R, ...], tuple[R, ...], tuple[R, ...]], T] | None = None,
     ) -> T:
-        """``derive`` applied to the records, computed once per version.
+        """``derive`` applied to the records, computed once between writes.
 
         With ``update``, the value is ``update(previous, rows, removed,
         added)`` when the table holds a previous value of ``derive`` and the
@@ -188,44 +184,28 @@ class RecordTable(Generic[R]):
         less ``removed``, in their order, followed by ``added``, so a record
         removed and added again is in both. It must equal ``derive(rows)``
         and leave ``previous`` unchanged. Without a previous value it is
-        ``derive(rows)``, and that value becomes the base of the next update.
+        ``derive(rows)``; either way it becomes the base of the next update.
 
-        The records, the base, its log and the dict their value goes into are
-        taken together, so a value derived from the records before a write
-        lands in the dict the write dropped: it is returned to its own caller,
-        a read that began before the write, and never served after it. It
-        becomes the base only if every write since its version is logged. Two
-        readers that miss at once may both derive; both return the value
-        stored first.
+        Writes and derivations hold the table's lock: a read that misses while
+        another derives waits and reads that value, and a write waits for the
+        derivation in progress. Neither function may write to this table.
         """
         self._settle()
-        values = self._derived
         try:
-            return values[derive]
+            return self._derived[derive]
         except KeyError:
             pass
         with self._lock:
-            rows, values, version = tuple(self._rows.values()), self._derived, self._version
-            base = self._base if update is not None and self._base is not None and self._base[0] == derive else None
-            log = list(self._log) if base is not None else None
-        if base is None:
-            value = derive(rows)
-        else:
-            value = update(base[2], rows, *_net(log))
-        if update is not None:
-            with self._lock:
-                self._rebase(derive, version, value)
-        return values.setdefault(derive, value)
-
-    def _rebase(self, derive: Callable, version: int, value: Any) -> None:
-        """Keep ``value``, derived at ``version``, as the base if it is newer
-        than the base and every write since ``version`` is in the log."""
-        if self._base is None:
-            if version == self._version:
-                self._base, self._log = (derive, version, value), []
-        elif self._base[1] < version:
-            self._log = self._log[version - self._base[1] :]
-            self._base = (derive, version, value)
+            if derive not in self._derived:
+                rows = tuple(self._rows.values())
+                if update is not None and self._base is not None and self._base[0] == derive:
+                    value = update(self._base[1], rows, *_net(self._log))
+                else:
+                    value = derive(rows)
+                self._derived[derive] = value
+                if update is not None:
+                    self._base, self._log = (derive, value), []
+            return self._derived[derive]
 
 
 def _net(log: list[tuple[str, R, bool]]) -> tuple[tuple[R, ...], tuple[R, ...]]:

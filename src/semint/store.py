@@ -38,7 +38,17 @@ from typing import Container, Mapping
 
 from . import documents
 from .engine import Engine
-from .errors import EmptyQuery, IoFailure, NotUtf8, ParseFailure, SemintError, decode_utf8
+from .errors import (
+    EmptyQuery,
+    InvalidGupri,
+    IoFailure,
+    MalformedContent,
+    MalformedRecord,
+    NotUtf8,
+    ParseFailure,
+    SemintError,
+    decode_utf8,
+)
 from .fdo import StatementCategory
 from .identifiers import Gupri, PrefixMap
 from .terminology import EntityMapping, InteropLevel, TerminologyRegistry, mapping_order
@@ -115,13 +125,41 @@ def read_text(path: str | Path, name: str) -> str:
         raise ParseFailure(name, exc.line, exc.reason) from None
 
 
-def _read_store_file(path: Path, name: str) -> str:
+def read_file(path: str | Path, name: str) -> str:
+    """:func:`read_text`, where a file that cannot be read raises
+    :class:`IoFailure`."""
     try:
         return read_text(path, name)
-    except FileNotFoundError:
-        raise IoFailure(f"missing store file {path}") from None
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str | Path, name: str):
+    """The JSON document in the file at ``path``: :func:`read_file`, where a
+    text that is not JSON raises :class:`ParseFailure` naming ``name``."""
+    text = read_file(path, name)
+    try:
+        return documents.load_json(text)
+    except ValueError as exc:
+        raise ParseFailure(name, 1, str(exc)) from None
+
+
+def decode(parse, doc, pm: PrefixMap, name: str, line: int = 1):
+    """``parse(doc, pm)``, the record of a document read from ``name``; a
+    document that does not decode as its kind raises :class:`ParseFailure`
+    naming ``name`` and ``line``."""
+    try:
+        return parse(doc, pm)
+    except (MalformedContent, MalformedRecord, InvalidGupri) as exc:
+        raise ParseFailure(name, line, str(exc)) from None
+
+
+def term_records(lines: list[str], name: str, pm: PrefixMap):
+    """Each non-blank line of a terms file with its number, decoded as a term
+    record; a line that is not JSON or not a term record raises
+    :class:`ParseFailure` naming ``name`` and the line."""
+    for lineno, doc in _term_documents(lines, name):
+        yield lineno, decode(documents.term_from_doc, doc, pm, name, lineno)
 
 
 def open_store(path: str | Path) -> Engine:
@@ -159,7 +197,7 @@ def _read_store(root: Path, eager: bool) -> Engine:
     if not layout.root.is_dir():
         raise IoFailure(f"no store at {layout.root}")
     prefix_map = PrefixMap()
-    for lineno, line in enumerate(_read_store_file(layout.prefixes_path, "prefixes").splitlines(), start=1):
+    for lineno, line in enumerate(read_file(layout.prefixes_path, "prefixes").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -172,17 +210,17 @@ def _read_store(root: Path, eager: bool) -> Engine:
     engine = Engine.empty(prefix_map)
 
     if layout.terms_path.exists():
-        lines = _read_store_file(layout.terms_path, "terms").splitlines()
+        lines = read_file(layout.terms_path, "terms").splitlines()
         # each line is parsed now and again by the fill, which builds the
         # records: the lines take less memory than their documents
-        for _ in _term_documents(lines):
+        for _ in _term_documents(lines, "terms"):
             pass
         engine.terminology.defer_terms(functools.partial(_register_terms, engine, lines))
         if eager:
             engine.terminology.terms()
 
     if layout.mappings_path.exists():
-        text = _read_store_file(layout.mappings_path, "mappings.tsv")
+        text = read_file(layout.mappings_path, "mappings.tsv")
         try:
             report = engine.terminology.import_mappings_tsv(text)
         except SemintError as exc:
@@ -203,20 +241,20 @@ def _read_store(root: Path, eager: bool) -> Engine:
     return engine
 
 
-def _term_documents(lines: list[str]):
-    """Each non-blank line of ``terms`` with its number, parsed as JSON."""
+def _term_documents(lines: list[str], name: str):
+    """Each non-blank line of a terms file with its number, parsed as JSON."""
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 yield lineno, documents.load_json(line)
             except ValueError as exc:
-                raise ParseFailure("terms", lineno, str(exc)) from None
+                raise ParseFailure(name, lineno, str(exc)) from None
 
 
 def _register_terms(engine: Engine, lines: list[str]) -> None:
-    for lineno, doc in _term_documents(lines):
+    for lineno, record in term_records(lines, "terms", engine.prefix_map):
         try:
-            engine.terminology.register_term(documents.term_from_doc(doc, engine.prefix_map))
+            engine.terminology.register_term(record)
         except SemintError as exc:
             raise ParseFailure("terms", lineno, str(exc)) from None
 
@@ -261,13 +299,8 @@ def _documents_in(directory: Path):
     if not directory.is_dir():
         return
     for entry in _json_names(directory):
-        file, name = directory / entry, f"{directory.name}/{entry}"
-        try:
-            yield name, documents.load_json(read_text(file, name))
-        except OSError as exc:
-            raise IoFailure(f"cannot read {file}: {exc}") from exc
-        except ValueError as exc:
-            raise ParseFailure(name, 1, str(exc)) from None
+        name = f"{directory.name}/{entry}"
+        yield name, read_json(directory / entry, name)
 
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9._-]+")

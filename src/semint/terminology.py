@@ -94,6 +94,8 @@ class TermRecord:
             tag = tag.lower()
             if not _LANG_TAG_RE.match(tag):
                 raise MalformedRecord(f"bad language tag {tag!r} on {self.id}")
+            if tag in normalized:
+                raise MalformedRecord(f"language tag {tag!r} given twice on {self.id}")
             normalized[tag] = text
         object.__setattr__(self, "labels", dict(sorted(normalized.items())))
         deduped: list[str] = []
@@ -829,8 +831,8 @@ class TerminologyRegistry:
     """Registry of term records and entity mappings with closure queries.
 
     Reads run against an immutable :class:`ClosureSnapshot`, derived lazily
-    from the mapping table and served only while the table's version is
-    current. The snapshot is the one value the mapping table derives:
+    from the mapping table and served until the table's next write. The
+    snapshot is the one value the mapping table derives:
     ``mappings_between`` reads the mappings at a term from it too.
     """
 
@@ -1003,8 +1005,8 @@ class TerminologyRegistry:
     def compute_closure(self, min_confidence: float | None = None) -> ClosureSnapshot:
         """Closure snapshot; pure function of the stored edge set.
 
-        The default (unfiltered) snapshot is derived once per version of the
-        mapping table, from the previous one and the rows added and removed
+        The default (unfiltered) snapshot is derived once between writes to
+        the mapping table, from the previous one and the rows added and removed
         since, and from every row only when there is no previous one or the
         writes between them reach a fifth of the rows
         (``records._REBUILD_SHARE``); filtered ones are built on each call. A

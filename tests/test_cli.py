@@ -121,6 +121,18 @@ def test_transform_via_cli(store_dir, tmp_path, capsys):
     assert out == render(instance_to_doc(expected, fx.engine.prefix_map))
 
 
+def test_transform_of_an_instance_of_another_schema_exits_1(store_dir, tmp_path, capsys):
+    fx = populated_fixture()
+    transformed = fx.engine.crosswalks.transform_instance(fx.instance, fx.crosswalk_id)
+    instance_file = tmp_path / "oboe.json"
+    instance_file.write_text(render(instance_to_doc(transformed, fx.engine.prefix_map)))
+    code, _, err = run(
+        capsys, "--store", str(store_dir), "transform", str(instance_file), "ex:weight-crosswalk"
+    )
+    assert code == 1
+    assert json.loads(err)["error"] == "schema-mismatch"
+
+
 def test_crosswalk_check_and_transform_after_mapping_deletion(store_dir, tmp_path, capsys):
     # deleting the sameAs row from the store makes check report the quality
     # alignment incompatible and transform fail with a mapped-term error
@@ -722,6 +734,34 @@ def test_non_utf8_input_file_parse_failure(store_dir, tmp_path, capsys, argv):
     error = json.loads(err)
     assert error["error"] == "parse-failure"
     assert error["message"].startswith(f"{path}:2: not UTF-8")
+    assert tree_bytes(store_dir) == before
+
+
+# JSON documents of no record of the kind each command reads
+UNDECODABLE_INPUT_COMMANDS = {
+    "validate": (["validate", "{file}"], '{"schema": "pato:s"}'),
+    "transform": (["transform", "{file}", "ex:weight-crosswalk"], '{"schema": "pato:s"}'),
+    **{
+        f"crosswalk-{command}": (["crosswalk", command, "{file}"], '{"id": "ex:c", "source_schema": "obi:weight-schema"}')
+        for command in ("check", "classify", "invert")
+    },
+    "crosswalk-compose": (["crosswalk", "compose", "ex:weight-crosswalk", "{file}"], '{"id": "ex:c"}'),
+    "import-terms": (["import", "terms", "{file}"], '{"id": "ex:t", "labels": {}}\n{"labels": {}}'),
+    "import-terms-tag-twice": (["import", "terms", "{file}"], '\n{"id": "ex:t", "labels": {"EN": "one", "en": "two"}}'),
+    **{f"import-{kind}": (["import", kind, "{file}"], '{"id": "ex:c"}') for kind in ("schema", "crosswalk", "operation", "fdo")},
+}
+
+
+@pytest.mark.parametrize("argv, text", UNDECODABLE_INPUT_COMMANDS.values(), ids=UNDECODABLE_INPUT_COMMANDS)
+def test_input_document_that_does_not_decode_is_a_parse_failure(store_dir, tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    before = tree_bytes(store_dir)
+    code, out, err = run(capsys, "--store", str(store_dir), *(a.format(file=path) for a in argv))
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "parse-failure"
+    assert error["message"].startswith(f"{path}:{text.count(chr(10)) + 1}: ")
     assert tree_bytes(store_dir) == before
 
 

@@ -659,6 +659,27 @@ def test_transform_source_invalid(weight):
         weight.engine.crosswalks.transform_instance(bad, weight.crosswalk_id)
 
 
+def test_transform_of_an_instance_of_another_schema_raises_schema_mismatch(weight):
+    engine = weight.engine
+    pm = engine.prefix_map
+    # the source schema's slots under another id: its instance validates, but
+    # the crosswalk does not start at its schema
+    other = engine.schemas.register_schema(
+        StatementSchema(
+            id=pm.gupri("ex:other-schema"),
+            statement_type=pm.gupri("obi:weight-assay"),
+            label="other",
+            slots=engine.schemas.schema(weight.obi_schema).slots,
+        )
+    )
+    for inst in (
+        StatementInstance(schema_id=other, fills=weight.instance.fills),
+        engine.crosswalks.transform_instance(weight.instance, weight.crosswalk_id),  # an oboe instance
+    ):
+        with pytest.raises(SchemaMismatch, match="cannot transform: instance of"):
+            engine.crosswalks.transform_instance(inst, weight.crosswalk_id)
+
+
 def test_transform_referential_rewrite_and_strict_mode(weight):
     engine = weight.engine
     pm = engine.prefix_map

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -149,7 +151,7 @@ def _after_writes(stored: int, batch: int, add_all: bool) -> tuple:
     else:
         for key, record in new:
             table.add(key, record)
-    state = (table._base is not None, list(table._log), table._version, table.rows())
+    state = (table._base is not None, list(table._log), table.rows())
     summed.read(table)
     return state, len(summed.builds), summed.updates
 
@@ -178,47 +180,56 @@ def test_a_batch_past_the_share_drops_the_base_where_single_adds_would():
 
 
 @pytest.mark.usefixtures("every_write_updates")
-def test_value_derived_before_a_write_is_not_the_base_after_it():
+def test_a_write_waits_for_a_derivation_in_progress():
     table: RecordTable[int] = RecordTable("number")
     table.add("a", 1)
-    started, written = threading.Event(), threading.Event()
+    deriving, release, writing, wrote = (threading.Event() for _ in range(4))
     summed = Summed()
 
     def slow(rows: tuple[int, ...]) -> int:
-        started.set()
-        written.wait(10)
+        deriving.set()
+        assert release.wait(10)
         return summed.derive(rows)
+
+    def write() -> None:
+        writing.set()
+        table.add("b", 2)
+        wrote.set()
 
     got: list[int] = []
     reader = threading.Thread(target=lambda: got.append(table.derived(slow, summed.update)))
     reader.start()
-    started.wait(10)
-    table.add("b", 2)  # no base yet, so this write is not logged
-    written.set()
+    assert deriving.wait(10)
+    writer = threading.Thread(target=write)
+    writer.start()
+    assert writing.wait(10)
+    assert not wrote.wait(0.2) and "b" not in table  # blocked behind the derivation
+    release.set()
     reader.join(10)
-    assert got == [1]  # the value of the version the read began at
+    writer.join(10)
+    assert not reader.is_alive() and not writer.is_alive() and wrote.is_set()
+    assert got == [1]  # the value from before the write
+    # which is the base the write was logged against: one update, no second build
     assert table.derived(slow, summed.update) == 3
+    assert summed.updates == [((), (2,))] and summed.builds == [(1,)]
 
-    # with a base: the slower of two reads derives from an older version, and
-    # the base stays the newer one
-    started.clear()
-    written.clear()
-    slow_update_rows: list[tuple[int, ...]] = []
 
-    def slow_update(previous, rows, removed, added):
-        slow_update_rows.append(rows)
-        started.set()
-        written.wait(10)
-        return summed.update(previous, rows, removed, added)
+def test_readers_that_miss_at_once_derive_once():
+    table: RecordTable[int] = RecordTable("number")
+    for k in range(4):
+        table.add(f"k{k}", k)
+    summed = Summed()
+    barrier = threading.Barrier(4)
 
-    table.add("c", 3)
-    reader = threading.Thread(target=lambda: got.append(table.derived(slow, slow_update)))
-    reader.start()
-    started.wait(10)
-    table.add("d", 4)
-    assert table.derived(slow, summed.update) == 10
-    written.set()
-    reader.join(10)
-    assert got == [1, 6]
-    table.add("e", 5)
-    assert table.derived(slow, summed.update) == 15
+    def slow(rows: tuple[int, ...]) -> int:
+        time.sleep(0.1)  # long enough for every reader to miss
+        return summed.derive(rows)
+
+    def read() -> int:
+        barrier.wait(10)
+        return table.derived(slow, summed.update)
+
+    with ThreadPoolExecutor(4) as pool:
+        futures = [pool.submit(read) for _ in range(4)]
+        assert [future.result(10) for future in futures] == [6] * 4
+    assert len(summed.builds) == 1

@@ -272,6 +272,18 @@ def test_post_transform_matches_api(served):
     assert body.decode() == render(instance_to_doc(expected, pm))
 
 
+def test_post_transform_of_an_instance_of_another_schema_422(served):
+    fx = served["fixture"]
+    transformed = fx.engine.crosswalks.transform_instance(fx.instance, fx.crosswalk_id)
+    status, body = http_post(
+        served["base"],
+        "/transform",
+        {"instance": instance_to_doc(transformed, fx.engine.prefix_map), "crosswalk": "ex:weight-crosswalk"},
+    )
+    assert status == 422
+    assert json.loads(body)["error"] == "schema-mismatch"
+
+
 def test_post_transform_domain_error_422():
     # a store whose reconciling mapping was deleted still serves, and the
     # transform fails with the machine-readable mapped-term error

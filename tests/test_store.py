@@ -219,6 +219,18 @@ def test_corrupt_term_line_parse_failure(tmp_path):
     assert excinfo.value.line == 1
 
 
+def test_term_line_with_a_language_tag_given_twice_parse_failure(tmp_path):
+    fx = populated_fixture()
+    export_store(fx.engine, tmp_path / "store")
+    terms = tmp_path / "store" / "terms"
+    lines = terms.read_text().splitlines()
+    lines[1] = '{"id": "pato:weight", "labels": {"EN": "one", "en": "two"}}'
+    terms.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseFailure, match="language tag 'en' given twice") as excinfo:
+        load_store(tmp_path / "store")
+    assert (excinfo.value.file, excinfo.value.line) == ("terms", 2)
+
+
 def test_term_records_are_built_on_first_access_and_loaded_in_layout_order(tmp_path):
     fx = populated_fixture()
     root = tmp_path / "store"
@@ -450,6 +462,14 @@ def test_export_independent_of_insertion_order(tmp_path):
 
 
 # every line break str.splitlines splits at, a tab and a space, mixed into any text
+def _encodes_as_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 store_text = st.text(st.characters() | st.sampled_from("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 "), max_size=12)
 
 
@@ -464,6 +484,12 @@ def test_term_text_round_trips_through_the_store(labels, definition, criteria, s
     # terms is read with str.splitlines, so a line of it must hold no break
     engine = make_engine()
     pm = engine.prefix_map
+    texts = [*labels.values(), definition, criteria, *synonyms]
+    if not all(text is None or _encodes_as_utf8(text) for text in texts):
+        # a lone surrogate: no store file could hold it, so the record is refused
+        with pytest.raises(MalformedRecord, match="is not UTF-8 text"):
+            TermRecord(pm.gupri("ex:a"), labels, definition, criteria, synonyms=tuple(synonyms))
+        return
     engine.terminology.register_term(
         TermRecord(pm.gupri("ex:a"), labels, definition, criteria, synonyms=tuple(synonyms))
     )

@@ -92,6 +92,9 @@ def test_language_tags_normalized_and_validated(engine):
     assert set(engine.terminology.term(gid).labels) == {"en", "de"}
     with pytest.raises(MalformedRecord):
         TermRecord(id=Gupri("urn:x:1"), labels={"Not A Tag": "x"})
+    # two tags that differ only in case would keep one of the two labels
+    with pytest.raises(MalformedRecord, match="language tag 'en' given twice on urn:x:1"):
+        TermRecord(id=Gupri("urn:x:1"), labels={"EN": "one", "en": "two"})
 
 
 def test_synonyms_deduplicated():
@@ -1338,7 +1341,7 @@ def test_derived_snapshot_equals_fresh_build(every_write_updates, batches):
         assert snap.edges == t._mappings.rows()
         _assert_fresh(snap)
         rows = added + removed + restored
-        if base is not None and base[2] is snapshots[-1] and all(row[1] not in _REFERENTIAL_GRADE for row in rows):
+        if base is not None and base[1] is snapshots[-1] and all(row[1] not in _REFERENTIAL_GRADE for row in rows):
             # derived from the last snapshot by a write of no equivalence row
             assert snap.ont_root is snapshots[-1].ont_root and snap.ref_root is snapshots[-1].ref_root
         # repaired from the last snapshot's, so they may differ from a fresh
