@@ -34,6 +34,7 @@ from .errors import (
     UnknownCrosswalk,
     UnknownSchema,
     UnknownSlot,
+    check_utf8,
 )
 from .identifiers import Gupri
 from .records import RecordTable
@@ -175,6 +176,10 @@ def identity_crosswalk(schema: StatementSchema, id: Gupri | None = None) -> Cros
     )
 
 
+def _components(crosswalks: tuple[Crosswalk, ...]) -> dict[str, str]:
+    return graph.components((cw.source_schema.canonical, cw.target_schema.canonical) for cw in crosswalks)
+
+
 def _short_hash(*parts: str) -> str:
     return hashlib.sha1("\x1f".join(parts).encode("utf-8")).hexdigest()[:12]
 
@@ -305,6 +310,8 @@ class CrosswalkRegistry:
 
     def register_crosswalk(self, cw: Crosswalk) -> Gupri:
         """Store a crosswalk after a full check; the level is computed here."""
+        # the alignments must name slots of registered schemas, whose ids are checked
+        check_utf8(f"crosswalk {cw.id}", (cw.provenance.author, cw.provenance.date, cw.provenance.justification))
         stored = replace(cw, level=self._checked_level(self.terminology.compute_closure(), cw))
         self._crosswalks.add(stored.id.canonical, stored)
         return stored.id
@@ -513,8 +520,9 @@ class CrosswalkRegistry:
 
     def components(self) -> dict[str, str]:
         """Each schema with a crosswalk, mapped to the smallest schema id
-        connected to it by crosswalks in either direction."""
-        return graph.components(self._links())
+        connected to it by crosswalks in either direction; derived once per
+        version of the crosswalk table, so a caller must not change it."""
+        return self._crosswalks.derived(_components)
 
     def directed_adjacency(self) -> dict[str, dict[str, str]]:
         """source schema -> {target schema: smallest crosswalk id between them}."""
@@ -558,7 +566,7 @@ class CrosswalkRegistry:
             raise ValueError(f"unknown strategy {strategy!r}")
 
         links = self._links()
-        roots = graph.components(links)
+        roots = self.components()
         # a schema with no crosswalk is absent from roots, alone in its component
         missing = tuple((a, b) for a, b in required if roots.get(a, a) != roots.get(b, b))
         existing_pairs = {

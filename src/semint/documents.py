@@ -56,9 +56,124 @@ __all__ = ["load_json", "render", "render_line"]
 _E = TypeVar("_E", bound=Enum)
 
 
+#: the C string encoder that ``json.dumps(..., ensure_ascii=False)`` uses
+_encode_str = json.encoder.encode_basestring
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_INFINITY = float("inf")
+#: containers nested deeper than this are left to ``json.dumps``
+_MAX_DEPTH = 100
+#: per depth: the line break and indent before a member at that depth, and
+#: the separator before every member after the first
+_NEWLINES = tuple("\n" + "  " * depth for depth in range(_MAX_DEPTH + 1))
+_SEPARATORS = tuple("," + newline for newline in _NEWLINES)
+
+
+class _NotPlain(Exception):
+    """A value :func:`render` leaves to ``json.dumps``."""
+
+
 def render(obj: Any) -> str:
-    """Canonical pretty JSON with a trailing newline."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Canonical pretty JSON with a trailing newline: byte for byte
+    ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``.
+
+    Documents are written in one pass for the exact types they hold (``dict``
+    with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``,
+    ``bool`` and ``None``), since any ``indent`` takes ``json``'s pure-Python
+    encoder. Any other value, a key that is not exactly ``str``, nesting past
+    ``_MAX_DEPTH`` or a ``RecursionError`` sends the whole object to
+    ``json.dumps``, so such output and every error stay json's own.
+    """
+    try:
+        t = type(obj)
+        if t is dict or t is list or t is tuple:
+            out: list[str] = []
+            _write(obj, 1, out)
+            out.append("\n")
+            return "".join(out)
+        return (_encode_str(obj) if t is str else _scalar(obj)) + "\n"
+    except (_NotPlain, RecursionError):
+        return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def _write(obj: dict | list | tuple, depth: int, out: list[str]) -> None:
+    """Append the text of the container ``obj``, whose members sit at
+    ``depth``, to ``out``; every separator at one depth is one string."""
+    if depth > _MAX_DEPTH:
+        raise _NotPlain
+    append = out.append
+    if type(obj) is dict:
+        if not obj:
+            append("{}")
+            return
+        append("{")
+        lead = _NEWLINES[depth]
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise _NotPlain
+            append(lead)
+            lead = _SEPARATORS[depth]
+            append(_encode_str(key))
+            append(": ")
+            t = type(value)
+            if t is str:
+                append(_encode_str(value))
+            elif t is dict or t is list or t is tuple:
+                _write(value, depth + 1, out)
+            else:
+                append(_scalar(value))
+        append(_NEWLINES[depth - 1])
+        append("}")
+        return
+    if not obj:
+        append("[]")
+        return
+    try:
+        # a list of strings, the usual array, is one join; any other member
+        # raises TypeError before anything is appended
+        text = _SEPARATORS[depth].join(map(_encode_str, obj))
+    except TypeError:
+        append("[")
+        lead = _NEWLINES[depth]
+        for value in obj:
+            append(lead)
+            lead = _SEPARATORS[depth]
+            t = type(value)
+            if t is str:
+                append(_encode_str(value))
+            elif t is dict or t is list or t is tuple:
+                _write(value, depth + 1, out)
+            else:
+                append(_scalar(value))
+    else:
+        append("[")
+        append(_NEWLINES[depth])
+        append(text)
+    append(_NEWLINES[depth - 1])
+    append("]")
+
+
+def _scalar(value: Any) -> str:
+    """The text of an ``int``, ``float``, ``bool`` or ``None``, as ``json``
+    writes it."""
+    t = type(value)
+    if t is int:
+        return _int_repr(value)
+    if t is float:
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return _float_repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise _NotPlain
 
 
 def render_line(obj: Any) -> str:

@@ -7,6 +7,8 @@ maintain a separate mapping.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 class SemintError(Exception):
     """Base class for all domain errors."""
@@ -62,6 +64,18 @@ def decode_utf8(data: bytes) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise NotUtf8(line, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def check_utf8(owner: str, texts: Iterable[object], error: type[SemintError] = MalformedRecord) -> None:
+    """Raise ``error`` for a text of ``texts`` that UTF-8 cannot encode, one
+    with a lone surrogate: no store file, reply or output could hold it.
+    Anything in ``texts`` that is not a ``str`` is skipped."""
+    for text in texts:
+        if isinstance(text, str) and not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise error(f"{owner}: {text!r} is not UTF-8 text ({exc.reason})") from None
 
 
 class MalformedDescriptor(SemintError):

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 from .crosswalks import CrosswalkRegistry
-from .errors import ConflictingFdo, MalformedContent, UnknownFdo
+from .errors import ConflictingFdo, MalformedContent, UnknownFdo, check_utf8
 from .identifiers import Gupri
 from .records import RecordTable
 from .schemas import SchemaRegistry, SlotKind, StatementInstance
@@ -92,6 +92,25 @@ class FdoRecord:
                     if fill.asserted_class is not None:
                         terms.add(fill.asserted_class)
         return sorted(terms)
+
+
+def _texts(record: FdoRecord) -> list[str | Gupri | None]:
+    """Every text of ``record``: its metadata, and the provenance, slot ids
+    and fill values of its instances."""
+    texts = [
+        record.creator,
+        record.logical_framework,
+        record.human_readable,
+        record.license,
+        *record.authors,
+        *record.provenance.keys(),
+        *record.provenance.values(),
+    ]
+    for inst in record.instances():
+        texts.append(inst.provenance)
+        texts += inst.fills.keys()
+        texts += (fill.value for fill in inst.fills.values())
+    return texts
 
 
 def _records_by_term(records: tuple[FdoRecord, ...]) -> dict[str, list[FdoRecord]]:
@@ -173,6 +192,7 @@ class FdoRegistry:
     def register_fdo(self, record: FdoRecord) -> Gupri:
         if isinstance(record.content, tuple) and not record.content:
             raise MalformedContent(f"record {record.gupri} wraps an empty collection")
+        check_utf8(f"record {record.gupri}", _texts(record))
         self._records.add(record.gupri.canonical, record)
         return record.gupri
 

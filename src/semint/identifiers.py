@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidGupri
+from .errors import InvalidGupri, check_utf8
 
 __all__ = ["Gupri", "PrefixMap", "is_absolute_iri", "local_name"]
 
@@ -22,8 +22,9 @@ _CURIE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.\-]*):(\S+)$")
 _PREFIX_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 # matches exactly the characters for which str.isspace() is true
 _SPACE_RE = re.compile(r"\s")
-#: the most strings one prefix map remembers the Gupri of; a full memo is
-#: cleared, so a server fed ever new identifiers holds at most this many
+#: the most strings one prefix map remembers the Gupri or the CURIE of; a
+#: full memo is cleared, so a server fed ever new identifiers holds at most
+#: this many
 _MEMO_CAP = 1 << 16
 
 
@@ -48,7 +49,8 @@ class Gupri:
 
     Construct via :meth:`PrefixMap.gupri`; two Gupris are equal iff their
     canonical absolute forms are byte-equal. Holding only absolute forms is
-    what makes that equality sound, so construction enforces it.
+    what makes that equality sound, so construction enforces it, and that
+    UTF-8 can encode them, since every file and reply holds them.
     """
 
     canonical: str
@@ -56,6 +58,8 @@ class Gupri:
     def __post_init__(self):
         if not is_absolute_iri(self.canonical):
             raise InvalidGupri(f"not a canonical absolute identifier: {self.canonical!r}")
+        if not self.canonical.isascii():
+            check_utf8("identifier", (self.canonical,), InvalidGupri)
 
     def __str__(self) -> str:
         return self.canonical
@@ -69,8 +73,10 @@ class PrefixMap:
         # the bindings in the order compress tries them: longest expansion
         # first, ties by prefix name, so the first match is the one it uses
         self._match_order: list[tuple[str, str]] = []
-        # the Gupri of each string given to gupri, replaced by every register
+        # the Gupri of each string given to gupri, and the CURIE of each IRI
+        # given to compress, both replaced by every register
         self._memo: dict[str, Gupri] = {}
+        self._curies: dict[str, str] = {}
         if bindings:
             for prefix, iri in bindings.items():
                 self.register(prefix, iri)
@@ -82,8 +88,8 @@ class PrefixMap:
             raise InvalidGupri(f"prefix {prefix!r} must expand to an absolute IRI, got {iri!r}")
         self._bindings[prefix] = iri
         self._match_order = sorted(self._bindings.items(), key=lambda b: (-len(b[1]), b[0]))
-        # after the bindings, so a call that takes the new memo reads them
-        self._memo = {}
+        # after the bindings, so a call that takes a new memo reads them
+        self._memo, self._curies = {}, {}
 
     def bindings(self) -> list[tuple[str, str]]:
         return sorted(self._bindings.items())
@@ -143,8 +149,19 @@ class PrefixMap:
         """CURIE form under the longest matching binding, or the IRI itself.
 
         Deterministic: longest expansion wins, ties broken by prefix name.
+        The result is remembered as :meth:`gupri` remembers a Gupri: until
+        the next :meth:`register`, or until the memo fills and is cleared;
+        the memo is taken before the bindings are read.
         """
-        for prefix, expansion in self._match_order:
-            if len(iri) > len(expansion) and iri.startswith(expansion):
-                return f"{prefix}:{iri[len(expansion):]}"
-        return iri
+        memo = self._curies
+        curie = memo.get(iri)
+        if curie is None:
+            curie = iri
+            for prefix, expansion in self._match_order:
+                if len(iri) > len(expansion) and iri.startswith(expansion):
+                    curie = f"{prefix}:{iri[len(expansion):]}"
+                    break
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[iri] = curie
+        return curie

@@ -22,6 +22,7 @@ from .errors import (
     UnknownOperation,
     UnknownSlot,
     UnknownUnit,
+    check_utf8,
 )
 from .identifiers import Gupri, local_name
 from .records import RecordTable
@@ -148,6 +149,7 @@ class OperationsRegistry:
     def register_operation(self, d: OperationDescriptor) -> Gupri:
         if not d.applicable_schemas:
             raise MalformedDescriptor(f"operation {d.id} lists no applicable schemas")
+        check_utf8(f"operation {d.id}", (d.label, d.tool, *(p.name for p in d.params)))
         for sid in sorted(d.applicable_schemas):
             self.schemas.schema(sid)
         if d.kind is OperationKind.BUILTIN and d.id.canonical not in self._builtins:

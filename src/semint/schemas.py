@@ -21,6 +21,7 @@ from .errors import (
     MalformedRecord,
     NoRequiredSlot,
     UnknownSchema,
+    check_utf8,
 )
 from .identifiers import Gupri
 from .records import RecordTable
@@ -243,6 +244,10 @@ class SchemaRegistry:
             seen.add(slot.slot_id)
         if not any(s.required for s in schema.slots):
             raise NoRequiredSlot(f"schema {schema.id} declares no required slot")
+        check_utf8(
+            f"schema {schema.id}",
+            (schema.label, schema.logical_framework, *(t for s in schema.slots for t in (s.slot_id, s.role))),
+        )
         self._schemas.add(schema.id.canonical, schema)
         return schema.id
 
@@ -364,21 +369,33 @@ class SchemaRegistry:
         """Groups of schemas modeling the same statement type.
 
         A group is crosswalk-covered when every schema pair in it is connected
-        in the crosswalk registry, composition allowed.
+        in the crosswalk registry, composition allowed. The schemas of each
+        statement type and the crosswalk components are derived once per
+        version of their tables, so a call merges only the statement types
+        that share a referential class in ``snap``.
         """
         snap = snap or self.terminology.compute_closure()
-        groups: dict[str, list[StatementSchema]] = {}
-        for schema in self.schemas():
-            groups.setdefault(snap.referential_root(schema.statement_type), []).append(schema)
+        groups: dict[str, list[tuple[Gupri, tuple[Gupri, ...]]]] = {}
+        for entry in self._schemas.derived(_schemas_by_statement_type).values():
+            groups.setdefault(snap.referential_root(entry[0]), []).append(entry)
         schema_roots = crosswalks.components()
         out: list[DuplicateGroup] = []
         for root in sorted(groups):
             members = groups[root]
-            if len(members) < 2:
+            ids = tuple(sorted(id for _, type_ids in members for id in type_ids))
+            if len(ids) < 2:
                 continue
-            ids = tuple(sorted((s.id for s in members)))
             shared = {schema_roots.get(s.canonical) for s in ids}
             covered = len(shared) == 1 and None not in shared
-            statement_type = min(s.statement_type for s in members)
+            statement_type = min(statement_type for statement_type, _ in members)
             out.append(DuplicateGroup(statement_type=statement_type, schema_ids=ids, crosswalk_covered=covered))
         return out
+
+
+def _schemas_by_statement_type(schemas: tuple[StatementSchema, ...]) -> dict[str, tuple[Gupri, tuple[Gupri, ...]]]:
+    """Each statement type's Gupri and the sorted ids of its schemas, keyed
+    by the statement type's canonical form."""
+    found: dict[str, tuple[Gupri, list[Gupri]]] = {}
+    for schema in schemas:
+        found.setdefault(schema.statement_type.canonical, (schema.statement_type, []))[1].append(schema.id)
+    return {key: (statement_type, tuple(sorted(ids))) for key, (statement_type, ids) in found.items()}

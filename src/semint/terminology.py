@@ -35,6 +35,7 @@ from .errors import (
     MissingRequiredColumn,
     UnknownPredicate,
     UnknownTerm,
+    check_utf8,
     decode_utf8,
 )
 from .identifiers import Gupri, PrefixMap
@@ -85,9 +86,9 @@ class TermRecord:
     referent_kind: ReferentKind = ReferentKind.CLASS
 
     def __post_init__(self):
-        _check_utf8(
+        check_utf8(
             f"term {str(self.id)!r}",
-            chain((str(self.id), self.definition, self.recognition_criteria), self.labels.values(), self.synonyms),
+            chain((self.definition, self.recognition_criteria), self.labels.values(), self.synonyms),
         )
         normalized = {}
         for tag, text in self.labels.items():
@@ -103,17 +104,6 @@ class TermRecord:
             if s not in deduped:
                 deduped.append(s)
         object.__setattr__(self, "synonyms", tuple(deduped))
-
-
-def _check_utf8(owner: str, texts: Iterable[object]) -> None:
-    """Raise :class:`MalformedRecord` for a text of ``texts`` that UTF-8
-    cannot encode, one with a lone surrogate: no store file could hold it."""
-    for text in texts:
-        if isinstance(text, str) and not text.isascii():
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise MalformedRecord(f"{owner}: {text!r} is not UTF-8 text ({exc.reason})") from None
 
 
 class MappingPredicate(Enum):
@@ -241,7 +231,7 @@ class EntityMapping:
         try:
             key = "\x1f".join(fields).encode("utf-8")
         except UnicodeEncodeError:
-            _check_utf8("mapping", fields)
+            check_utf8("mapping", fields)
             raise
         return cls(
             "m-" + hashlib.sha1(key).hexdigest()[:12], subject, predicate, object, justification, confidence, author, comment

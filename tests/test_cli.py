@@ -1064,6 +1064,19 @@ def test_the_module_exits_as_main_returns(failure, store_dir, tmp_path, capsys):
         assert json.loads(done.stderr)["error"] == ("parse-failure" if failure == "parse" else "malformed-content")
 
 
+def test_argument_utf8_cannot_encode_is_an_invalid_gupri(store_dir):
+    # a byte that is not UTF-8 reaches argv as a lone surrogate, which no
+    # identifier may hold: the process fails tagged, writing nothing to stdout
+    done = subprocess.run(
+        [sys.executable, "-m", "semint.cli", "--store", str(store_dir), "interop", b"pato:weight\xff", "ncit:weight"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "LC_ALL": "C.UTF-8"},
+        capture_output=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert json.loads(done.stderr.decode("utf-8"))["error"] == "invalid-gupri"
+
+
 def test_the_entry_freezes_what_main_left(store_dir):
     script = (
         "import gc, sys\n"

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from semint import FdoRecord, StatementCategory
+from semint import Crosswalk, FdoRecord, SlotAlignment, StatementCategory, export_store, load_store
 from semint.documents import assessment_to_doc, fdo_from_doc, fdo_to_doc, render
 from semint.errors import ConflictingFdo, MalformedContent, UnknownFdo
 from semint.fdo import CHECK_IDS, CheckStatus
@@ -226,3 +226,44 @@ def test_assess_collection_midpoint(weight):
     mutant_score = engine.fdos.assess_fdo("ex:fdo-stripped").score
     agg = engine.fdos.assess_collection([weight.golden.gupri, pm.gupri("ex:fdo-stripped")])
     assert agg.mean_score == pytest.approx((golden_score + mutant_score) / 2)
+
+
+def test_duplicate_groups_and_f6_2_follow_writes(tmp_path):
+    # each value is read before a write and after it, so a value derived from
+    # the records before the write and served after it would differ from a
+    # fresh load of the same store
+    fx = build_weight_fixture()
+    engine, pm = fx.engine, fx.engine.prefix_map
+
+    def state(e):
+        f6_2 = next(c for c in e.fdos.assess_fdo(fx.golden.gupri).checks if c.check_id == "F6.2")
+        return e.schemas.detect_schema_duplicates(e.crosswalks), (f6_2.status, f6_2.detail)
+
+    def follows(step: str):
+        export_store(engine, tmp_path / step)
+        current = state(engine)
+        assert current == state(load_store(tmp_path / step)), step
+        groups, (status, _) = current
+        return [(len(g.schema_ids), g.crosswalk_covered) for g in groups], status
+
+    assert follows("start") == ([(2, True)], CheckStatus.PASS)
+    obi = engine.schemas.schema(fx.obi_schema)
+    copy = engine.schemas.register_schema(replace(obi, id=pm.gupri("ex:weight-schema-copy")))
+    assert follows("duplicate") == ([(3, False)], CheckStatus.FAIL)
+    engine.crosswalks.register_crosswalk(
+        Crosswalk(
+            id=pm.gupri("ex:copy-to-obi"),
+            source_schema=copy,
+            target_schema=fx.obi_schema,
+            alignments=tuple(SlotAlignment(s.slot_id, s.slot_id) for s in obi.slots),
+        )
+    )
+    assert follows("covered") == ([(3, True)], CheckStatus.PASS)
+    engine.schemas.register_schema(
+        replace(obi, id=pm.gupri("ex:mass-schema"), statement_type=pm.gupri("ex:mass-assay"))
+    )
+    assert follows("other-type") == ([(3, True)], CheckStatus.PASS)
+    engine.terminology.import_mappings_tsv(
+        "subject_id\tpredicate_id\tobject_id\nex:mass-assay\towl:equivalentClass\tobi:weight-assay\n"
+    )
+    assert follows("merged") == ([(4, False)], CheckStatus.FAIL)

@@ -193,6 +193,23 @@ def test_register_drops_remembered_gupris(pm):
     assert before.canonical == "http://example.org/things/a"
 
 
+def test_register_drops_remembered_curies(pm):
+    iri = "http://example.org/things/deep/a"
+    assert pm.compress(iri) == "ex:deep/a"
+    pm.register("deep", "http://example.org/things/deep/")
+    assert pm.compress(iri) == "deep:a"
+    pm.register("deep", "http://example.org/elsewhere/")
+    assert pm.compress(iri) == "ex:deep/a"
+
+
+def test_identifier_utf8_cannot_encode_is_invalid(pm):
+    for value in ("ex:a\udcff", "http://example.org/\ud800"):
+        for _ in range(2):
+            with pytest.raises(InvalidGupri, match="not UTF-8 text"):
+                pm.gupri(value)
+    assert pm.gupri("ex:\u00e9").canonical == "http://example.org/things/\u00e9"
+
+
 def test_invalid_identifier_raises_on_every_call(pm):
     for _ in range(3):
         with pytest.raises(InvalidGupri):
@@ -216,6 +233,9 @@ def test_full_memo_is_cleared_and_still_answers(pm, monkeypatch):
             assert pm.gupri(f"ex:n{k}").canonical == f"http://example.org/things/n{k}"
     again = pm.gupri("ex:n0")
     assert again == first and again is not first  # built again after a clear
+    for _ in range(2):
+        for k in range(7):
+            assert pm.compress(f"http://example.org/things/n{k}") == f"ex:n{k}"
 
 
 def test_gupri_during_registrations_never_keeps_a_stale_expansion(pm):
@@ -243,6 +263,37 @@ def test_gupri_during_registrations_never_keeps_a_stale_expansion(pm):
                     expansion = expansions[k % 2]
                     pm.register("ex", expansion)
                     assert all(pm.gupri(name).canonical == expansion + name[3:] for name in names)
+            finally:
+                stop.set()
+            assert all(f.result(timeout=60) > 0 for f in readers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_compress_during_registrations_never_keeps_a_stale_curie(pm):
+    # a CURIE found under the old bindings while a registration runs must not
+    # be served once the registration is done
+    iris = [f"http://example.org/one/n{k}" for k in range(40)]
+    stop = threading.Event()
+
+    def read() -> int:
+        calls = 0
+        while not stop.is_set():
+            for iri in iris:
+                pm.compress(iri)
+                calls += 1
+        return calls
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so calls and registrations overlap
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            readers = [pool.submit(read) for _ in range(4)]
+            try:
+                for k in range(400):
+                    bound = k % 2 == 0
+                    pm.register("one", "http://example.org/one/" if bound else "http://example.org/none/")
+                    assert all(pm.compress(iri) == (f"one:{iri[23:]}" if bound else iri) for iri in iris)
             finally:
                 stop.set()
             assert all(f.result(timeout=60) > 0 for f in readers)

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 from semint import documents
 from semint import (
+    DatatypeTag,
     ExpandMode,
     FdoRecord,
     FindQuery,
     MappingPredicate,
+    OperationKind,
+    OperationParam,
     SlotFill,
     SlotKind,
     SlotSpec,
@@ -294,6 +297,53 @@ def test_unreadable_json_parse_failure(tmp_path, case, target):
     with pytest.raises(ParseFailure) as excinfo:
         load_store(tmp_path / "store")
     assert excinfo.value.file.startswith(target)
+
+
+BAD_TEXT = "bad\udcff"
+
+
+def _bad_records(fx):
+    """(registry's register method, a new record holding BAD_TEXT) per text field."""
+    e, pm = fx.engine, fx.engine.prefix_map
+    schema = replace(e.schemas.schema(fx.obi_schema), id=pm.gupri("ex:new-schema"))
+    crosswalk = replace(e.crosswalks.crosswalk(fx.crosswalk_id), id=pm.gupri("ex:new-crosswalk"))
+    operation = replace(
+        e.operations.operations()[0], id=pm.gupri("ex:new-operation"), kind=OperationKind.EXTERNAL_REFERENCE
+    )
+    record = replace(fx.golden, gupri=pm.gupri("ex:new-record"))
+    literal = replace(fx.instance, fills={**fx.instance.fills, "value": SlotFill.literal(BAD_TEXT, DatatypeTag.STRING)})
+    return {
+        "schema-label": (e.schemas.register_schema, replace(schema, label=BAD_TEXT)),
+        "schema-role": (
+            e.schemas.register_schema,
+            replace(schema, slots=(replace(schema.slots[0], role=BAD_TEXT), *schema.slots[1:])),
+        ),
+        "crosswalk-author": (
+            e.crosswalks.register_crosswalk,
+            replace(crosswalk, provenance=replace(crosswalk.provenance, author=BAD_TEXT)),
+        ),
+        "operation-label": (e.operations.register_operation, replace(operation, label=BAD_TEXT)),
+        "operation-param": (
+            e.operations.register_operation,
+            replace(operation, params=(OperationParam(BAD_TEXT, DatatypeTag.STRING),)),
+        ),
+        "fdo-creator": (e.fdos.register_fdo, replace(record, creator=BAD_TEXT)),
+        "fdo-provenance": (e.fdos.register_fdo, replace(record, provenance={BAD_TEXT: "x"})),
+        "fdo-literal": (e.fdos.register_fdo, replace(record, content=literal)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_records(build_weight_fixture())))
+def test_record_text_utf8_cannot_encode_is_refused(tmp_path, case):
+    # no store file could hold a lone surrogate, so no registry takes a record
+    # with one, and the store still exports
+    fx = build_weight_fixture()
+    register, record = _bad_records(fx)[case]
+    with pytest.raises(MalformedRecord, match="is not UTF-8 text") as raised:
+        register(record)
+    str(raised.value).encode("utf-8")  # the message itself can be reported
+    export_store(fx.engine, tmp_path / "store")
+    assert load_store(tmp_path / "store").fdos.records() == fx.engine.fdos.records()
 
 
 def test_wrong_json_shape_parse_failure(tmp_path):

@@ -229,17 +229,19 @@ def test_text_utf8_cannot_encode_is_malformed(engine):
         ("ex:a", {"labels": {"en": bad}}),
         ("ex:a", {"labels": {}, "definition": bad}),
         ("ex:a", {"labels": {}, "synonyms": ("ok", bad)}),
-        ("ex:a" + bad, {"labels": {}}),
     ):
         with pytest.raises(MalformedRecord, match="not UTF-8 text") as raised:
             TermRecord(id=pm.gupri(id), **fields)
         str(raised.value).encode("utf-8")  # the message itself can be reported
+    # nor does any identifier, so no record can hold one as its id or an end
+    for make in (lambda: pm.gupri("ex:a" + bad), lambda: Gupri("http://example.org/" + bad)):
+        with pytest.raises(InvalidGupri, match="not UTF-8 text") as raised:
+            make()
+        str(raised.value).encode("utf-8")
     a, b = pm.gupri("ex:a"), pm.gupri("ex:b")
     for fields in ({"justification": bad}, {"author": bad}, {"comment": bad}):
         with pytest.raises(MalformedRecord, match="not UTF-8 text"):
             EntityMapping.create(a, MappingPredicate.SAME_AS, b, **fields)
-    with pytest.raises(MalformedRecord, match="not UTF-8 text"):
-        EntityMapping.create(pm.gupri("ex:a" + bad), MappingPredicate.SAME_AS, b)
     with pytest.raises(MalformedRecord, match="not UTF-8 text"):
         add_mapping(engine, "ex:a", MappingPredicate.SAME_AS, "ex:b", justification=bad)
     # a str handed to the import rejects the row with the same reason
