@@ -9,6 +9,8 @@ Reads run against the engine's immutable snapshots; the two compute endpoints
 from __future__ import annotations
 
 import dataclasses
+import email.utils
+import re
 import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -30,6 +32,51 @@ BODY_TIMEOUT_S = 5.0
 #: idle keep-alive connection, or a request line or header that stops half
 #: sent. When it runs out the connection is closed without a reply.
 IDLE_TIMEOUT_S = 30.0
+
+#: Most lines a request head may have after its request line, the blank line
+#: included, and the longest line, as the stdlib's ``http.client`` allows.
+MAX_HEADER_LINES = 100
+MAX_LINE_BYTES = 65536
+
+#: An HTTP version in a request line.
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+#: A header field line (RFC 9112 section 5): a name with no whitespace in or
+#: after it, a colon, and the value without the whitespace around it. A line
+#: that starts with whitespace is an obsolete fold and does not match.
+_FIELD_LINE = re.compile(r"([^\s:]+):[ \t]*(.*?)[ \t]*")
+
+
+class _BadHead(Exception):
+    """A request head the facade refuses; ``args`` are ``send_error``'s."""
+
+
+def _read_headers(rfile) -> dict[str, str]:
+    """The request's header fields by lower-cased name; a repeated field keeps
+    its first value.
+
+    Raises ``_BadHead`` for a malformed or folded line, a ``Content-Length``
+    repeated with another value, and any ``Transfer-Encoding``: the facade
+    reads only bodies framed by ``Content-Length``."""
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADER_LINES):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _BadHead(431, "Line too long", f"got more than {MAX_LINE_BYTES} bytes when reading header line")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        text = line.decode("iso-8859-1").rstrip("\r\n")
+        field = _FIELD_LINE.fullmatch(text)
+        if field is None:
+            raise _BadHead(400, f"Bad header line ({text!r})")
+        name, value = field[1].lower(), field[2]
+        if headers.setdefault(name, value) != value and name == "content-length":
+            raise _BadHead(400, "Conflicting Content-Length values")
+    else:
+        raise _BadHead(431, "Too many headers", f"got more than {MAX_HEADER_LINES} headers")
+    if "transfer-encoding" in headers:
+        raise _BadHead(400, "Transfer-Encoding is not supported; send Content-Length")
+    return headers
 
 
 def _float_param(params: dict[str, str], key: str) -> float | None:
@@ -56,6 +103,17 @@ class StoreServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], engine: Engine):
         super().__init__(address, _Handler)
         self.engine = engine
+        # the reply Date value and the whole second it was formatted for
+        self._date = (0, "")
+
+    def http_date(self) -> str:
+        """Now as an IMF-fixdate, formatted once a second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            text = email.utils.formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -76,27 +134,79 @@ class _Handler(BaseHTTPRequestHandler):
     def engine(self) -> Engine:
         return self.server.engine  # type: ignore[attr-defined]
 
+    def parse_request(self) -> bool:
+        """The stdlib's request-line rules, with the facade's own header read.
+
+        The stdlib parses the head with ``email.feedparser``, which costs a
+        reply more than most routes' engine work, and drops every header
+        after a line it cannot parse."""
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            number = _VERSION.fullmatch(version)
+            if number is None or int(number[1]) >= 2:
+                # a request line of three words or more is no HTTP/0.9
+                # request, so the refusal has a status line
+                self.request_version = self.protocol_version
+                if number is None:
+                    self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                else:
+                    self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({version[5:]})")
+                return False
+            if (int(number[1]), int(number[2])) >= (1, 1):
+                self.close_connection = False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # a path starting '//' would read as a scheme-relative URI (gh-87389)
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = headers = _read_headers(self.rfile)
+        except _BadHead as exc:
+            self.send_error(*exc.args)
+            return False
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if headers.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
     def _send(self, status: int, doc, *, close: bool = False) -> None:
         """Reply with ``doc`` as JSON in one write; ``close`` ends the connection.
 
-        ``end_headers`` would write the buffered head on its own and the body
-        in a second write, and the server's Nagle buffering (RFC 896) holds
-        that second segment until the client's delayed ACK (RFC 1122
-        4.2.3.2), about 40 ms later. So the blank line and the body join the
-        head, and one flush writes them all."""
+        Head and body leave together: a body written after its head would
+        wait in the server's Nagle buffering (RFC 896) for the client's
+        delayed ACK (RFC 1122 4.2.3.2), about 40 ms."""
         body = documents.render(doc).encode("utf-8")
-        self.send_response(status)
         if close:
-            self.send_header("Connection", "close")
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.command == "HEAD":
-            body = b""
+            self.close_connection = True
         if self.request_version == "HTTP/0.9":  # a reply with no status line or headers
             self.wfile.write(body)
-        else:
-            self._headers_buffer += [b"\r\n", body]
-            self.flush_headers()
+            return
+        connection = "Connection: close\r\n" if close else ""
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\nDate: {self.server.http_date()}\r\n{connection}"
+            f"Content-Type: application/json; charset=utf-8\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1")
+        self.wfile.write(head if self.command == "HEAD" else head + body)
 
     def _send_error(self, status: int, tag: str, message: str, *, close: bool = False) -> None:
         self._send(status, {"error": tag, "message": message}, close=close)
@@ -109,10 +219,6 @@ class _Handler(BaseHTTPRequestHandler):
         text = message or self.responses[code][0]
         if explain:
             text = f"{text}: {explain}"
-        if self.request_version == "HTTP/0.9" and len(self.requestline.split()) >= 3:
-            # the stdlib refuses a bad version before it takes it, but a
-            # request line of three words or more is no HTTP/0.9 request
-            self.request_version = self.protocol_version
         self._send_error(code, tag, text, close=True)
 
     def _dispatch(self, handler) -> None:
@@ -233,7 +339,7 @@ class _Handler(BaseHTTPRequestHandler):
         return bytes(raw)
 
     def _post(self) -> None:
-        length = self.headers.get("Content-Length", "0")
+        length = self.headers.get("content-length", "0")
         if not length.isdecimal():
             # the body's end is unknown, so the connection cannot be reused
             self._send_error(400, "malformed-request", "Content-Length must be a non-negative integer", close=True)
@@ -294,7 +400,7 @@ def serve(engine: Engine, bind: str = "127.0.0.1:8402") -> None:
     """Run the facade until interrupted."""
     server = make_server(engine, bind)
     host, port = server.server_address[:2]
-    print(f"serving on http://{host}:{port}")
+    print(f"serving on http://{host}:{port}", flush=True)
     try:
         server.serve_forever()
     finally:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import email.utils
 import http.client
 import json
 import socket
@@ -629,10 +630,11 @@ def test_each_reply_is_one_write(served, write_counted):
         ("GET", "/terms/ex:ghost", b"", None, b"404"),
         ("POST", "/assess", b"{}", service.MAX_BODY_BYTES + 1, b"413"),
         ("PUT", "/terms/pato:weight", b"", None, b"501"),
+        ("POST", "/assess", b"{}", None, b"400", "Content-Length : 2\r\n"),
     ]
-    for method, path, body, length, status in cases:
+    for method, path, body, length, status, *extra in cases:
         length = len(body) if length is None else length
-        head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\nContent-Length: {length}\r\n\r\n"
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n{''.join(extra)}Connection: close\r\nContent-Length: {length}\r\n\r\n"
         with socket.create_connection((host, port), timeout=5) as conn:
             conn.sendall(head.encode() + body)
             received = conn.makefile("rb").read()  # until the server closes
@@ -721,6 +723,133 @@ def test_http09_request_gets_the_bare_body(served, line, field, value):
         conn.sendall(f"{line}\r\n\r\n".encode())
         body = json.loads(conn.makefile("rb").read())
     assert body[field] == value
+
+
+# ---------------------------------------------------------------------------
+# the request head
+
+
+def raw_exchange(served, data: bytes, *, closes: bool) -> tuple[bytes, dict, bytes]:
+    """Send ``data`` on a new connection and read the first reply; with
+    ``closes``, the server must then close the connection."""
+    host, port = served["base"][len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(data)
+        reply = conn.makefile("rb")
+        got = raw_reply(reply)
+        if closes:
+            assert reply.read() == b""
+    return got
+
+
+def refused_head(served, data: bytes) -> str:
+    """The message of a ``400 malformed-request`` reply that closes the connection."""
+    status, headers, body = raw_exchange(served, data, closes=True)
+    assert status == b"400"
+    assert headers["Connection"].strip() == "close"
+    doc = json.loads(body)
+    assert doc["error"] == "malformed-request"
+    return doc["message"]
+
+
+def test_transfer_encoding_refused(served):
+    # the facade reads only bodies framed by Content-Length; taking a chunked
+    # body as empty would leave its chunks to be read as the next request
+    chunked = b"POST /assess HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"
+    identity = b"GET /terms/pato:weight HTTP/1.1\r\nTransfer-Encoding: identity\r\n\r\n"
+    for request in (chunked, identity):
+        assert refused_head(served, request) == "Transfer-Encoding is not supported; send Content-Length"
+
+
+def test_conflicting_content_lengths_refused(served):
+    # the first value would leave the rest of the connection read from inside the body
+    post = b"POST /assess HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\nContent-Length: 30\r\n\r\n{}" + b" " * 28
+    assert refused_head(served, post) == "Conflicting Content-Length values"
+    # a repeat of the same value frames the body as one would
+    post = b"POST /transform HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\n{}"
+    status, _, body = raw_exchange(served, post, closes=False)
+    assert status == b"400"
+    assert json.loads(body) == {"error": "malformed-request", "message": "transform needs instance and crosswalk"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["bogus line", ": no-name", "Content-Length : 2", " folded", "\tfolded"],
+    ids=["no-colon", "empty-name", "space-before-colon", "fold-space", "fold-tab"],
+)
+def test_malformed_header_line_refused(served, line):
+    # the headers after such a line, here the body's length and the close,
+    # are not dropped: the whole head is refused
+    post = f"POST /assess HTTP/1.1\r\nHost: x\r\nX-Before: 1\r\n{line}\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{{}}"
+    assert refused_head(served, post.encode()) == f"Bad header line ({line!r})"
+
+
+def test_expect_100_continue_then_reply(served):
+    fx = served["fixture"]
+    body = render(documents.fdo_to_doc(fx.golden, fx.engine.prefix_map)).encode()
+    host, port = served["base"][len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(f"POST /assess HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: {len(body)}\r\n\r\n".encode())
+        reply = conn.makefile("rb")
+        assert reply.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert reply.readline() == b"\r\n"
+        conn.sendall(body)
+        status, _, answer = raw_reply(reply)
+    assert status == b"200"
+    assert "checks" in json.loads(answer)
+
+
+def test_http10_request_answered_and_closed(served):
+    status, headers, body = raw_exchange(served, b"GET /terms/pato:weight HTTP/1.0\r\n\r\n", closes=True)
+    assert status == b"200"
+    assert json.loads(body)["id"] == "pato:weight"
+
+
+def test_lower_case_names_and_bare_line_feeds_accepted(served):
+    fx = served["fixture"]
+    transform = {"instance": instance_to_doc(fx.instance, fx.engine.prefix_map), "crosswalk": "ex:weight-crosswalk"}
+    body = render(transform).encode()
+    head = f"POST /transform HTTP/1.1\nhost: x\ncontent-type: application/json\ncontent-length: {len(body)}\n\n"
+    status, _, answer = raw_exchange(served, head.encode() + body, closes=False)
+    assert status == b"200"
+    assert answer == http_post(served["base"], "/transform", transform)[1]
+
+
+def test_double_slash_path_collapses(served):
+    assert http_get(served["base"], "//terms/pato:weight") == http_get(served["base"], "/terms/pato:weight")
+
+
+@pytest.mark.parametrize(
+    "request_head,names",
+    [
+        (b"GET /terms/pato:weight HTTP/1.1\r\n\r\n", ["Server", "Date", "Content-Type", "Content-Length"]),
+        (b"GET /terms/pato:weight FOO/1\r\n\r\n", ["Server", "Date", "Connection", "Content-Type", "Content-Length"]),
+    ],
+    ids=["ok", "refused"],
+)
+def test_reply_head_fields_and_date(served, request_head, names):
+    host, port = served["base"][len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(request_head)
+        lines = list(iter(conn.makefile("rb").readline, b"\r\n"))
+        now = time.time()
+    fields = dict(line.decode().rstrip("\r\n").split(": ", 1) for line in lines[1:])
+    assert list(fields) == names
+    assert fields["Server"] == f"{service._Handler.server_version} {service._Handler.sys_version}"
+    # an IMF-fixdate of this second or the last
+    assert fields["Date"] in {email.utils.formatdate(now + delta, usegmt=True) for delta in (-1, 0)}
+
+
+def test_stdlib_header_parse_is_off_the_request_path(served, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("http.client.parse_headers called")
+
+    monkeypatch.setattr(http.client, "parse_headers", refuse)
+    status, headers, body = raw_exchange(
+        served, b"GET /terms/pato:weight HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n", closes=False
+    )
+    assert status == b"200"
+    assert json.loads(body)["id"] == "pato:weight"
 
 
 # ---------------------------------------------------------------------------
