@@ -41,42 +41,9 @@ MAX_LINE_BYTES = 65536
 #: An HTTP version in a request line.
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
-#: A header field line (RFC 9112 section 5): a name with no whitespace in or
-#: after it, a colon, and the value without the whitespace around it. A line
-#: that starts with whitespace is an obsolete fold and does not match.
-_FIELD_LINE = re.compile(r"([^\s:]+):[ \t]*(.*?)[ \t]*")
-
-
-class _BadHead(Exception):
-    """A request head the facade refuses; ``args`` are ``send_error``'s."""
-
-
-def _read_headers(rfile) -> dict[str, str]:
-    """The request's header fields by lower-cased name; a repeated field keeps
-    its first value.
-
-    Raises ``_BadHead`` for a malformed or folded line, a ``Content-Length``
-    repeated with another value, and any ``Transfer-Encoding``: the facade
-    reads only bodies framed by ``Content-Length``."""
-    headers: dict[str, str] = {}
-    for _ in range(MAX_HEADER_LINES):
-        line = rfile.readline(MAX_LINE_BYTES + 1)
-        if len(line) > MAX_LINE_BYTES:
-            raise _BadHead(431, "Line too long", f"got more than {MAX_LINE_BYTES} bytes when reading header line")
-        if line in (b"\r\n", b"\n", b""):
-            break
-        text = line.decode("iso-8859-1").rstrip("\r\n")
-        field = _FIELD_LINE.fullmatch(text)
-        if field is None:
-            raise _BadHead(400, f"Bad header line ({text!r})")
-        name, value = field[1].lower(), field[2]
-        if headers.setdefault(name, value) != value and name == "content-length":
-            raise _BadHead(400, "Conflicting Content-Length values")
-    else:
-        raise _BadHead(431, "Too many headers", f"got more than {MAX_HEADER_LINES} headers")
-    if "transfer-encoding" in headers:
-        raise _BadHead(400, "Transfer-Encoding is not supported; send Content-Length")
-    return headers
+#: A header field name (RFC 9112 section 5.1): no whitespace in or after it,
+#: and none before it either, which would make the line an obsolete fold.
+_FIELD_NAME = re.compile(r"\S+")
 
 
 def _float_param(params: dict[str, str], key: str) -> float | None:
@@ -174,10 +141,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.command = command
         # a path starting '//' would read as a scheme-relative URI (gh-87389)
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
-        try:
-            self.headers = headers = _read_headers(self.rfile)
-        except _BadHead as exc:
-            self.send_error(*exc.args)
+        self.headers = headers = self._read_headers()
+        if headers is None:
             return False
         connection = headers.get("connection", "").lower()
         if connection == "close":
@@ -187,6 +152,39 @@ class _Handler(BaseHTTPRequestHandler):
         if headers.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
             return self.handle_expect_100()
         return True
+
+    def _read_headers(self) -> dict[str, str] | None:
+        """The request's header fields by lower-cased name, a repeated field
+        keeping its first value; None once the head is refused.
+
+        Refused are a malformed or folded line, a ``Content-Length`` repeated
+        with another value, and any ``Transfer-Encoding``: the facade reads
+        only bodies framed by ``Content-Length``. Each line is split at its
+        first colon, so its cost is linear in its length."""
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADER_LINES):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self.send_error(431, "Line too long", f"got more than {MAX_LINE_BYTES} bytes when reading header line")
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                break
+            text = line.decode("iso-8859-1").rstrip("\r\n")
+            name, colon, value = text.partition(":")
+            if not colon or _FIELD_NAME.fullmatch(name) is None:
+                self.send_error(400, f"Bad header line ({text!r})")
+                return None
+            name, value = name.lower(), value.strip(" \t")
+            if headers.setdefault(name, value) != value and name == "content-length":
+                self.send_error(400, "Conflicting Content-Length values")
+                return None
+        else:
+            self.send_error(431, "Too many headers", f"got more than {MAX_HEADER_LINES} headers")
+            return None
+        if "transfer-encoding" in headers:
+            self.send_error(400, "Transfer-Encoding is not supported; send Content-Length")
+            return None
+        return headers
 
     def _send(self, status: int, doc, *, close: bool = False) -> None:
         """Reply with ``doc`` as JSON in one write; ``close`` ends the connection.
