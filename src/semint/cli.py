@@ -139,10 +139,9 @@ def _read_record(path: str, parse, pm):
 
 
 def _run(args: argparse.Namespace) -> int:
-    root = args.store
+    root = Path(args.store)
     if args.command == "init":
-        layout = store.init_store(root)
-        _emit({"initialized": str(layout.root)})
+        _emit({"initialized": str(store.init_store(root))})
         return 0
 
     # serve reads every section before it binds, so no handler thread reads
@@ -154,8 +153,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "import":
         return _run_import(args, engine, root)
     if args.command == "export":
-        layout = store.export_store(engine, root)
-        _emit({"exported": str(layout.root)})
+        _emit({"exported": str(store.export_store(engine, root))})
         return 0
     if args.command == "closure":
         _emit(engine.terminology.compute_closure().to_doc())
@@ -214,7 +212,7 @@ def _run(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _run_import(args: argparse.Namespace, engine, root: str) -> int:
+def _run_import(args: argparse.Namespace, engine, root: Path) -> int:
     """Register the file's records and write only the store file that they
     change; a registration that stores nothing new writes nothing."""
     pm = engine.prefix_map

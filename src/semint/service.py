@@ -9,7 +9,6 @@ Reads run against the engine's immutable snapshots; the two compute endpoints
 from __future__ import annotations
 
 import dataclasses
-import email.utils
 import re
 import time
 from http import HTTPStatus
@@ -70,17 +69,6 @@ class StoreServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], engine: Engine):
         super().__init__(address, _Handler)
         self.engine = engine
-        # the reply Date value and the whole second it was formatted for
-        self._date = (0, "")
-
-    def http_date(self) -> str:
-        """Now as an IMF-fixdate, formatted once a second."""
-        now = int(time.time())
-        second, text = self._date
-        if second != now:
-            text = email.utils.formatdate(now, usegmt=True)
-            self._date = (now, text)
-        return text
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -150,7 +138,10 @@ class _Handler(BaseHTTPRequestHandler):
         elif connection == "keep-alive":
             self.close_connection = False
         if headers.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
-            return self.handle_expect_100()
+            # a body that _post refuses unread is not invited
+            length = self._body_length()
+            if length is not None and length <= MAX_BODY_BYTES:
+                return self.handle_expect_100()
         return True
 
     def _read_headers(self) -> dict[str, str] | None:
@@ -201,7 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
         connection = "Connection: close\r\n" if close else ""
         head = (
             f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
-            f"Server: {self.version_string()}\r\nDate: {self.server.http_date()}\r\n{connection}"
+            f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n{connection}"
             f"Content-Type: application/json; charset=utf-8\r\nContent-Length: {len(body)}\r\n\r\n"
         ).encode("latin-1")
         self.wfile.write(head if self.command == "HEAD" else head + body)
@@ -308,6 +299,17 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_error(404, "unknown-route", f"no route for {path}")
 
+    def _body_length(self) -> int | None:
+        """The request's ``Content-Length``, 0 when it has none, or None when
+        it is no decimal number. A number with more digits than
+        ``MAX_BODY_BYTES`` reads as one over it, since ``int`` refuses a text
+        of more than 4,300 digits."""
+        length = self.headers.get("content-length", "0")
+        if not length.isdecimal():
+            return None
+        digits = length.lstrip("0")
+        return int(digits or "0") if len(digits) <= len(str(MAX_BODY_BYTES)) else MAX_BODY_BYTES + 1
+
     def _read_body(self, length: int) -> bytes | None:
         """The request body, or None after replying to one that is too long
         or that has not arrived in full ``BODY_TIMEOUT_S`` after the headers."""
@@ -337,12 +339,12 @@ class _Handler(BaseHTTPRequestHandler):
         return bytes(raw)
 
     def _post(self) -> None:
-        length = self.headers.get("content-length", "0")
-        if not length.isdecimal():
+        length = self._body_length()
+        if length is None:
             # the body's end is unknown, so the connection cannot be reused
             self._send_error(400, "malformed-request", "Content-Length must be a non-negative integer", close=True)
             return
-        raw = self._read_body(int(length))
+        raw = self._read_body(length)
         if raw is None:
             return
         try:

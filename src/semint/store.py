@@ -8,6 +8,10 @@ Layout under the store root:
 * ``schemas/``, ``crosswalks/``, ``operations/``, ``fdos/``
                     one JSON document per file
 
+``_FILES`` and ``_DOCUMENTS`` below are the one declaration of this layout,
+which init, load and export all read; ``init_store`` and ``export_store``
+return the store's root path.
+
 ``load_store`` reads every section into an engine. ``open_store`` reads
 every section but ``fdos/``, which the first access to the engine's FAIR
 records reads, and builds the term records from the lines of ``terms`` on the
@@ -19,7 +23,8 @@ emitted with fixed key order, so export-import-export is byte-stable.
 ``export_store`` rewrites every file, or with ``changed`` only the one file an
 import changed, rendering only the mapping rows an import added, so an import
 into a canonical store leaves it equal to a full export, and only a full
-export canonicalizes files edited by hand.
+export canonicalizes files edited by hand. An import replaces its one file
+without reading it to compare: it exports only what it added.
 """
 
 from __future__ import annotations
@@ -53,64 +58,26 @@ from .fdo import StatementCategory
 from .identifiers import Gupri, PrefixMap
 from .terminology import EntityMapping, InteropLevel, TerminologyRegistry, mapping_order
 
-__all__ = ["StoreLayout", "init_store", "open_store", "load_store", "export_store", "FindQuery", "ExpandMode", "find", "find_document"]
+__all__ = ["init_store", "open_store", "load_store", "export_store", "FindQuery", "ExpandMode", "find", "find_document"]
 
 _MAPPINGS_HEADER = "\t".join(TerminologyRegistry.REQUIRED_COLUMNS + TerminologyRegistry.OPTIONAL_COLUMNS)
 
 
-@dataclass(frozen=True)
-class StoreLayout:
-    """The paths of a store's files and directories under its root."""
-
-    root: Path
-
-    @property
-    def prefixes_path(self) -> Path:
-        return self.root / "prefixes"
-
-    @property
-    def terms_path(self) -> Path:
-        return self.root / "terms"
-
-    @property
-    def mappings_path(self) -> Path:
-        return self.root / "mappings.tsv"
-
-    @property
-    def schemas_dir(self) -> Path:
-        return self.root / "schemas"
-
-    @property
-    def crosswalks_dir(self) -> Path:
-        return self.root / "crosswalks"
-
-    @property
-    def operations_dir(self) -> Path:
-        return self.root / "operations"
-
-    @property
-    def fdos_dir(self) -> Path:
-        return self.root / "fdos"
-
-    def document_dirs(self) -> list[Path]:
-        return [self.schemas_dir, self.crosswalks_dir, self.operations_dir, self.fdos_dir]
-
-
-def init_store(path: str | Path) -> StoreLayout:
-    """Create an empty canonical layout; refuses to clobber an existing store."""
-    layout = StoreLayout(Path(path))
-    if layout.prefixes_path.exists() or layout.mappings_path.exists():
-        raise IoFailure(f"store already initialized at {layout.root}")
+def init_store(path: str | Path) -> Path:
+    """Create an empty canonical store, as an export of an empty engine writes
+    it, and return its root; refuses to clobber an existing store. Each file
+    is replaced whole, and nothing is listed or deleted."""
+    root = Path(path)
+    if (root / "prefixes").exists() or (root / "mappings.tsv").exists():
+        raise IoFailure(f"store already initialized at {root}")
     try:
-        layout.root.mkdir(parents=True, exist_ok=True)
-        for d in layout.document_dirs():
-            d.mkdir(exist_ok=True)
-        layout.prefixes_path.write_text("", encoding="utf-8")
-        layout.terms_path.write_text("", encoding="utf-8")
-        layout.mappings_path.write_text(_MAPPINGS_HEADER + "\n", encoding="utf-8")
+        engine = Engine.empty()
+        _make_directories(root)
+        for name, text in _FILES.items():
+            _write_replacing(root / name, text(engine), listed=False)
     except OSError as exc:
-        raise IoFailure(f"cannot initialize store at {layout.root}: {exc}") from exc
-    return layout
+        raise IoFailure(f"cannot initialize store at {root}: {exc}") from exc
+    return root
 
 
 def read_text(path: str | Path, name: str) -> str:
@@ -193,11 +160,10 @@ def load_store(path: str | Path) -> Engine:
 
 
 def _read_store(root: Path, eager: bool) -> Engine:
-    layout = StoreLayout(root)
-    if not layout.root.is_dir():
-        raise IoFailure(f"no store at {layout.root}")
+    if not root.is_dir():
+        raise IoFailure(f"no store at {root}")
     prefix_map = PrefixMap()
-    for lineno, line in enumerate(read_file(layout.prefixes_path, "prefixes").splitlines(), start=1):
+    for lineno, line in enumerate(read_file(root / "prefixes", "prefixes").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -209,8 +175,8 @@ def _read_store(root: Path, eager: bool) -> Engine:
             raise ParseFailure("prefixes", lineno, str(exc)) from None
     engine = Engine.empty(prefix_map)
 
-    if layout.terms_path.exists():
-        lines = read_file(layout.terms_path, "terms").splitlines()
+    if (root / "terms").exists():
+        lines = read_file(root / "terms", "terms").splitlines()
         # each line is parsed now and again by the fill, which builds the
         # records: the lines take less memory than their documents
         for _ in _term_documents(lines, "terms"):
@@ -219,8 +185,8 @@ def _read_store(root: Path, eager: bool) -> Engine:
         if eager:
             engine.terminology.terms()
 
-    if layout.mappings_path.exists():
-        text = read_file(layout.mappings_path, "mappings.tsv")
+    if (root / "mappings.tsv").exists():
+        text = read_file(root / "mappings.tsv", "mappings.tsv")
         try:
             report = engine.terminology.import_mappings_tsv(text)
         except SemintError as exc:
@@ -229,13 +195,10 @@ def _read_store(root: Path, eager: bool) -> Engine:
             first = report.rejected[0]
             raise ParseFailure("mappings.tsv", first.line, first.reason)
 
-    for directory, parse, register in (
-        (layout.schemas_dir, documents.schema_from_doc, engine.schemas.register_schema),
-        (layout.crosswalks_dir, documents.crosswalk_from_doc, engine.crosswalks._insert_trusted),
-        (layout.operations_dir, documents.operation_from_doc, engine.operations.register_operation),
-    ):
-        _register_documents(directory, parse, register, prefix_map)
-    defer_fdos(engine, layout.root)
+    for directory, (*_, parse, register) in _DOCUMENTS.items():
+        if register is not None:
+            _register_documents(root / directory, parse, register(engine), prefix_map)
+    defer_fdos(engine, root)
     if eager:
         engine.fdos.records()
     return engine
@@ -259,9 +222,9 @@ def _register_terms(engine: Engine, lines: list[str]) -> None:
             raise ParseFailure("terms", lineno, str(exc)) from None
 
 
-def defer_fdos(engine: Engine, path: str | Path, only: Gupri | None = None) -> None:
+def defer_fdos(engine: Engine, root: Path, only: Gupri | None = None) -> None:
     """Leave the engine's FAIR records to the first access to them, which
-    reads every file under ``fdos/`` of the store at ``path``.
+    reads every file under ``fdos/`` of the store at ``root``.
 
     With ``only``, that access still reads every file and parses it as JSON,
     and a file that fails fails the access, but it builds and registers only
@@ -271,7 +234,7 @@ def defer_fdos(engine: Engine, path: str | Path, only: Gupri | None = None) -> N
     one registration of ``only`` and the write of its one file, never a
     listing or a full export.
     """
-    fdos_dir = StoreLayout(Path(path)).fdos_dir
+    fdos_dir = root / "fdos"
     pm = engine.prefix_map
     wanted = None if only is None else lambda doc: documents.fdo_gupri(doc, pm) == only
     engine.fdos.defer(lambda: _register_documents(fdos_dir, documents.fdo_from_doc, engine.fdos.register_fdo, pm, wanted))
@@ -320,8 +283,8 @@ def _write_replacing(target: Path, text: str, listed: bool) -> None:
     A ``listed`` file, one the writer knows to exist, is left alone when it
     already holds ``text``: a write changes few files, and on ext4 a rename
     over an existing file also starts writing the new data out, so replacing
-    unchanged files costs more than comparing them. A file not listed is new,
-    so it is written without reading it first.
+    unchanged files costs more than comparing them. A file not listed is new
+    or known to change, so it is written without reading it first.
     """
     data = text.encode("utf-8")
     try:
@@ -399,26 +362,53 @@ _FILES = {"prefixes": _prefixes_text, "terms": _terms_text, "mappings.tsv": _map
 
 #: the directories of the layout that hold one document per record: how to
 #: list the engine's records in canonical order and render one; the
-#: document's id field, also the record's attribute, names its file
+#: document's id field, also the record's attribute, which names its file;
+#: and how a load parses a document and, given the engine, registers its
+#: record. ``fdos/`` has none: :func:`defer_fdos` reads it
 _DOCUMENTS = {
-    "schemas": (lambda e: e.schemas.schemas(), lambda r, pm: documents.schema_to_doc(r, pm), "id"),
-    "crosswalks": (lambda e: e.crosswalks.crosswalks(), lambda r, pm: documents.crosswalk_to_doc(r, pm), "id"),
-    "operations": (lambda e: e.operations.operations(), lambda r, pm: documents.operation_to_doc(r, pm), "id"),
-    "fdos": (lambda e: e.fdos.records(), lambda r, pm: documents.fdo_to_doc(r, pm), "gupri"),
+    "schemas": (
+        lambda e: e.schemas.schemas(),
+        lambda r, pm: documents.schema_to_doc(r, pm),
+        "id",
+        documents.schema_from_doc,
+        lambda e: e.schemas.register_schema,
+    ),
+    "crosswalks": (
+        lambda e: e.crosswalks.crosswalks(),
+        lambda r, pm: documents.crosswalk_to_doc(r, pm),
+        "id",
+        documents.crosswalk_from_doc,
+        lambda e: e.crosswalks._insert_trusted,
+    ),
+    "operations": (
+        lambda e: e.operations.operations(),
+        lambda r, pm: documents.operation_to_doc(r, pm),
+        "id",
+        documents.operation_from_doc,
+        lambda e: e.operations.register_operation,
+    ),
+    "fdos": (lambda e: e.fdos.records(), lambda r, pm: documents.fdo_to_doc(r, pm), "gupri", None, None),
 }
 
 
-def _write_document(layout: StoreLayout, directory: str, record, pm: PrefixMap, listed: Container[Path]) -> Path:
-    _, to_doc, id_field = _DOCUMENTS[directory]
+def _make_directories(root: Path) -> None:
+    """Create ``root`` and its document directories where they are missing."""
+    root.mkdir(parents=True, exist_ok=True)
+    for directory in _DOCUMENTS:
+        (root / directory).mkdir(exist_ok=True)
+
+
+def _write_document(root: Path, directory: str, record, pm: PrefixMap, listed: Container[Path]) -> Path:
+    _, to_doc, id_field, *_ = _DOCUMENTS[directory]
     doc = to_doc(record, pm)
-    target = layout.root / directory / _filename(doc[id_field], getattr(record, id_field).canonical)
+    target = root / directory / _filename(doc[id_field], getattr(record, id_field).canonical)
     _write_replacing(target, documents.render(doc), target in listed)
     return target
 
 
-def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, object] | None = None) -> StoreLayout:
+def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, object] | None = None) -> Path:
     """Write the engine's full contents in canonical form, or with
-    ``changed`` only what an import changed.
+    ``changed`` only what an import changed, and return the store's root.
 
     A full export replaces every file whose content changes whole, and
     deletes documents of records the engine no longer holds only after every
@@ -435,50 +425,50 @@ def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, 
     record the engine holds whose document is new in it, as ``("crosswalks",
     record)``. That one file is written and nothing is listed or deleted, so a
     store that was canonical before stays equal to a full export, and a file
-    edited by hand elsewhere stays as it is. With ``held``, only the added
-    rows are rendered, and their lines are merged into the stored ones
-    (:func:`_merged_mappings_text`); a ``mappings.tsv`` that is not one
-    sorted line per row, such as one with comments, is rewritten whole.
+    edited by hand elsewhere stays as it is. The file is replaced without
+    first reading it to compare, since an import exports only what it added.
+    With ``held``, only the added rows are rendered, and their lines are
+    merged into the stored ones (:func:`_merged_mappings_text`); a
+    ``mappings.tsv`` that is not one sorted line per row, such as one with
+    comments, is rewritten whole.
     """
-    layout = StoreLayout(Path(path))
+    root = Path(path)
     try:
         if changed is None:
-            _export_all(engine, layout)
+            _export_all(engine, root)
         elif isinstance(changed, str):
-            _write_replacing(layout.root / changed, _FILES[changed](engine), listed=True)
+            _write_replacing(root / changed, _FILES[changed](engine), listed=False)
         elif changed[0] == "mappings.tsv":
-            target = layout.mappings_path
+            target = root / "mappings.tsv"
             try:
                 text = _merged_mappings_text(engine, read_text(target, "mappings.tsv"), changed[1])
             except FileNotFoundError:
                 text = _mappings_text(engine)
-            _write_replacing(target, text, listed=True)
+            _write_replacing(target, text, listed=False)
         else:
             directory, record = changed
-            (layout.root / directory).mkdir(exist_ok=True)
-            _write_document(layout, directory, record, engine.prefix_map, listed=())
+            (root / directory).mkdir(exist_ok=True)
+            _write_document(root, directory, record, engine.prefix_map, listed=())
     except OSError as exc:
-        raise IoFailure(f"cannot export store to {layout.root}: {exc}") from exc
-    return layout
+        raise IoFailure(f"cannot export store to {root}: {exc}") from exc
+    return root
 
 
-def _export_all(engine: Engine, layout: StoreLayout) -> None:
+def _export_all(engine: Engine, root: Path) -> None:
     # every section is read, in layout order, before anything is listed or written
     texts = {name: text(engine) for name, text in _FILES.items()}
     records = {directory: listing(engine) for directory, (listing, *_) in _DOCUMENTS.items()}
-    layout.root.mkdir(parents=True, exist_ok=True)
-    for d in layout.document_dirs():
-        d.mkdir(exist_ok=True)
-    listed_documents = {d / name for d in layout.document_dirs() for name in _json_names(d)}
-    listed = listed_documents | set(layout.root.iterdir())
+    _make_directories(root)
+    listed_documents = {root / d / name for d in _DOCUMENTS for name in _json_names(root / d)}
+    listed = listed_documents | set(root.iterdir())
     written: set[Path] = set()
     for name, text in texts.items():
-        target = layout.root / name
+        target = root / name
         _write_replacing(target, text, target in listed)
         written.add(target)
     for directory, held in records.items():
         for record in held:
-            written.add(_write_document(layout, directory, record, engine.prefix_map, listed))
+            written.add(_write_document(root, directory, record, engine.prefix_map, listed))
     for stale in sorted(listed_documents - written):
         stale.unlink()
 

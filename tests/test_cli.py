@@ -662,6 +662,19 @@ def test_import_writes_only_what_it_added(store_dir, tmp_path, capsys, kind):
     assert tree_bytes(store_dir) == after
 
 
+@pytest.mark.parametrize("kind", ["terms", "mappings"])
+def test_import_replaces_its_file_without_reading_it_to_compare(store_dir, tmp_path, capsys, monkeypatch, kind):
+    # an import exports only after it added a term or a row, so the file's
+    # bytes always differ and a compare read would never save a write
+    file, changed = _new_record_files(store_dir, tmp_path)[kind]
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or read_bytes(path))
+    code, _, err = run(capsys, "--store", str(store_dir), "import", kind, str(file))
+    assert code == 0, err
+    assert reads.count(changed) == 0
+
+
 def test_imported_term_text_with_a_line_separator_keeps_the_store_readable(store_dir, tmp_path, capsys):
     # the text is one JSON line, and terms is read with str.splitlines, which
     # breaks lines at U+2028 too

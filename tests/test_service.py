@@ -807,6 +807,18 @@ def test_expect_100_continue_then_reply(served):
     assert "checks" in json.loads(answer)
 
 
+@pytest.mark.parametrize(
+    "length,status",
+    [(str(service.MAX_BODY_BYTES + 1), b"413"), ("abc", b"400"), ("1" * 5_000, b"413")],
+    ids=["over-cap", "no-number", "more-digits-than-int-reads"],
+)
+def test_expect_100_continue_not_sent_for_a_refused_length(served, length, status):
+    # the client is invited to send only a body the facade reads
+    head = f"POST /assess HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: {length}\r\n\r\n"
+    got, _, body = raw_exchange(served, head.encode(), closes=True)
+    assert (got, json.loads(body)["error"]) == (status, "payload-too-large" if status == b"413" else "malformed-request")
+
+
 def test_http10_request_answered_and_closed(served):
     status, headers, body = raw_exchange(served, b"GET /terms/pato:weight HTTP/1.0\r\n\r\n", closes=True)
     assert status == b"200"

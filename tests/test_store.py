@@ -32,6 +32,7 @@ from semint import (
     load_store,
 )
 from semint.crosswalks import AlignmentStatus
+from semint.engine import Engine
 from semint.errors import EmptyQuery, IoFailure, MalformedRecord, ParseFailure
 from semint import store
 from semint.store import open_store
@@ -82,6 +83,19 @@ def test_init_refuses_existing_store(tmp_path):
     init_store(tmp_path / "store")
     with pytest.raises(IoFailure):
         init_store(tmp_path / "store")
+
+
+def test_init_writes_what_an_export_of_an_empty_engine_writes(tmp_path):
+    root = tmp_path / "store"
+    (root / "schemas").mkdir(parents=True)
+    (root / "schemas" / "x.json").write_text("{}")
+    init_store(root)
+    exported = tmp_path / "exported"
+    export_store(Engine.empty(), exported)
+    # init lists and deletes nothing, so a document already there stays
+    assert tree_bytes(root) == {**tree_bytes(exported), "schemas/x.json": b"{}"}
+    assert sorted(p.name for p in root.iterdir()) == sorted(p.name for p in exported.iterdir())
+    assert not list(root.rglob("*.tmp"))
 
 
 def test_load_missing_store(tmp_path):
@@ -174,7 +188,7 @@ def test_export_into_empty_directory_reads_no_file(tmp_path, monkeypatch):
     export_store(fx.engine, tmp_path / "store")
     assert len(reads) == len([p for p in (tmp_path / "store").rglob("*") if p.is_file()])
     monkeypatch.undo()
-    assert tree_bytes(tmp_path / "store") == tree_bytes(export_store(fx.engine, tmp_path / "copy").root)
+    assert tree_bytes(tmp_path / "store") == tree_bytes(export_store(fx.engine, tmp_path / "copy"))
 
 
 def test_export_deletes_documents_of_dropped_records(tmp_path):
@@ -261,8 +275,8 @@ def test_term_records_are_built_on_first_access_and_loaded_in_layout_order(tmp_p
 
 
 def test_corrupt_prefix_line_parse_failure(tmp_path):
-    layout = init_store(tmp_path / "store")
-    layout.prefixes_path.write_text("justonefield\n")
+    root = init_store(tmp_path / "store")
+    (root / "prefixes").write_text("justonefield\n")
     with pytest.raises(ParseFailure) as excinfo:
         load_store(tmp_path / "store")
     assert excinfo.value.file == "prefixes"
