@@ -1,20 +1,25 @@
 """Command-line surface over a plain-text store.
 
-Exit codes: 0 success, 1 domain or validation failure, 2 usage error,
-3 parse or IO failure. A store file that cannot be parsed fails every command
-that reads it, and an input file that does not decode as the kind of document
-its command reads fails that command. Every command reads every file but those under ``fdos/``, and
-a ``terms`` line that is not JSON fails it; the term records are built only
-by the commands that read them (``assess``, ``import terms``, ``export``) and
-by ``serve``, so a line that is JSON but no term record fails only those. A
-file under ``fdos/`` is read only by the commands that read FAIR records
-(``assess``, ``find``, ``import fdo``, ``export``) and by ``serve``;
-``assess`` and ``import fdo`` parse every record file but build only the
-records stored under the id they assess or import. An ``import`` writes only
-the store file of what it added: the ``terms`` or ``mappings.tsv`` file, or
-the one document of the record it registered; ``import mappings`` renders
-only the rows it added and merges them into the stored lines. ``export``
-rewrites the whole store in canonical form.
+Exit codes: 0 success, 1 domain or validation failure, 2 usage error, 3 parse
+or IO failure. A store file that cannot be parsed fails every command that
+reads it, and an input file that does not decode as the kind of document its
+command reads fails that command. Every command but ``init`` reads
+``prefixes``, ``terms`` and ``mappings.tsv``, and a ``terms`` line that is not
+JSON fails it; the term records are built only by the commands that read them
+(``assess``, ``import terms``, ``export``) and by ``serve``, so a line that is
+JSON but no term record fails only those. A document directory is read, and
+its registry's module imported, only by the commands that read that registry
+or one built over it, and by ``serve``: ``schemas/`` by all but ``interop``,
+``closure``, ``import terms`` and ``import mappings``; ``crosswalks/`` by the
+same less ``validate`` and ``import schema``; ``operations/`` by ``ops``,
+``import operation`` and ``export``; ``fdos/`` by the commands that read FAIR
+records (``assess``, ``find``, ``import fdo``, ``export``). ``assess`` and
+``import fdo`` parse every record file but build only the records stored under
+the id they assess or import. An ``import`` writes only the store file of what
+it added: the ``terms`` or ``mappings.tsv`` file, or the one document of the
+record it registered; ``import mappings`` renders only the rows it added and
+merges them into the stored lines. ``export`` rewrites the whole store in
+canonical form.
 
 ``python -m semint.cli`` and the ``semint`` script run :func:`entry`, which
 returns :func:`main`'s exit code after ``gc.freeze()``: the process is about
@@ -40,13 +45,21 @@ from .errors import (
     UnknownOperation,
     UnknownSchema,
 )
-from .fdo import StatementCategory
 
 
 def _strategy(text: str) -> str:
     if text == "pairwise" or text.startswith("hub="):
         return text
     raise argparse.ArgumentTypeError(f"{text!r} is not 'pairwise' or 'hub=<schema-id>'")
+
+
+def _category(text: str) -> str:
+    from .fdo import StatementCategory  # only find --category imports the categories
+
+    values = [c.value for c in StatementCategory]
+    if text in values:
+        return text
+    raise argparse.ArgumentTypeError(f"{text!r} is not one of {', '.join(values)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--term")
     p_find.add_argument("--expand", choices=["none", "ontological", "referential"], default="none")
     p_find.add_argument("--statement-type")
-    p_find.add_argument("--category", choices=[c.value for c in StatementCategory])
+    p_find.add_argument("--category", type=_category, help="a statement category of the FAIR records")
 
     p_serve = sub.add_parser("serve", help="run the HTTP facade")
     p_serve.add_argument("--bind", default="127.0.0.1:8402")
@@ -144,9 +157,9 @@ def _run(args: argparse.Namespace) -> int:
         _emit({"initialized": str(store.init_store(root))})
         return 0
 
-    # serve reads every section before it binds, so no handler thread reads
-    # a deferred one; any other command builds term and FAIR records only if
-    # it reads them
+    # serve builds every registry and reads every section before it binds, so
+    # no handler thread reads a deferred one; any other command imports,
+    # reads and builds only what it reads
     engine = store.load_store(root) if args.command == "serve" else store.open_store(root)
     pm = engine.prefix_map
 
@@ -196,7 +209,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "assess":
         gupri = pm.gupri(args.gupri)
         # no check reads another record, so only the records of this id are built
-        store.defer_fdos(engine, root, only=gupri)
+        store.defer_fdos(engine.fdos, root, pm, only=gupri)
         report = engine.fdos.assess_fdo(gupri)
         _emit(documents.assessment_to_doc(report, pm))
         return 0
@@ -235,28 +248,21 @@ def _run_import(args: argparse.Namespace, engine, root: Path) -> int:
             store.export_store(engine, root, changed=("mappings.tsv", held))
         _emit(documents.import_report_to_doc(report))
         return 0
+    # the directory is also the engine's registry, which the first access builds
     directory, parse, register, lookup = {
-        "schema": ("schemas", documents.schema_from_doc, engine.schemas.register_schema, engine.schemas.schema),
-        "crosswalk": (
-            "crosswalks",
-            documents.crosswalk_from_doc,
-            engine.crosswalks.register_crosswalk,
-            engine.crosswalks.crosswalk,
-        ),
-        "operation": (
-            "operations",
-            documents.operation_from_doc,
-            engine.operations.register_operation,
-            engine.operations.operation,
-        ),
-        "fdo": ("fdos", documents.fdo_from_doc, engine.fdos.register_fdo, engine.fdos.record),
+        "schema": ("schemas", documents.schema_from_doc, "register_schema", "schema"),
+        "crosswalk": ("crosswalks", documents.crosswalk_from_doc, "register_crosswalk", "crosswalk"),
+        "operation": ("operations", documents.operation_from_doc, "register_operation", "operation"),
+        "fdo": ("fdos", documents.fdo_from_doc, "register_fdo", "record"),
     }[args.kind]
     parsed = _read_record(args.file, parse, pm)
+    registry = getattr(engine, directory)
     if args.kind == "fdo":
         # only a stored record of the same id, under any file name, can conflict
-        store.defer_fdos(engine, root, only=parsed.gupri)
+        store.defer_fdos(registry, root, pm, only=parsed.gupri)
+    lookup = getattr(registry, lookup)
     held = _held(lookup, parsed.gupri if args.kind == "fdo" else parsed.id)
-    registered = register(parsed)
+    registered = getattr(registry, register)(parsed)
     if not held:
         store.export_store(engine, root, changed=(directory, lookup(registered)))
     _emit({"registered": pm.compress(registered.canonical)})

@@ -10,39 +10,12 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Any, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Mapping, TypeVar
 
-from .crosswalks import (
-    Crosswalk,
-    CrosswalkLevel,
-    CrosswalkProvenance,
-    CrosswalkReport,
-    PlanReport,
-    SlotAlignment,
-)
+import semint
+
 from .errors import MalformedContent, MalformedRecord
-from .fdo import (
-    AssessmentReport,
-    CertaintyLevel,
-    FdoRecord,
-    StatementCategory,
-)
 from .identifiers import Gupri, PrefixMap
-from .operations import (
-    ApplicableOperation,
-    OperationDescriptor,
-    OperationKind,
-    OperationParam,
-)
-from .schemas import (
-    DatatypeTag,
-    SlotFill,
-    SlotKind,
-    SlotSpec,
-    StatementInstance,
-    StatementSchema,
-    ValidationReport,
-)
 from .terminology import (
     EntityMapping,
     ImportReport,
@@ -50,6 +23,15 @@ from .terminology import (
     ReferentKind,
     TermRecord,
 )
+
+# every command imports this module, and most read only some kinds of
+# record: a codec reaches the types of a kind as ``semint.<module>.<type>``,
+# which imports that module on first use
+if TYPE_CHECKING:
+    from .crosswalks import Crosswalk, CrosswalkReport, PlanReport
+    from .fdo import AssessmentReport, FdoRecord
+    from .operations import ApplicableOperation, OperationDescriptor
+    from .schemas import DatatypeTag, SlotFill, StatementInstance, StatementSchema, ValidationReport
 
 __all__ = ["load_json", "render", "render_line"]
 
@@ -357,16 +339,16 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
     slots = []
     for raw in _as_list(_require(obj, "slots", "schema document"), "schema slots"):
         slot = _as_obj(raw, "slot spec")
-        kind = decode_enum(SlotKind, str(_require(slot, "kind", "slot spec")), "slot spec: bad kind")
+        kind = decode_enum(semint.schemas.SlotKind, str(_require(slot, "kind", "slot spec")), "slot spec: bad kind")
         constraint_text = str(_require(slot, "constraint", "slot spec"))
         constraint: Gupri | DatatypeTag
-        if kind is SlotKind.LITERAL:
-            constraint = decode_enum(DatatypeTag, constraint_text, "slot spec: bad datatype")
+        if kind is semint.schemas.SlotKind.LITERAL:
+            constraint = decode_enum(semint.schemas.DatatypeTag, constraint_text, "slot spec: bad datatype")
         else:
             constraint = pm.gupri(constraint_text)
         try:
             slots.append(
-                SlotSpec(
+                semint.schemas.SlotSpec(
                     slot_id=_typed(_require(slot, "slot_id", "slot spec"), str, "slot spec: bad slot_id"),
                     role=_typed(_require(slot, "role", "slot spec"), str, "slot spec: bad role"),
                     kind=kind,
@@ -376,7 +358,7 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
             )
         except MalformedRecord as exc:
             raise MalformedContent(str(exc)) from None
-    return StatementSchema(
+    return semint.schemas.StatementSchema(
         id=pm.gupri(_require(obj, "id", "schema document")),
         statement_type=pm.gupri(_require(obj, "statement_type", "schema document")),
         label=decode_text(obj.get("label"), "schema document: bad label") or "",
@@ -386,7 +368,7 @@ def schema_from_doc(data: Any, pm: PrefixMap) -> StatementSchema:
 
 
 def fill_to_doc(fill: SlotFill, pm: PrefixMap) -> dict:
-    if fill.kind is SlotKind.RESOURCE:
+    if fill.datatype is None:  # only a resource fill has none
         doc: dict[str, Any] = {"kind": "resource", "value": _compact(fill.value, pm)}  # type: ignore[arg-type]
         if fill.asserted_class is not None:
             doc["asserted_class"] = _compact(fill.asserted_class, pm)
@@ -401,10 +383,11 @@ def fill_from_doc(data: Any, pm: PrefixMap) -> SlotFill:
     try:
         if kind_text == "resource":
             asserted = decode_text(obj.get("asserted_class"), "slot fill: bad asserted_class")
-            return SlotFill.resource(pm.gupri(value), pm.gupri(asserted) if asserted else None)
+            return semint.schemas.SlotFill.resource(pm.gupri(value), pm.gupri(asserted) if asserted else None)
         if kind_text == "literal":
-            tag = decode_enum(DatatypeTag, str(_require(obj, "datatype", "slot fill")), "slot fill: bad datatype")
-            return SlotFill.literal(value, tag)
+            datatype = str(_require(obj, "datatype", "slot fill"))
+            tag = decode_enum(semint.schemas.DatatypeTag, datatype, "slot fill: bad datatype")
+            return semint.schemas.SlotFill.literal(value, tag)
     except MalformedRecord as exc:
         raise MalformedContent(str(exc)) from None
     raise MalformedContent(f"slot fill: bad kind {kind_text!r}")
@@ -426,7 +409,7 @@ def instance_from_doc(data: Any, pm: PrefixMap) -> StatementInstance:
     obj = _as_obj(data, "instance document")
     fills_obj = _as_obj(_require(obj, "fills", "instance document"), "instance fills")
     fills = {str(slot_id): fill_from_doc(f, pm) for slot_id, f in fills_obj.items()}
-    return StatementInstance(
+    return semint.schemas.StatementInstance(
         schema_id=pm.gupri(_require(obj, "schema", "instance document")),
         fills=fills,
         provenance=decode_text(obj.get("provenance"), "instance document: bad provenance"),
@@ -480,7 +463,7 @@ def crosswalk_from_doc(data: Any, pm: PrefixMap) -> Crosswalk:
     for raw in _as_list(_require(obj, "alignments", "crosswalk document"), "crosswalk alignments"):
         a = _as_obj(raw, "alignment")
         alignments.append(
-            SlotAlignment(
+            semint.crosswalks.SlotAlignment(
                 source_slot=_typed(_require(a, "source_slot", "alignment"), str, "alignment: bad source_slot"),
                 target_slot=_typed(_require(a, "target_slot", "alignment"), str, "alignment: bad target_slot"),
             )
@@ -488,17 +471,17 @@ def crosswalk_from_doc(data: Any, pm: PrefixMap) -> Crosswalk:
     level = None
     if obj.get("level") is not None:
         try:
-            level = CrosswalkLevel.from_label(str(obj["level"]))
+            level = semint.crosswalks.CrosswalkLevel.from_label(str(obj["level"]))
         except ValueError as exc:
             raise MalformedContent(str(exc)) from None
     provenance = _as_obj(obj.get("provenance", {}), "crosswalk provenance")
-    return Crosswalk(
+    return semint.crosswalks.Crosswalk(
         id=pm.gupri(_require(obj, "id", "crosswalk document")),
         source_schema=pm.gupri(_require(obj, "source_schema", "crosswalk document")),
         target_schema=pm.gupri(_require(obj, "target_schema", "crosswalk document")),
         alignments=tuple(alignments),
         level=level,
-        provenance=CrosswalkProvenance(
+        provenance=semint.crosswalks.CrosswalkProvenance(
             author=decode_text(provenance.get("author"), "crosswalk provenance: bad author"),
             date=decode_text(provenance.get("date"), "crosswalk provenance: bad date"),
             justification=decode_text(provenance.get("justification"), "crosswalk provenance: bad justification"),
@@ -556,14 +539,16 @@ def operation_to_doc(d: OperationDescriptor, pm: PrefixMap) -> dict:
 
 def operation_from_doc(data: Any, pm: PrefixMap) -> OperationDescriptor:
     obj = _as_obj(data, "operation document")
-    kind = decode_enum(OperationKind, str(obj.get("kind", "external-reference")), "operation document: bad kind")
+    kind_text = str(obj.get("kind", "external-reference"))
+    kind = decode_enum(semint.operations.OperationKind, kind_text, "operation document: bad kind")
     params = []
     for raw in _as_list(obj.get("params", []), "operation params"):
         p = _as_obj(raw, "operation param")
-        tag = decode_enum(DatatypeTag, str(_require(p, "datatype", "operation param")), "operation param: bad datatype")
+        datatype = str(_require(p, "datatype", "operation param"))
+        tag = decode_enum(semint.schemas.DatatypeTag, datatype, "operation param: bad datatype")
         name = _typed(_require(p, "name", "operation param"), str, "operation param: bad name")
-        params.append(OperationParam(name=name, datatype=tag))
-    return OperationDescriptor(
+        params.append(semint.operations.OperationParam(name=name, datatype=tag))
+    return semint.operations.OperationDescriptor(
         id=pm.gupri(_require(obj, "id", "operation document")),
         label=decode_text(obj.get("label"), "operation document: bad label") or "",
         applicable_schemas=frozenset(
@@ -597,7 +582,7 @@ def applicable_to_doc(entries: list[ApplicableOperation], degree: int, pm: Prefi
 def fdo_to_doc(record: FdoRecord, pm: PrefixMap) -> dict:
     if isinstance(record.content, Gupri):
         content: dict[str, Any] = {"kind": "term_ref", "term": _compact(record.content, pm)}
-    elif isinstance(record.content, StatementInstance):
+    elif isinstance(record.content, semint.schemas.StatementInstance):
         content = {"kind": "instance", "instance": instance_to_doc(record.content, pm)}
     else:
         content = {
@@ -649,10 +634,10 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
         raise MalformedContent(f"fdo content: bad kind {kind!r}")
     category = None
     if obj.get("category") is not None:
-        category = decode_enum(StatementCategory, obj["category"], "fdo document: bad category")
+        category = decode_enum(semint.fdo.StatementCategory, obj["category"], "fdo document: bad category")
     certainty = None
     if obj.get("certainty") is not None:
-        certainty = decode_enum(CertaintyLevel, obj["certainty"], "fdo document: bad certainty")
+        certainty = decode_enum(semint.fdo.CertaintyLevel, obj["certainty"], "fdo document: bad certainty")
     schema_ref: Gupri | tuple[Gupri, ...] | None = None
     raw_ref = obj.get("schema_ref")
     if isinstance(raw_ref, list):
@@ -660,7 +645,7 @@ def fdo_from_doc(data: Any, pm: PrefixMap) -> FdoRecord:
     elif raw_ref is not None:
         schema_ref = pm.gupri(raw_ref)
     data_identifier = decode_text(obj.get("data_identifier"), "fdo document: bad data_identifier")
-    return FdoRecord(
+    return semint.fdo.FdoRecord(
         gupri=fdo_gupri(obj, pm),
         content=content,
         schema_ref=schema_ref,

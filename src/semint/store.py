@@ -13,10 +13,10 @@ which init, load and export all read; ``init_store`` and ``export_store``
 return the store's root path.
 
 ``load_store`` reads every section into an engine. ``open_store`` reads
-every section but ``fdos/``, which the first access to the engine's FAIR
-records reads, and builds the term records from the lines of ``terms`` on the
-first access to a term, so a caller that never reads a record never pays for
-building it.
+``prefixes``, ``terms`` and ``mappings.tsv``, builds the term records from the
+lines of ``terms`` on the first access to a term, and leaves each document
+directory to the first access to its registry, so a caller pays only for the
+records and the modules it reads.
 
 Exports are canonical: records sorted by canonical identifier, documents
 emitted with fixed key order, so export-import-export is byte-stable.
@@ -36,10 +36,11 @@ import itertools
 import operator
 import os
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Container, Mapping
+from typing import TYPE_CHECKING, Container, Mapping
 
 from . import documents
 from .engine import Engine
@@ -54,9 +55,11 @@ from .errors import (
     SemintError,
     decode_utf8,
 )
-from .fdo import StatementCategory
 from .identifiers import Gupri, PrefixMap
 from .terminology import EntityMapping, InteropLevel, TerminologyRegistry, mapping_order
+
+if TYPE_CHECKING:
+    from .fdo import FdoRegistry, StatementCategory
 
 __all__ = ["init_store", "open_store", "load_store", "export_store", "FindQuery", "ExpandMode", "find", "find_document"]
 
@@ -65,10 +68,11 @@ _MAPPINGS_HEADER = "\t".join(TerminologyRegistry.REQUIRED_COLUMNS + TerminologyR
 
 def init_store(path: str | Path) -> Path:
     """Create an empty canonical store, as an export of an empty engine writes
-    it, and return its root; refuses to clobber an existing store. Each file
-    is replaced whole, and nothing is listed or deleted."""
+    it, and return its root; refuses to clobber a directory holding any of
+    its files. Each file is replaced whole, and nothing is listed or
+    deleted."""
     root = Path(path)
-    if (root / "prefixes").exists() or (root / "mappings.tsv").exists():
+    if any((root / name).exists() for name in _FILES):
         raise IoFailure(f"store already initialized at {root}")
     try:
         engine = Engine.empty()
@@ -130,32 +134,36 @@ def term_records(lines: list[str], name: str, pm: PrefixMap):
 
 
 def open_store(path: str | Path) -> Engine:
-    """Parse the store into a fresh engine, leaving the term and FAIR records
-    unbuilt.
+    """Parse the store into a fresh engine that reads each section on first use.
 
-    Prefixes, mappings, schemas, crosswalks and operations are read now;
-    errors carry file and line context. Crosswalk documents are loaded with
-    structural checks only; semantic re-validation is the job of ``crosswalk
-    check``, so a store whose mapping set changed still loads.
-
+    Prefixes and mappings are read now; errors carry file and line context.
     ``terms`` is read and each line parsed as JSON now, so a file that is not
     UTF-8 or a line that is not JSON fails here, but the term records are
     built from the lines by the first access to the engine's terms (a term
     by id, ``has_term``, a listing, a registration, an assessment or an
-    export). The ``fdos/`` section is read by the first access to the
-    engine's FAIR records (a record, a listing, ``find``, an assessment by
-    id, a registration or a full export). Each deferred section is read once
-    and raises its :class:`ParseFailure` there, again at every later access,
-    so an engine that never reads a record never builds it.
+    export).
+
+    A document directory is read by the first access to its registry, which
+    the engine builds after those it is built over, so ``schemas/`` is read
+    before ``crosswalks/`` and both before ``operations/`` or ``fdos/``. The
+    first three are read whole then: a file that fails raises its
+    :class:`ParseFailure` and leaves the registry unbuilt, so every later
+    access fails again. Crosswalk documents get structural checks only;
+    semantic re-validation is the job of ``crosswalk check``, so a store
+    whose mapping set changed still loads. ``fdos/`` is read by the first
+    access to the FAIR records (a record, a listing, ``find``, an assessment
+    by id, a registration or a full export). Deferred terms and records are
+    read once and raise their :class:`ParseFailure` there, again at every
+    later access, so an engine that never reads a record never builds it.
     """
     return _read_store(Path(path), eager=False)
 
 
 def load_store(path: str | Path) -> Engine:
     """Parse every store file into a fresh engine: :func:`open_store`, with
-    each deferred section read at once where the layout puts it, so the
-    sections are read in layout order and fail with the same errors as by one
-    eager reader."""
+    every registry built and each deferred section read at once where the
+    layout puts it, so the sections are read in layout order and fail with
+    the same errors as by one eager reader."""
     return _read_store(Path(path), eager=True)
 
 
@@ -195,13 +203,23 @@ def _read_store(root: Path, eager: bool) -> Engine:
             first = report.rejected[0]
             raise ParseFailure("mappings.tsv", first.line, first.reason)
 
-    for directory, (*_, parse, register) in _DOCUMENTS.items():
-        if register is not None:
-            _register_documents(root / directory, parse, register(engine), prefix_map)
-    defer_fdos(engine, root)
+    engine.on_build = functools.partial(_read_section, root, prefix_map)
     if eager:
+        # each registry is named after its directory
+        for directory in _DOCUMENTS:
+            getattr(engine, directory)
         engine.fdos.records()
     return engine
+
+
+def _read_section(root: Path, pm: PrefixMap, directory: str, registry) -> None:
+    """Read the directory of a registry just built: every document now, or
+    for ``fdos/`` on the first access to a record (:func:`defer_fdos`)."""
+    *_, parse, register = _DOCUMENTS[directory]
+    if register is None:
+        defer_fdos(registry, root, pm)
+    else:
+        _register_documents(root / directory, parse, register(registry), pm)
 
 
 def _term_documents(lines: list[str], name: str):
@@ -222,22 +240,20 @@ def _register_terms(engine: Engine, lines: list[str]) -> None:
             raise ParseFailure("terms", lineno, str(exc)) from None
 
 
-def defer_fdos(engine: Engine, root: Path, only: Gupri | None = None) -> None:
-    """Leave the engine's FAIR records to the first access to them, which
-    reads every file under ``fdos/`` of the store at ``root``.
+def defer_fdos(fdos: FdoRegistry, root: Path, pm: PrefixMap, only: Gupri | None = None) -> None:
+    """Leave the FAIR records of the registry ``fdos`` to the first access to
+    them, which reads every file under ``fdos/`` of the store at ``root``.
 
     With ``only``, that access still reads every file and parses it as JSON,
     and a file that fails fails the access, but it builds and registers only
     the documents whose id is ``only``: the records that a record of that id
     can conflict with, under whatever file name. A document whose id cannot
-    be read fails too. The engine then holds no other record, so it serves
+    be read fails too. The registry then holds no other record, so it serves
     one registration of ``only`` and the write of its one file, never a
     listing or a full export.
     """
-    fdos_dir = root / "fdos"
-    pm = engine.prefix_map
     wanted = None if only is None else lambda doc: documents.fdo_gupri(doc, pm) == only
-    engine.fdos.defer(lambda: _register_documents(fdos_dir, documents.fdo_from_doc, engine.fdos.register_fdo, pm, wanted))
+    fdos.defer(lambda: _register_documents(root / "fdos", documents.fdo_from_doc, fdos.register_fdo, pm, wanted))
 
 
 def _register_documents(directory: Path, parse, register, prefix_map: PrefixMap, wanted=None) -> None:
@@ -278,7 +294,9 @@ def _filename(compact_id: str, canonical: str) -> str:
 def _write_replacing(target: Path, text: str, listed: bool) -> None:
     """Write through a temporary file in the same directory, so ``target``
     holds either its old or its new content, never a part of either. The
-    temporary name does not match ``*.json``, so a load never reads it.
+    temporary name is the writer's own, by process and thread, so writers of
+    one file never rename each other's, and it does not match ``*.json``, so
+    a load never reads it.
 
     A ``listed`` file, one the writer knows to exist, is left alone when it
     already holds ``text``: a write changes few files, and on ext4 a rename
@@ -292,7 +310,7 @@ def _write_replacing(target: Path, text: str, listed: bool) -> None:
             return
     except FileNotFoundError:
         pass
-    temporary = target.with_name(target.name + ".tmp")
+    temporary = target.with_name(f"{target.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         temporary.write_bytes(data)
         os.replace(temporary, target)
@@ -360,32 +378,33 @@ def _merged_mappings_text(engine: Engine, stored: str, held: int) -> str:
 #: the files of the layout that hold one text each, and how to render it
 _FILES = {"prefixes": _prefixes_text, "terms": _terms_text, "mappings.tsv": _mappings_text}
 
-#: the directories of the layout that hold one document per record: how to
-#: list the engine's records in canonical order and render one; the
-#: document's id field, also the record's attribute, which names its file;
-#: and how a load parses a document and, given the engine, registers its
-#: record. ``fdos/`` has none: :func:`defer_fdos` reads it
+#: the directories of the layout that hold one document per record, each
+#: named as the engine's registry of its records: how to list the engine's
+#: records in canonical order and render one; the document's id field, also
+#: the record's attribute, which names its file; and how a load parses a
+#: document and, given the registry, registers its record. ``fdos/`` has
+#: none: :func:`defer_fdos` reads it
 _DOCUMENTS = {
     "schemas": (
         lambda e: e.schemas.schemas(),
         lambda r, pm: documents.schema_to_doc(r, pm),
         "id",
         documents.schema_from_doc,
-        lambda e: e.schemas.register_schema,
+        lambda r: r.register_schema,
     ),
     "crosswalks": (
         lambda e: e.crosswalks.crosswalks(),
         lambda r, pm: documents.crosswalk_to_doc(r, pm),
         "id",
         documents.crosswalk_from_doc,
-        lambda e: e.crosswalks._insert_trusted,
+        lambda r: r._insert_trusted,
     ),
     "operations": (
         lambda e: e.operations.operations(),
         lambda r, pm: documents.operation_to_doc(r, pm),
         "id",
         documents.operation_from_doc,
-        lambda e: e.operations.register_operation,
+        lambda r: r.register_operation,
     ),
     "fdos": (lambda e: e.fdos.records(), lambda r, pm: documents.fdo_to_doc(r, pm), "gupri", None, None),
 }
@@ -536,6 +555,8 @@ def find_document(engine: Engine, params: Mapping[str, str | None]) -> dict:
     """:func:`find` for query text, as the CLI options and the facade's query
     parameters give it, answered as the ``{"results": [...]}`` document both
     emit. Absent or empty text leaves a criterion unset."""
+    from .fdo import StatementCategory
+
     pm = engine.prefix_map
     category = params.get("category")
     query = FindQuery(

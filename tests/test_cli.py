@@ -48,6 +48,18 @@ def test_init_and_double_init(tmp_path, capsys):
     assert json.loads(err)["error"] == "io-failure"
 
 
+def test_init_refuses_a_directory_holding_any_store_file(tmp_path, capsys):
+    # init must not empty a terms file, even with no other store file beside it
+    root = tmp_path / "store"
+    root.mkdir()
+    terms = root / "terms"
+    terms.write_text('{"id": "ex:a", "labels": {"en": "a"}}\n')
+    code, out, err = run(capsys, "--store", str(root), "init")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "io-failure"
+    assert tree_bytes(root) == {"terms": b'{"id": "ex:a", "labels": {"en": "a"}}\n'}
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
@@ -406,6 +418,48 @@ def test_corrupt_fdo_file_fails_only_record_commands(store_dir, tmp_path, capsys
         error = json.loads(err)
         assert error["error"] == "parse-failure", name
         assert error["message"].startswith(f"fdos/{broken.name}:1: "), name
+        # the failed read comes before any write
+        assert tree_bytes(store_dir) == before, name
+
+
+#: the commands of ``_commands`` that read each document directory: those
+#: that read its registry or one built over it
+_READERS = {
+    "schemas": {
+        "import-crosswalk", "validate", "transform", "ops", "plan", "crosswalk-check",
+        "assess", "find", "export", "import-fdo",
+    },
+    "crosswalks": {
+        "import-crosswalk", "transform", "ops", "plan", "crosswalk-check", "assess", "find", "export", "import-fdo",
+    },
+    "operations": {"ops", "export"},
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("directory", sorted(_READERS))
+def test_corrupt_document_fails_only_the_commands_that_read_its_directory(store_dir, tmp_path, capsys, directory):
+    # the CLI reads a document directory only when a command reads its registry
+    no_records, records = _commands(store_dir, tmp_path)
+    # import fdo adds the record that find then finds, both times
+    commands = {**no_records, "import-fdo": records["import-fdo"], **records}
+    clean = {name: run(capsys, "--store", str(store_dir), *argv)[:2] for name, argv in commands.items()}
+    assert all(code in (0, 1) and out for code, out in clean.values())
+    broken = store_dir / directory / "broken.json"
+    broken.write_text("{]")
+    readers = _READERS[directory]
+    assert {"interop", "closure"}.isdisjoint(readers) and readers <= set(commands)
+    for name, argv in commands.items():
+        if name in readers:
+            continue
+        code, out, err = run(capsys, "--store", str(store_dir), *argv)
+        assert (code, out) == clean[name], (name, err)
+    before = tree_bytes(store_dir)
+    for name in readers:
+        code, out, err = run(capsys, "--store", str(store_dir), *commands[name])
+        assert (code, out) == (3, ""), name
+        error = json.loads(err)
+        assert error["error"] == "parse-failure", name
+        assert error["message"].startswith(f"{directory}/broken.json:1: "), name
         # the failed read comes before any write
         assert tree_bytes(store_dir) == before, name
 
@@ -1004,14 +1058,55 @@ def test_import_leaves_logging_decimal_and_datetime_unloaded():
     assert _fresh_python(script) == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        ("interop", {"schemas", "crosswalks", "operations", "fdo", "service"}),
+        ("closure", {"schemas", "crosswalks", "operations", "fdo", "service"}),
+        ("validate", {"crosswalks", "operations", "fdo"}),
+        ("transform", {"operations", "fdo"}),
+    ],
+)
+def test_command_leaves_the_services_it_does_not_run_unloaded(store_dir, tmp_path, command, unloaded):
+    # a command imports only the registries it reads
+    argv = ["--store", str(store_dir), *_commands(store_dir, tmp_path)[0][command]]
+    modules = sorted(f"semint.{name}" for name in unloaded)
+    script = (
+        "import contextlib, io, sys\n"
+        "from semint.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(code, sorted(set({modules!r}) & set(sys.modules)))\n"
+    )
+    assert _fresh_python(script) == "0 []\n"
+
+
+def test_bare_import_loads_no_module_yet_binds_every_public_name():
+    script = (
+        "import sys, semint\n"
+        "print(sorted(name for name in sys.modules if name.startswith('semint.')))\n"
+        "names = {}\n"
+        "exec('from semint import *', names)\n"
+        "print(len(semint.__all__), sorted(set(semint.__all__) - set(names)), set(semint.__all__) <= set(dir(semint)))\n"
+        "from semint import documents, schemas\n"
+        "print(semint.documents is documents, semint.SlotFill is schemas.SlotFill, hasattr(semint, 'nothing'))\n"
+    )
+    assert _fresh_python(script) == "[]\n45 [] True\nTrue True False\n"
+
+
 def test_every_dataclass_has_its_own_docstring():
     # @dataclass renders the signature of a class without one into its
     # docstring, with inspect, at import: every process would pay for it
     import dataclasses
+    import importlib
     import inspect
+    import pkgutil
 
     import semint
 
+    # importing the package imports none of its modules
+    for module in pkgutil.iter_modules(semint.__path__):
+        importlib.import_module(f"semint.{module.name}")
     classes = [
         cls
         for module in (sys.modules[name] for name in sorted(sys.modules) if name.startswith("semint."))

@@ -157,6 +157,43 @@ def test_failed_export_keeps_every_record(tmp_path, monkeypatch, fail_at):
     assert tree_bytes(root) == before
 
 
+def test_concurrent_replacements_of_one_file_never_collide(tmp_path):
+    # each write has its own temporary name, so no writer renames another's
+    # half-written file or finds its own gone
+    import sys
+    import threading
+
+    target = tmp_path / "mappings.tsv"
+    texts = ["a" * 100_000 + "\n", "b" * 150_000 + "\n"]
+    target.write_text(texts[0])
+    errors: list[BaseException] = []
+
+    def writer(text: str) -> None:
+        try:
+            for _ in range(300):
+                store._write_replacing(target, text, listed=False)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(text,)) for text in texts]
+    seen = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        while any(t.is_alive() for t in threads):
+            seen.add(target.read_text())
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert seen <= set(texts) and target.read_text() in texts
+    assert [p.name for p in tmp_path.iterdir()] == ["mappings.tsv"]
+
+
 def test_export_replaces_only_changed_files(tmp_path):
     fx = populated_fixture()
     root = tmp_path / "store"
@@ -272,6 +309,35 @@ def test_term_records_are_built_on_first_access_and_loaded_in_layout_order(tmp_p
     with pytest.raises(ParseFailure) as excinfo:
         load_store(root)
     assert (excinfo.value.file, excinfo.value.line) == ("terms", 1)
+
+
+def test_each_document_directory_is_read_by_the_first_access_to_its_registry(tmp_path):
+    fx = populated_fixture()
+    root = tmp_path / "store"
+    export_store(fx.engine, root)
+    for directory in ("schemas", "crosswalks", "operations"):
+        (root / directory / "broken.json").write_text("{]")
+    engine = open_store(root)
+    assert engine.terminology.interop_level("pato:weight", "ncit:weight").actionable
+    # a registry is built over the ones before it in the layout, which read
+    # their directories first, and a failed read fails every later access
+    failing = {
+        "schemas": {"schemas": "schemas", "crosswalks": "schemas", "operations": "schemas", "fdos": "schemas"},
+        "crosswalks": {"crosswalks": "crosswalks", "operations": "crosswalks", "fdos": "crosswalks"},
+        "operations": {"operations": "operations"},
+    }
+    for fixed, fails in failing.items():
+        for registry, directory in [*fails.items(), *fails.items()]:
+            with pytest.raises(ParseFailure) as excinfo:
+                getattr(engine, registry)
+            assert excinfo.value.file == f"{directory}/broken.json", registry
+        (root / fixed / "broken.json").unlink()
+    engine = load_store(root)
+    assert [len(engine.schemas.schemas()), len(engine.crosswalks.crosswalks()), len(engine.fdos.records())] == [
+        len(fx.engine.schemas.schemas()),
+        len(fx.engine.crosswalks.crosswalks()),
+        len(fx.engine.fdos.records()),
+    ]
 
 
 def test_corrupt_prefix_line_parse_failure(tmp_path):
