@@ -16,10 +16,9 @@ same less ``validate`` and ``import schema``; ``operations/`` by ``ops``,
 records (``assess``, ``find``, ``import fdo``, ``export``). ``assess`` and
 ``import fdo`` parse every record file but build only the records stored under
 the id they assess or import. An ``import`` writes only the store file of what
-it added: the ``terms`` or ``mappings.tsv`` file, or the one document of the
-record it registered; ``import mappings`` renders only the rows it added and
-merges them into the stored lines. ``export`` rewrites the whole store in
-canonical form.
+it added: the ``terms`` or ``mappings.tsv`` file, rewritten whole in canonical
+form, or the one document of the record it registered. ``export`` rewrites
+the whole store in canonical form.
 
 ``python -m semint.cli`` and the ``semint`` script run :func:`entry`, which
 returns :func:`main`'s exit code after ``gc.freeze()``: the process is about
@@ -245,7 +244,7 @@ def _run_import(args: argparse.Namespace, engine, root: Path) -> int:
             store.read_file(args.file, args.file), table1_direction=args.table1_direction
         )
         if len(engine.terminology.mapping_rows()) > held:
-            store.export_store(engine, root, changed=("mappings.tsv", held))
+            store.export_store(engine, root, changed="mappings.tsv")
         _emit(documents.import_report_to_doc(report))
         return 0
     # the directory is also the engine's registry, which the first access builds

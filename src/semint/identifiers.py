@@ -106,20 +106,17 @@ class PrefixMap:
             raise InvalidGupri("empty identifier")
         if _SPACE_RE.search(value):
             raise InvalidGupri(f"identifier contains whitespace: {value!r}")
-        # a CURIE's prefix ends at the first colon
-        prefix, _, local = value.partition(":")
-        expansion = self._bindings.get(prefix)
-        # a registered prefix matches the CURIE grammar's, so with a local
-        # part the value is a CURIE; unless "//" follows the colon or the
-        # prefix is "urn", it is no IRI or URN either, and no match is needed
-        if expansion is None or not local or local.startswith("//") or prefix.lower() == "urn":
-            if is_absolute_iri(value):
-                return value
-            if not _CURIE_RE.match(value):
-                raise InvalidGupri(f"not an absolute IRI or CURIE: {value!r}")
-            if expansion is None:
-                raise InvalidGupri(f"unregistered prefix {prefix!r} in {value!r}")
-        return expansion + local
+        # the grammars in their order: an IRI or a URN as it is, else a CURIE
+        # whose prefix is bound
+        if is_absolute_iri(value):
+            return value
+        match = _CURIE_RE.match(value)
+        if not match:
+            raise InvalidGupri(f"not an absolute IRI or CURIE: {value!r}")
+        prefix, local = match.groups()
+        if prefix not in self._bindings:
+            raise InvalidGupri(f"unregistered prefix {prefix!r} in {value!r}")
+        return self._bindings[prefix] + local
 
     def gupri(self, value: str | Gupri) -> Gupri:
         """The Gupri of ``value``.

@@ -21,19 +21,17 @@ records and the modules it reads.
 Exports are canonical: records sorted by canonical identifier, documents
 emitted with fixed key order, so export-import-export is byte-stable.
 ``export_store`` rewrites every file, or with ``changed`` only the one file an
-import changed, rendering only the mapping rows an import added, so an import
-into a canonical store leaves it equal to a full export, and only a full
-export canonicalizes files edited by hand. An import replaces its one file
-without reading it to compare: it exports only what it added.
+import changed, rendered whole, so an import into a canonical store leaves it
+equal to a full export. An import that adds to ``terms`` or ``mappings.tsv``
+rewrites that file in canonical form, hand edits included; a document edited
+by hand is canonicalized only by a full export. An import replaces its one
+file without reading it to compare: it exports only what it added.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import heapq
-import itertools
-import operator
 import os
 import re
 import threading
@@ -56,7 +54,7 @@ from .errors import (
     decode_utf8,
 )
 from .identifiers import Gupri, PrefixMap
-from .terminology import EntityMapping, InteropLevel, TerminologyRegistry, mapping_order
+from .terminology import EntityMapping, InteropLevel, TerminologyRegistry
 
 if TYPE_CHECKING:
     from .fdo import FdoRegistry, StatementCategory
@@ -350,31 +348,6 @@ def _mappings_text(engine: Engine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _merged_mappings_text(engine: Engine, stored: str, held: int) -> str:
-    """``mappings.tsv`` after an import: the ``stored`` text with the lines of
-    the rows after the first ``held`` of the table merged in, when the text
-    is the canonical header and one line for each of those ``held`` rows, in
-    canonical order; else :func:`_mappings_text`.
-
-    The engine was opened from ``stored``, so a line could store at most one
-    row, and ``held`` rows from as many lines after the header means each
-    line stored one, in table order. A new row that ties with a stored one
-    goes after it, as the stable sort of the table puts it, so a canonical
-    text stays equal to a full render while only the new rows are rendered.
-    """
-    lines = stored.splitlines()
-    rows = engine.terminology.mapping_rows()
-    if lines[:1] != [_MAPPINGS_HEADER] or len(lines) != held + 1 or stored != "\n".join(lines) + "\n":
-        return _mappings_text(engine)
-    keys = [mapping_order(m) for m in rows[:held]]
-    if any(a > b for a, b in itertools.pairwise(keys)):
-        return _mappings_text(engine)
-    pm = engine.prefix_map
-    added = sorted(((mapping_order(m), _mapping_line(m, pm)) for m in rows[held:]), key=operator.itemgetter(0))
-    merged = heapq.merge(zip(keys, lines[1:]), added, key=operator.itemgetter(0))
-    return "\n".join([_MAPPINGS_HEADER, *(line for _, line in merged)]) + "\n"
-
-
 #: the files of the layout that hold one text each, and how to render it
 _FILES = {"prefixes": _prefixes_text, "terms": _terms_text, "mappings.tsv": _mappings_text}
 
@@ -383,27 +356,28 @@ _FILES = {"prefixes": _prefixes_text, "terms": _terms_text, "mappings.tsv": _map
 #: records in canonical order and render one; the document's id field, also
 #: the record's attribute, which names its file; and how a load parses a
 #: document and, given the registry, registers its record. ``fdos/`` has
-#: none: :func:`defer_fdos` reads it
+#: none: :func:`defer_fdos` reads it. Every codec is looked up in
+#: ``documents`` when it runs, so a patch of that name sees every call
 _DOCUMENTS = {
     "schemas": (
         lambda e: e.schemas.schemas(),
         lambda r, pm: documents.schema_to_doc(r, pm),
         "id",
-        documents.schema_from_doc,
+        lambda doc, pm: documents.schema_from_doc(doc, pm),
         lambda r: r.register_schema,
     ),
     "crosswalks": (
         lambda e: e.crosswalks.crosswalks(),
         lambda r, pm: documents.crosswalk_to_doc(r, pm),
         "id",
-        documents.crosswalk_from_doc,
+        lambda doc, pm: documents.crosswalk_from_doc(doc, pm),
         lambda r: r._insert_trusted,
     ),
     "operations": (
         lambda e: e.operations.operations(),
         lambda r, pm: documents.operation_to_doc(r, pm),
         "id",
-        documents.operation_from_doc,
+        lambda doc, pm: documents.operation_from_doc(doc, pm),
         lambda r: r.register_operation,
     ),
     "fdos": (lambda e: e.fdos.records(), lambda r, pm: documents.fdo_to_doc(r, pm), "gupri", None, None),
@@ -438,18 +412,14 @@ def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, 
     read, and a failed read writes nothing.
 
     ``changed`` names one entry of the layout: ``"terms"`` or
-    ``"mappings.tsv"``, rewritten whole; ``("mappings.tsv", held)``, for an
-    engine opened from this store that held ``held`` mapping rows before an
-    import added the rows after them in table order; or a directory and the
+    ``"mappings.tsv"``, rendered and rewritten whole, so a line spelled
+    another way by hand takes its canonical form; or a directory and the
     record the engine holds whose document is new in it, as ``("crosswalks",
-    record)``. That one file is written and nothing is listed or deleted, so a
-    store that was canonical before stays equal to a full export, and a file
-    edited by hand elsewhere stays as it is. The file is replaced without
-    first reading it to compare, since an import exports only what it added.
-    With ``held``, only the added rows are rendered, and their lines are
-    merged into the stored ones (:func:`_merged_mappings_text`); a
-    ``mappings.tsv`` that is not one sorted line per row, such as one with
-    comments, is rewritten whole.
+    record)``. That one file is written and nothing is listed or deleted, so
+    a store that was canonical before stays equal to a full export, and a
+    file edited by hand elsewhere stays as it is. The file is replaced
+    without first reading it to compare, since an import exports only what
+    it added.
     """
     root = Path(path)
     try:
@@ -457,13 +427,6 @@ def export_store(engine: Engine, path: str | Path, *, changed: str | tuple[str, 
             _export_all(engine, root)
         elif isinstance(changed, str):
             _write_replacing(root / changed, _FILES[changed](engine), listed=False)
-        elif changed[0] == "mappings.tsv":
-            target = root / "mappings.tsv"
-            try:
-                text = _merged_mappings_text(engine, read_text(target, "mappings.tsv"), changed[1])
-            except FileNotFoundError:
-                text = _mappings_text(engine)
-            _write_replacing(target, text, listed=False)
         else:
             directory, record = changed
             (root / directory).mkdir(exist_ok=True)

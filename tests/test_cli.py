@@ -571,61 +571,41 @@ def mapping_store(store_dir, tmp_path):
     return file
 
 
-def _imported_mappings(store_dir, tmp_path, capsys, monkeypatch, file) -> int:
-    """Import ``file`` and check that the store is then what a full export
-    writes after the same import; the number of mapping lines rendered."""
-    engine = load_store(store_dir)
-    engine.terminology.import_mappings_tsv(file.read_text())
-    canonical = tmp_path / "canonical"
-    export_store(engine, canonical)
-    rendered = []
-    line = store._mapping_line
-    monkeypatch.setattr(store, "_mapping_line", lambda m, pm: rendered.append(m) or line(m, pm))
-    code, _, err = run(capsys, "--store", str(store_dir), "import", "mappings", str(file))
-    assert code == 0, err
-    monkeypatch.undo()
-    assert tree_bytes(store_dir) == tree_bytes(canonical)
-    return len(rendered)
-
-
-def test_import_mappings_renders_only_the_rows_it_added(store_dir, tmp_path, capsys, monkeypatch, mapping_store):
-    held = len(load_store(store_dir).terminology.mapping_rows())
-    rendered = _imported_mappings(store_dir, tmp_path, capsys, monkeypatch, mapping_store)
-    added = len(load_store(store_dir).terminology.mapping_rows()) - held
-    assert 0 < added < 60
-    assert rendered == added
-
-
-@pytest.mark.parametrize("edit", ["unsorted", "commented", "blank line"])
-def test_import_mappings_into_an_edited_file_rewrites_it(store_dir, tmp_path, capsys, monkeypatch, mapping_store, edit):
-    # a file that is not one line per row in canonical order is rendered whole
+@pytest.mark.parametrize("edit", ["canonical", "unsorted", "commented", "blank line"])
+def test_import_mappings_into_an_edited_file_rewrites_it(store_dir, tmp_path, capsys, mapping_store, edit):
+    # mappings.tsv is rendered whole, so after the import the store is what a
+    # full export writes after the same import, whatever the file held
     mappings = store_dir / "mappings.tsv"
     lines = mappings.read_text().splitlines()
     if edit == "unsorted":
         lines[5], lines[6] = lines[6], lines[5]
-    else:
+    elif edit != "canonical":
         lines.insert(7, "# checked by hand" if edit == "commented" else "")
     mappings.write_text("\n".join(lines) + "\n")
-    rendered = _imported_mappings(store_dir, tmp_path, capsys, monkeypatch, mapping_store)
-    assert rendered == len(load_store(store_dir).terminology.mapping_rows())
+    engine = load_store(store_dir)
+    engine.terminology.import_mappings_tsv(mapping_store.read_text())
+    canonical = tmp_path / "canonical"
+    export_store(engine, canonical)
+    code, _, err = run(capsys, "--store", str(store_dir), "import", "mappings", str(mapping_store))
+    assert code == 0, err
+    assert tree_bytes(store_dir) == tree_bytes(canonical)
 
 
-def test_import_mappings_keeps_a_stored_line_in_another_spelling(store_dir, tmp_path, capsys, mapping_store):
-    # one row a line in canonical order is merged into as it is, so a row
-    # spelled with its IRI keeps that spelling until export
+def test_import_mappings_rewrites_a_stored_line_in_another_spelling(store_dir, tmp_path, capsys, mapping_store):
+    # a row spelled with its IRI reads as its CURIE after the import, as
+    # export writes it
     mappings = store_dir / "mappings.tsv"
     lines = mappings.read_text().splitlines()
     index = next(i for i, line in enumerate(lines) if line.startswith("ex:m1\t"))
     prefixes = dict(line.split("\t") for line in (store_dir / "prefixes").read_text().splitlines())
-    spelled = prefixes["ex"] + lines[index][len("ex:") :]
+    curie = lines[index]
+    spelled = prefixes["ex"] + curie[len("ex:") :]
     lines[index] = spelled
     mappings.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "--store", str(store_dir), "import", "mappings", str(mapping_store))
     assert code == 0, err
-    assert spelled in mappings.read_text().splitlines()
-    code, _, err = run(capsys, "--store", str(store_dir), "export")
-    assert code == 0, err
-    assert spelled not in mappings.read_text().splitlines()
+    after = mappings.read_text().splitlines()
+    assert spelled not in after and curie in after
 
 
 def test_imports_keep_every_record_file(store_dir, tmp_path, capsys):
@@ -719,14 +699,17 @@ def test_import_writes_only_what_it_added(store_dir, tmp_path, capsys, kind):
 @pytest.mark.parametrize("kind", ["terms", "mappings"])
 def test_import_replaces_its_file_without_reading_it_to_compare(store_dir, tmp_path, capsys, monkeypatch, kind):
     # an import exports only after it added a term or a row, so the file's
-    # bytes always differ and a compare read would never save a write
+    # bytes always differ and a compare read would never save a write; the
+    # file is read once, by the load, and rendered whole from the engine
     file, changed = _new_record_files(store_dir, tmp_path)[kind]
-    reads = []
-    read_bytes = Path.read_bytes
+    reads, texts = [], []
+    read_bytes, read_text = Path.read_bytes, store.read_text
     monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or read_bytes(path))
+    monkeypatch.setattr(store, "read_text", lambda path, name: texts.append(name) or read_text(path, name))
     code, _, err = run(capsys, "--store", str(store_dir), "import", kind, str(file))
     assert code == 0, err
     assert reads.count(changed) == 0
+    assert texts.count(changed) == 1
 
 
 def test_imported_term_text_with_a_line_separator_keeps_the_store_readable(store_dir, tmp_path, capsys):

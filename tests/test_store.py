@@ -340,6 +340,19 @@ def test_each_document_directory_is_read_by_the_first_access_to_its_registry(tmp
     ]
 
 
+@pytest.mark.parametrize("directory", ["schemas", "crosswalks", "operations"])
+def test_a_patch_of_a_document_codec_sees_every_store_read(tmp_path, monkeypatch, directory):
+    # a patch of the codec's documents name sees every read of the store, as
+    # a tracer that wraps those names needs
+    export_store(populated_fixture().engine, tmp_path / "store")
+    name = f"{directory[:-1]}_from_doc"
+    parsed = []
+    parse = getattr(documents, name)
+    monkeypatch.setattr(documents, name, lambda doc, pm: parsed.append(doc["id"]) or parse(doc, pm))
+    getattr(open_store(tmp_path / "store"), directory)
+    assert len(parsed) == len(list((tmp_path / "store" / directory).glob("*.json"))) > 0
+
+
 def test_corrupt_prefix_line_parse_failure(tmp_path):
     root = init_store(tmp_path / "store")
     (root / "prefixes").write_text("justonefield\n")
